@@ -2,10 +2,13 @@
 """Executor benchmark: thread vs process sweeps, clean and under chaos.
 
 Evaluates the paper's Q3 property over a ``(t, r)`` grid (the Table 4
-workload) through the partial-sweep machinery four ways:
+workload) with the shared-prefix sweep and then through the
+partial-sweep machinery four ways:
 
-* **thread** -- the in-process GIL-releasing fan-out
-  (``executor="thread"``), the baseline;
+* **shared** -- ``joint_probability_sweep``, the yardstick every
+  executor leg is timed against (``--max-ratio``);
+* **thread** -- the in-process executor (``executor="thread"``), the
+  reference grid;
 * **process** -- :class:`~repro.exec.ProcessShardExecutor`,
   crash-isolated worker processes (model shipped once per worker,
   spec-transported engines);
@@ -16,14 +19,18 @@ workload) through the partial-sweep machinery four ways:
   from the finished file: measures checkpoint overhead and the resume
   fast-path.
 
-All four grids must agree **bit for bit** (max|diff| exactly 0.0) --
-the fault-tolerance layer is not allowed to cost accuracy.  Results
-are merged into ``BENCH_<YYYYMMDD>.json`` under the ``exec`` section.
+All grids, the shared one included, must agree **bit for bit**
+(max|diff| exactly 0.0) -- the fault-tolerance layer is not allowed to
+cost accuracy.  The executors run the engine's shared-work units, so
+with ``--max-ratio X`` the run also fails when the thread or process
+leg takes more than ``X`` times the shared sweep.  Results are merged
+into ``BENCH_<YYYYMMDD>.json`` under the ``exec`` section.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_exec.py           # 6x6 grid
     PYTHONPATH=src python benchmarks/bench_exec.py --quick   # 3x3, <60s
+    PYTHONPATH=src python benchmarks/bench_exec.py --quick --max-ratio 1.5
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ from repro.exec import ProcessShardExecutor
 from repro.models import adhoc
 
 CHAOS = "rate=0.2;kinds=crash,corrupt;seed=9"
+
+#: The executor legs ``--max-ratio`` gates against the shared sweep.
+GATED = ("thread", "process")
 
 
 def _grid_bounds(points: int):
@@ -78,13 +88,21 @@ def exec_section(quick: bool, workers: int, tmp: Path) -> dict:
     print(f"(t, r) grid: {points}x{points}, {workers} workers, "
           f"{model.num_states}-state reduced Q3 model")
 
+    # One untimed warm-up pays the process's first-call costs (kernel
+    # selection, imports), which no leg should carry.
+    factory().joint_probability_sweep(model, times, rewards, target)
+    clear_caches()
+    start = time.perf_counter()
+    shared = factory().joint_probability_sweep(model, times, rewards,
+                                               target)
+    shared_seconds = time.perf_counter() - start
     reference, thread_seconds = _run(
         factory, model, target, times, rewards, executor="thread")
 
     def process(**options):
         return ProcessShardExecutor(max_workers=workers, **options)
 
-    grids = {}
+    grids = {"shared": shared}
     grids["process"], process_seconds = _run(
         factory, model, target, times, rewards, executor=process())
 
@@ -107,9 +125,14 @@ def exec_section(quick: bool, workers: int, tmp: Path) -> dict:
 
     diffs = {name: float(np.max(np.abs(grid - reference)))
              for name, grid in grids.items()}
+    ratios = {"thread": thread_seconds / shared_seconds,
+              "process": process_seconds / shared_seconds,
+              "chaos": chaos_seconds / shared_seconds,
+              "checkpoint_cold": cold_seconds / shared_seconds}
     row = {
         "grid": f"{points}x{points}",
         "workers": workers,
+        "shared_seconds": round(shared_seconds, 4),
         "thread_seconds": round(thread_seconds, 4),
         "process_seconds": round(process_seconds, 4),
         "chaos_seconds": round(chaos_seconds, 4),
@@ -118,9 +141,12 @@ def exec_section(quick: bool, workers: int, tmp: Path) -> dict:
         "chaos_retries": chaos_executor.retries,
         "checkpoint_cold_seconds": round(cold_seconds, 4),
         "checkpoint_resume_seconds": round(resume_seconds, 4),
+        "ratios_to_shared": {name: round(ratio, 3)
+                             for name, ratio in ratios.items()},
         "max_abs_diffs": diffs,
     }
-    print(f"  thread  {thread_seconds:6.3f}s   "
+    print(f"  shared  {shared_seconds:6.3f}s   "
+          f"thread  {thread_seconds:6.3f}s   "
           f"process {process_seconds:6.3f}s   "
           f"chaos {chaos_seconds:6.3f}s "
           f"({chaos_executor.restarts} restarts, "
@@ -128,6 +154,8 @@ def exec_section(quick: bool, workers: int, tmp: Path) -> dict:
     print(f"  checkpoint cold {cold_seconds:6.3f}s   "
           f"resume {resume_seconds:6.3f}s   "
           f"max|diff| {max(diffs.values()):.1e}")
+    print("  ratio to shared: " + "   ".join(
+        f"{name} {ratio:.2f}x" for name, ratio in ratios.items()))
     return {"engine": "discretization", "runs": row}
 
 
@@ -147,6 +175,10 @@ def main(argv=None) -> int:
                         help="3x3 grid for CI smoke (< 60 s)")
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--output", type=Path, default=None)
+    parser.add_argument("--max-ratio", type=float, default=None,
+                        help="fail when the thread or process leg "
+                             "takes more than this multiple of the "
+                             "shared sweep")
     arguments = parser.parse_args(argv)
 
     started = time.perf_counter()
@@ -168,6 +200,16 @@ def main(argv=None) -> int:
         print(f"FAIL: executor grids are not bit-identical: {diffs}")
         return 1
     print("all executor grids bit-identical to the threaded baseline")
+    if arguments.max_ratio is not None:
+        ratios = section["runs"]["ratios_to_shared"]
+        slow = {leg: ratios[leg] for leg in GATED
+                if ratios[leg] > arguments.max_ratio}
+        if slow:
+            print(f"FAIL: executor legs slower than "
+                  f"{arguments.max_ratio}x the shared sweep: {slow}")
+            return 1
+        print(f"thread and process legs within {arguments.max_ratio}x "
+              f"of the shared sweep")
     return 0
 
 

@@ -9,9 +9,9 @@ over its accuracy/bound parameters) three ways per engine:
   cell, the pre-sweep baseline;
 * **sweep** -- one :meth:`joint_probability_sweep` call sharing the
   propagation prefix across the grid;
-* **threaded** -- the per-point cells fanned out over GIL-releasing
-  threads (:func:`parallel_joint_vectors`), the no-sweep parallel
-  baseline.
+* **threaded** -- the fault-tolerant partial sweep on the in-process
+  thread executor (``joint_probability_sweep_partial``), which runs
+  the engine's shared-work units and must stay close to the sweep.
 
 The three must agree to 1e-10; speedups and engine counters are merged
 into ``BENCH_<YYYYMMDD>.json`` next to this script (created if
@@ -41,8 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
-                              SericolaEngine, clear_caches,
-                              parallel_joint_vectors)
+                              SericolaEngine, clear_caches)
 from repro.models import adhoc
 
 
@@ -85,15 +84,13 @@ def measure_engine(engine_factory, setting, times, rewards,
 
     clear_caches()
     engine = engine_factory()
-    queries = [(model, t, r, target) for t in times for r in rewards]
     start = time.perf_counter()
-    threaded = parallel_joint_vectors(engine, queries,
-                                      max_workers=max_workers)
+    partial = engine.joint_probability_sweep_partial(
+        model, times, rewards, target, max_workers=max_workers)
     threaded_seconds = time.perf_counter() - start
 
-    flat = np.array(threaded).reshape(loop.shape)
     sweep_diff = float(np.max(np.abs(swept - loop)))
-    threaded_diff = float(np.max(np.abs(flat - loop)))
+    threaded_diff = float(np.max(np.abs(partial.grid - loop)))
     row = {
         "engine": engine.name,
         "grid": f"{len(times)}x{len(rewards)}",

@@ -21,11 +21,13 @@ Beyond the scalar :meth:`~repro.algorithms.base.JointEngine.\
 joint_probability_vector`, every engine evaluates whole ``(t, r)``
 bound grids with a shared propagation prefix
 (:meth:`~repro.algorithms.base.JointEngine.joint_probability_sweep`),
-and :mod:`~repro.algorithms.parallel` fans genuinely independent
-queries -- distinct reduced models -- over GIL-releasing threads.
+split into shared-work units (:class:`~repro.algorithms.base.WorkUnit`)
+that the executors of :mod:`repro.exec` schedule, and
+:mod:`~repro.algorithms.parallel` fans genuinely independent queries
+-- distinct reduced models -- over GIL-releasing threads.
 """
 
-from repro.algorithms.base import (JointEngine, PartialSweep,
+from repro.algorithms.base import (JointEngine, PartialSweep, WorkUnit,
                                    available_engines, get_engine,
                                    richardson_bracket)
 from repro.algorithms.cache import (EngineStats, cache_info, clear_caches,
@@ -34,18 +36,14 @@ from repro.algorithms.cache import (EngineStats, cache_info, clear_caches,
 from repro.algorithms.erlang import ErlangEngine, erlang_expanded_model
 from repro.algorithms.discretization import DiscretizationEngine
 from repro.algorithms.sericola import SericolaEngine
-from repro.algorithms.parallel import (deadline_map,
-                                       parallel_joint_sweeps,
-                                       parallel_joint_vectors,
-                                       threaded_map)
+from repro.algorithms.parallel import parallel_joint_sweeps, threaded_map
 
 __all__ = [
     "JointEngine", "get_engine", "available_engines",
-    "PartialSweep", "richardson_bracket",
+    "PartialSweep", "WorkUnit", "richardson_bracket",
     "EngineStats", "cache_info", "clear_caches",
     "joint_cache", "matrix_cache", "value_nbytes",
     "ErlangEngine", "erlang_expanded_model",
     "DiscretizationEngine", "SericolaEngine",
-    "deadline_map", "parallel_joint_sweeps", "parallel_joint_vectors",
-    "threaded_map",
+    "parallel_joint_sweeps", "threaded_map",
 ]

@@ -23,11 +23,15 @@ for **all initial states in one propagation**.  Per-engine run counters
 :meth:`JointEngine.joint_probability_sweep` extends the template to a
 whole ``(t, r)`` grid: the cache is consulted *per grid point* (the
 keys are exactly the scalar keys, so sweep and scalar calls feed each
-other), and the missing sub-grid goes to the engine's
+other), and the missing cells are split into the engine's shared-work
+units (:meth:`JointEngine.work_units`), each one run of
 :meth:`JointEngine._compute_joint_sweep`, whose engine-native
-overrides share the propagation prefix across the grid instead of
-re-running per point (one discretisation tensor run, one Sericola
-series, one Erlang iterate sequence per reward bound).
+overrides share the propagation prefix across the unit instead of
+re-running per point (one discretisation adjoint run or Erlang
+expanded chain per reward column, one Sericola series per column
+group).  The executors of :mod:`repro.exec` schedule, retry and
+checkpoint those units -- in-process, on threads or on worker
+processes -- and never see single cells.
 """
 
 from __future__ import annotations
@@ -52,6 +56,16 @@ from repro.obs import span as obs_span
 #: Per-thread nesting depth of :meth:`JointEngine._observed` blocks;
 #: stats deltas are published at depth 0 only (see its docstring).
 _OBS_DEPTH = threading.local()
+
+
+def frozen_copy(value):
+    """A read-only float copy of *value* (an array, or a tuple of
+    arrays): the form every shared result-cache entry takes."""
+    if isinstance(value, tuple):
+        return tuple(frozen_copy(part) for part in value)
+    frozen = np.array(value, dtype=float)
+    frozen.flags.writeable = False
+    return frozen
 
 
 def richardson_bracket(coarse: np.ndarray, fine: np.ndarray,
@@ -118,6 +132,25 @@ class EngineCapabilities:
 
 
 @dataclass(frozen=True)
+class WorkUnit:
+    """One shared-work unit of a ``(t, r)`` sweep grid.
+
+    The cells ``rows x columns`` (indices into the sweep's times and
+    reward bounds) that one engine-native run serves -- a reward
+    column, or a Sericola column group (see
+    :meth:`JointEngine.work_units`).
+    """
+
+    rows: Tuple[int, ...]
+    columns: Tuple[int, ...]
+
+    @property
+    def cells(self) -> List[Tuple[int, int]]:
+        """The unit's ``(i, j)`` cells in grid order."""
+        return [(i, j) for i in self.rows for j in self.columns]
+
+
+@dataclass(frozen=True)
 class PartialSweep:
     """Outcome of a deadline-bounded ``(t, r)`` grid evaluation.
 
@@ -130,12 +163,13 @@ class PartialSweep:
         Boolean ``(len(times), len(rewards))`` mask of evaluated cells.
     unevaluated:
         The ``(i, j)`` index pairs of cells that were *not* evaluated
-        (deadline hit before they ran, or their worker failed), in grid
-        order -- the explicit work-list a caller can resume from.
+        (the deadline passed before their unit started, or they failed
+        for good), in grid order -- the explicit work-list a caller can
+        resume from.
     failures:
-        One :class:`~repro.errors.WorkerError` per cell whose worker
-        raised (task context attached); deadline-cancelled cells are
-        not failures, they simply appear in :attr:`unevaluated`.
+        One :class:`~repro.errors.WorkerError` per cell that failed for
+        good (task context attached); deadline-skipped cells are not
+        failures, they simply appear in :attr:`unevaluated`.
     """
 
     grid: np.ndarray
@@ -154,6 +188,12 @@ class JointEngine(ABC):
 
     #: Short identifier used by :func:`get_engine` and the CLI.
     name: str = "abstract"
+
+    #: Whether this engine's work units gain from running on threads.
+    #: Engines whose inner loops hold the GIL on small operands set it
+    #: to ``False`` and the thread executor runs their units inline
+    #: (measurements in ``docs/EXECUTION.md``).
+    parallel_units: bool = True
 
     #: Name of the kernel backend the most recent computation resolved
     #: to.  Engines whose ``kernel`` knob is the ``"auto"`` sentinel
@@ -220,7 +260,6 @@ class JointEngine(ABC):
 
     @contextmanager
     def _observed(self, name: str, histogram: Optional[str] = None,
-                  publish_stats: bool = True,
                   **attributes) -> Iterator:
         """Observability wrapper shared by the engine entry points.
 
@@ -235,10 +274,9 @@ class JointEngine(ABC):
         thread only: the interval brackets call a companion engine's
         entry point and then ``merge`` its counters, so the outer delta
         already contains the nested call's work -- publishing both
-        would double-count.  *publish_stats=False* opts out entirely;
-        :meth:`joint_probability_sweep_partial` uses it because its
-        worker threads publish their own top-level deltas before the
-        merge.
+        would double-count.  Sweep executors fold their worker clones
+        back into this engine before the outer span closes, so its
+        delta covers every unit.
         """
         if not OBS.enabled:
             with obs_span(name) as null_span:
@@ -246,14 +284,14 @@ class JointEngine(ABC):
             return
         depth = getattr(_OBS_DEPTH, "value", 0)
         _OBS_DEPTH.value = depth + 1
-        # Labelled worker clones defer counter publication to their
-        # fan-out site (which publishes the whole clone delta under
-        # ``worker=thread-i``) -- self-publication here would depend on
-        # whether the pool ran the task inline or on a fresh thread.
+        # Labelled worker clones defer counter publication to the
+        # thread executor, which folds them back into the engine whose
+        # outer span publishes them -- self-publication here would
+        # depend on whether the pool ran the unit inline or on a fresh
+        # thread.
         deferred = getattr(self, "_obs_worker_label", None) is not None
         before = (self.stats.as_dict()
-                  if publish_stats and depth == 0 and not deferred
-                  else None)
+                  if depth == 0 and not deferred else None)
         start = time.perf_counter()
         with OBS.tracer.span(name, engine=self.name,
                              **attributes) as span:
@@ -302,20 +340,8 @@ class JointEngine(ABC):
             indicator = self._validate(model, t, r, target)
             key = (model.fingerprint, self._cache_token(),
                    float(t), float(r), indicator.tobytes())
-            cached = joint_cache.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                span.set(cache_hit=True)
-                return cached.copy()
-            self.stats.cache_misses += 1
-            span.set(cache_hit=False)
-            vector = np.asarray(
-                self._compute_joint_vector(model, t, r, indicator),
-                dtype=float)
-            frozen = vector.copy()
-            frozen.flags.writeable = False
-            self.stats.cache_evictions += joint_cache.put(key, frozen)
-            return vector
+            return self._cached(span, key, lambda: self._compute_joint_vector(
+                model, t, r, indicator)).copy()
 
     def joint_probability_interval(self,
                                    model: MarkovRewardModel,
@@ -340,22 +366,23 @@ class JointEngine(ABC):
             indicator = self._validate(model, t, r, target)
             key = (model.fingerprint, self._cache_token(),
                    float(t), float(r), indicator.tobytes(), "interval")
-            cached = joint_cache.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                span.set(cache_hit=True)
-                return cached[0].copy(), cached[1].copy()
-            self.stats.cache_misses += 1
-            span.set(cache_hit=False)
-            lower, upper = self._compute_joint_interval(
-                model, float(t), float(r), indicator)
-            lower = np.asarray(lower, dtype=float)
-            upper = np.asarray(upper, dtype=float)
-            frozen = (lower.copy(), upper.copy())
-            for half in frozen:
-                half.flags.writeable = False
-            self.stats.cache_evictions += joint_cache.put(key, frozen)
-            return lower, upper
+            lower, upper = self._cached(
+                span, key, lambda: self._compute_joint_interval(
+                    model, float(t), float(r), indicator))
+            return lower.copy(), upper.copy()
+
+    def _cached(self, span, key: Tuple, compute):
+        """The frozen cache entry for *key*; on a miss *compute* it and
+        store it.  Hits and misses count in :attr:`stats`."""
+        value = joint_cache.get(key)
+        span.set(cache_hit=value is not None)
+        if value is not None:
+            self.stats.cache_hits += 1
+            return value
+        self.stats.cache_misses += 1
+        value = frozen_copy(compute())
+        self.stats.cache_evictions += joint_cache.put(key, value)
+        return value
 
     def _compute_joint_interval(self,
                                 model: MarkovRewardModel,
@@ -394,58 +421,42 @@ class JointEngine(ABC):
         rewards = [float(r) for r in reward_bounds]
         with self._observed("joint_interval_sweep",
                             points=len(times) * len(rewards)) as span:
-            indicator = self._validate(model, 0.0, 0.0, target)
-            for t in times:
-                if t < 0.0:
-                    raise NumericalError(
-                        f"time bound must be >= 0, got {t}")
-            for r in rewards:
-                if r < 0.0:
-                    raise NumericalError(
-                        f"reward bound must be >= 0, got {r}")
+            indicator = self._validate(model, min(times, default=0.0),
+                                       min(rewards, default=0.0), target)
             token = self._cache_token()
             mask = indicator.tobytes()
+
+            def key(i: int, j: int) -> Tuple:
+                return (model.fingerprint, token, times[i], rewards[j],
+                        mask, "interval")
+
             shape = (len(times), len(rewards), model.num_states)
             lower = np.empty(shape)
             upper = np.empty(shape)
             self.stats.sweep_points += shape[0] * shape[1]
             missing: List[Tuple[int, int]] = []
-            for i, t in enumerate(times):
-                for j, r in enumerate(rewards):
-                    key = (model.fingerprint, token, t, r, mask,
-                           "interval")
-                    cached = joint_cache.get(key)
-                    if cached is not None:
-                        self.stats.cache_hits += 1
-                        lower[i, j], upper[i, j] = cached
-                    else:
-                        self.stats.cache_misses += 1
-                        missing.append((i, j))
+            for i, j in np.ndindex(*shape[:2]):
+                cached = joint_cache.get(key(i, j))
+                if cached is None:
+                    self.stats.cache_misses += 1
+                    missing.append((i, j))
+                    continue
+                self.stats.cache_hits += 1
+                lower[i, j], upper[i, j] = cached
             span.set(missing=len(missing))
             if not missing:
                 return lower, upper
             need_times = sorted({times[i] for i, _ in missing})
             need_rewards = sorted({rewards[j] for _, j in missing})
-            t_index = {t: i for i, t in enumerate(need_times)}
-            r_index = {r: j for j, r in enumerate(need_rewards)}
             sub_lower, sub_upper = self._compute_joint_interval_sweep(
                 model, need_times, need_rewards, indicator)
-            stored = set()
             for i, j in missing:
-                si, sj = t_index[times[i]], r_index[rewards[j]]
+                si = need_times.index(times[i])
+                sj = need_rewards.index(rewards[j])
                 lower[i, j] = sub_lower[si, sj]
                 upper[i, j] = sub_upper[si, sj]
-                point = (times[i], rewards[j])
-                if point in stored:
-                    continue
-                stored.add(point)
-                frozen = (sub_lower[si, sj].copy(),
-                          sub_upper[si, sj].copy())
-                for half in frozen:
-                    half.flags.writeable = False
                 self.stats.cache_evictions += joint_cache.put(
-                    (model.fingerprint, token, times[i], rewards[j],
-                     mask, "interval"), frozen)
+                    key(i, j), frozen_copy((lower[i, j], upper[i, j])))
             return lower, upper
 
     def _compute_joint_interval_sweep(self,
@@ -523,145 +534,40 @@ class JointEngine(ABC):
         """A ``(t, r)`` grid evaluation that survives a mid-grid
         deadline, a worker crash, or the death of this process.
 
-        Unlike :meth:`joint_probability_sweep` -- whose engine-native
-        shared-prefix runs are all-or-nothing -- this path evaluates
-        the grid cell by cell through the cached scalar
-        :meth:`joint_probability_vector`, fanned out over workers and
-        bounded by *deadline* (an absolute ``time.monotonic()``
-        timestamp).  When the deadline passes, cells that have not
-        started are cancelled, running cells drain, and the completed
-        cells are returned together with the explicit list of
-        unevaluated ones (see :class:`PartialSweep`).  Every completed
-        cell went through the shared result cache, so the cache stays
-        consistent and a later retry of the unevaluated cells reuses
-        all finished work.
+        The grid is split into the engine's shared-work units
+        (:meth:`work_units`: a reward column, or a Sericola column
+        group) and *executor* runs them: ``None``/``"thread"`` on
+        in-process threads (or inline where threads do not pay, see
+        :attr:`parallel_units`), ``"process"`` (or a
+        :class:`~repro.exec.ProcessShardExecutor`) on crash-isolated
+        worker processes with retry/backoff and hang detection.  Each
+        unit is one :meth:`sweep_unit` run, so the shared propagation
+        prefix survives; values are bit-identical to
+        :meth:`joint_probability_sweep` whatever the executor.
 
-        *executor* selects the fan-out substrate: ``None``/"thread"``
-        is the in-process thread pool, ``"process"`` (or a
-        :class:`~repro.exec.ProcessShardExecutor`) shards cells over
-        crash-isolated worker processes with retry/backoff and hang
-        detection -- results are bit-identical either way.
+        *deadline* is an absolute ``time.monotonic()`` timestamp: a
+        unit that has not started when it passes lists all its cells in
+        :attr:`PartialSweep.unevaluated`, a running unit drains.  A
+        unit that fails for good is retried cell by cell, so a fault
+        that follows one cell costs only that cell.  Completed cells go
+        through the shared result cache, so a later retry reuses all
+        finished work.
 
         *checkpoint* (a path or an open
         :class:`~repro.exec.SweepCheckpoint`) makes progress durable:
-        each completed cell is flushed to the file as it finishes,
-        cells already present are served without computing, and an
-        interrupted run resumes from the file -- under any executor.
+        each finished unit's cells are flushed to the file in one
+        write, cells already present are served without computing, and
+        an interrupted run resumes from the file -- under any executor.
         """
-        from repro.algorithms.parallel import deadline_map
-        times = [float(t) for t in times]
-        rewards = [float(r) for r in reward_bounds]
-        if executor is not None:
-            from repro.exec.executor import (ThreadShardExecutor,
-                                             resolve_executor)
-            resolved = resolve_executor(executor, max_workers)
-            if isinstance(resolved, ThreadShardExecutor):
-                max_workers = resolved.max_workers
-            else:
-                owned = resolved is not executor
-                try:
-                    return resolved.run(self, model, times, rewards,
-                                        target, deadline=deadline,
-                                        checkpoint=checkpoint)
-                finally:
-                    if owned:
-                        resolved.close()
-        with self._observed("joint_sweep_partial", publish_stats=False,
-                            points=len(times) * len(rewards)) as span:
-            indicator = self._validate(model, 0.0, 0.0, target)
-            for t in times:
-                if t < 0.0:
-                    raise NumericalError(
-                        f"time bound must be >= 0, got {t}")
-            for r in rewards:
-                if r < 0.0:
-                    raise NumericalError(
-                        f"reward bound must be >= 0, got {r}")
-            target_list = [int(s) for s in np.flatnonzero(indicator)]
-            all_cells = [(i, j) for i in range(len(times))
-                         for j in range(len(rewards))]
-            grid = np.full((len(times), len(rewards),
-                            model.num_states), np.nan)
-            completed_mask = np.zeros((len(times), len(rewards)),
-                                      dtype=bool)
-            self.stats.sweep_points += len(all_cells)
-            if OBS.enabled:
-                # The worker threads publish their own cell deltas;
-                # only this method's direct contribution goes here.
-                record_engine_stats(OBS.metrics, self.name,
-                                    {"sweep_points": len(all_cells)})
-            cp = None
-            own_checkpoint = False
-            if checkpoint is not None:
-                from repro.exec.checkpoint import SweepCheckpoint
-                if isinstance(checkpoint, SweepCheckpoint):
-                    cp = checkpoint
-                else:
-                    cp = SweepCheckpoint.open(
-                        str(checkpoint), model.fingerprint,
-                        self._cache_token(), times, rewards, indicator)
-                    own_checkpoint = True
-                served = cp.load_into(grid, completed_mask)
-                span.set(resumed=len(served))
-                token = self._cache_token()
-                mask = indicator.tobytes()
-                from repro.algorithms.cache import joint_cache
-                for i, j in served:
-                    # Seed the shared cache so later scalar queries
-                    # (and the certified checker) hit resumed cells.
-                    key = (model.fingerprint, token, times[i],
-                           rewards[j], mask)
-                    if joint_cache.get(key) is None:
-                        frozen = grid[i, j].copy()
-                        frozen.flags.writeable = False
-                        self.stats.cache_evictions += joint_cache.put(
-                            key, frozen)
-            cells = [(i, j) for i, j in all_cells
-                     if not completed_mask[i, j]]
-            clones = [self._worker_clone(label=f"thread-{pos}")
-                      for pos in range(len(cells))]
-            engine_name = self.name
-
-            def run(task):
-                clone, (i, j) = task
-                start = time.perf_counter()
-                try:
-                    vector = clone.joint_probability_vector(
-                        model, times[i], rewards[j], target_list)
-                    if cp is not None:
-                        cp.append((i, j), vector)
-                    return vector
-                finally:
-                    if OBS.enabled:
-                        OBS.metrics.histogram(
-                            "repro_sweep_cell_seconds",
-                            engine=engine_name).observe(
-                                time.perf_counter() - start)
-
-            labels = [f"cell (t={times[i]}, r={rewards[j]})"
-                      for i, j in cells]
-            try:
-                results, completed, failures = deadline_map(
-                    run, list(zip(clones, cells)), deadline=deadline,
-                    max_workers=max_workers, labels=labels)
-            finally:
-                from repro.algorithms.parallel import \
-                    publish_clone_stats
-                publish_clone_stats(engine_name, clones)
-                for clone in clones:
-                    self.stats.merge(clone.stats)
-                if own_checkpoint:
-                    cp.close()
-            for position, (i, j) in enumerate(cells):
-                if completed[position]:
-                    grid[i, j] = results[position]
-                    completed_mask[i, j] = True
-            unevaluated = [(i, j) for i, j in all_cells
-                           if not completed_mask[i, j]]
-            span.set(unevaluated=len(unevaluated))
-            return PartialSweep(grid=grid, completed=completed_mask,
-                                unevaluated=tuple(unevaluated),
-                                failures=tuple(failures))
+        from repro.exec.executor import resolve_executor
+        resolved = resolve_executor(executor, max_workers)
+        try:
+            return resolved.run(self, model, times, reward_bounds,
+                                target, deadline=deadline,
+                                checkpoint=checkpoint)
+        finally:
+            if resolved is not executor:
+                resolved.close()
 
     @abstractmethod
     def _compute_joint_vector(self,
@@ -692,69 +598,47 @@ class JointEngine(ABC):
 
         Caching is per grid point with the *scalar* cache keys:
         already-cached cells are filled from the LRU (a per-point
-        ``cache_hits`` increment), the remaining cells are computed in
-        one engine-native sweep over the distinct missing rows and
-        columns and then cached individually, so later scalar queries
-        hit.  ``stats.sweep_points`` counts the grid cells served.
+        ``cache_hits`` increment), the remaining cells are computed by
+        the engine's work units (:meth:`work_units`, run by the
+        in-process :class:`~repro.exec.ThreadShardExecutor`) and then
+        cached individually, so later scalar queries hit.
+        ``stats.sweep_points`` counts the grid cells served.  An engine
+        error propagates unchanged.
         """
-        times = [float(t) for t in times]
-        rewards = [float(r) for r in reward_bounds]
-        with self._observed("joint_sweep",
-                            points=len(times) * len(rewards)) as span:
-            for t in times:
-                if t < 0.0:
-                    raise NumericalError(
-                        f"time bound must be >= 0, got {t}")
-            for r in rewards:
-                if r < 0.0:
-                    raise NumericalError(
-                        f"reward bound must be >= 0, got {r}")
-            indicator = self._validate(model, 0.0, 0.0, target)
-            token = self._cache_token()
-            mask = indicator.tobytes()
-            grid = np.empty((len(times), len(rewards),
-                             model.num_states))
-            self.stats.sweep_points += grid.shape[0] * grid.shape[1]
-            missing: List[Tuple[int, int]] = []
-            for i, t in enumerate(times):
-                for j, r in enumerate(rewards):
-                    key = (model.fingerprint, token, t, r, mask)
-                    cached = joint_cache.get(key)
-                    if cached is not None:
-                        self.stats.cache_hits += 1
-                        grid[i, j] = cached
-                    else:
-                        self.stats.cache_misses += 1
-                        missing.append((i, j))
-            span.set(missing=len(missing))
-            if not missing:
-                return grid
-            # One engine-native sweep over the distinct times/rewards
-            # that still need work; duplicates in the request collapse
-            # here.
-            need_times = sorted({times[i] for i, _ in missing})
-            need_rewards = sorted({rewards[j] for _, j in missing})
-            t_index = {t: i for i, t in enumerate(need_times)}
-            r_index = {r: j for j, r in enumerate(need_rewards)}
-            computed = np.asarray(
-                self._compute_joint_sweep(model, need_times,
-                                          need_rewards, indicator),
-                dtype=float)
-            stored = set()
-            for i, j in missing:
-                vector = computed[t_index[times[i]],
-                                  r_index[rewards[j]]]
-                grid[i, j] = vector
-                point = (times[i], rewards[j])
-                if point in stored:
-                    continue
-                stored.add(point)
-                frozen = vector.copy()
-                frozen.flags.writeable = False
-                self.stats.cache_evictions += joint_cache.put(
-                    (model.fingerprint, token, times[i], rewards[j],
-                     mask), frozen)
-            return grid
+        from repro.exec.executor import ThreadShardExecutor
+        return ThreadShardExecutor().sweep(self, model, times,
+                                           reward_bounds, target)
+
+    def work_units(self, missing: np.ndarray,
+                   workers: int = 1) -> List["WorkUnit"]:
+        """The shared-work units covering the *missing* grid cells.
+
+        *missing* is the boolean ``(len(times), len(rewards))`` mask of
+        cells still to compute and *workers* the parallelism the
+        executor runs the units with.  The default is one unit per
+        reward column: one run per reward bound serves every time bound
+        of that column (the discretisation's adjoint run, the
+        pseudo-Erlang expanded chain).  Executors schedule, retry and
+        checkpoint these units; they never see single cells.
+        """
+        return [WorkUnit(tuple(np.flatnonzero(missing[:, j]).tolist()),
+                         (int(j),))
+                for j in np.flatnonzero(missing.any(axis=0))]
+
+    def sweep_unit(self, model: MarkovRewardModel,
+                   times: Sequence[float], rewards: Sequence[float],
+                   indicator: np.ndarray) -> np.ndarray:
+        """The ``(len(times), len(rewards), |S|)`` block of one work
+        unit: one uncached :meth:`_compute_joint_sweep` run over the
+        unit's distinct bounds, with no engine-internal fan-out."""
+        with self._observed("sweep_unit",
+                            points=len(times) * len(rewards)):
+            need_times = sorted(set(times))
+            need_rewards = sorted(set(rewards))
+            block = np.asarray(self._compute_joint_sweep(
+                model, need_times, need_rewards, indicator), dtype=float)
+            return block[np.ix_([need_times.index(t) for t in times],
+                                [need_rewards.index(r) for r in rewards])]
 
     def _compute_joint_sweep(self,
                              model: MarkovRewardModel,
@@ -782,7 +666,7 @@ class JointEngine(ABC):
                       label: Optional[str] = None) -> "JointEngine":
         """A shallow copy with a private :class:`EngineStats`.
 
-        The threaded fan-out (:mod:`repro.algorithms.parallel`) gives
+        The thread executor and :mod:`repro.algorithms.parallel` give
         every worker its own clone so counter updates never race;
         accuracy parameters (and hence cache tokens) are shared, so
         clones interoperate with the result cache exactly like the
@@ -795,6 +679,15 @@ class JointEngine(ABC):
         clone._stats = EngineStats()
         clone._obs_worker_label = label
         return clone
+
+    def _absorb(self, clone: "JointEngine") -> None:
+        """Fold a finished worker clone back: merge its counters and
+        keep its ``last_*`` diagnostics (kernel, truncation depth,
+        expanded size)."""
+        self.stats.merge(clone.stats)
+        for name, value in vars(clone).items():
+            if name.startswith("last_") and value is not None:
+                setattr(self, name, value)
 
     def joint_probability(self,
                           model: MarkovRewardModel,

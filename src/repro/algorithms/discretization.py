@@ -63,8 +63,9 @@ the adjoint recurrence's time-homogeneity pays once more: one backward
 run per reward bound serves *every* time bound of that column
 bit-identically, because the weight array after ``k`` applications is
 the per-point answer for horizon ``(k + 1) d``.  Columns are
-independent (the operator truncates at ``r / d`` cells) and fan out
-over GIL-releasing threads (the ``max_workers`` knob).
+independent (the operator truncates at ``r / d`` cells), so each is
+one shared-work unit; the executors of :mod:`repro.exec` run them on
+GIL-releasing threads or worker processes.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ from repro.algorithms.base import (EngineCapabilities, JointEngine,
 from repro.algorithms.cache import EngineStats, matrix_cache
 from repro.algorithms.erlang import (zero_reward_bound_sweep,
                                      zero_reward_bound_vector)
-from repro.algorithms.parallel import threaded_map
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError, RewardError
 from repro.kernels import KernelBackend, note_selected, resolve_static
@@ -153,7 +153,6 @@ class DiscretizationEngine(JointEngine):
                  step: float = 1.0 / 64,
                  underflow: str = "drop",
                  include_zero: bool = True,
-                 max_workers: Optional[int] = None,
                  kernel: Union[str, KernelBackend, None] = None):
         if step <= 0.0:
             raise NumericalError(f"step must be positive, got {step}")
@@ -163,9 +162,6 @@ class DiscretizationEngine(JointEngine):
         self.step = float(step)
         self.underflow = underflow
         self.include_zero = bool(include_zero)
-        # Thread fan-out knob for the sweep path only; it never changes
-        # results, so it stays out of the cache token.
-        self.max_workers = max_workers
         self._kernel_request = kernel
         self._backend = resolve_static(kernel)
         self.kernel = ("auto" if self._backend is None
@@ -255,7 +251,6 @@ class DiscretizationEngine(JointEngine):
         return DiscretizationEngine(step=self.step / 2.0,
                                     underflow=self.underflow,
                                     include_zero=self.include_zero,
-                                    max_workers=self.max_workers,
                                     kernel=self._kernel_request)
 
     def _compute_joint_interval(self, model, t, r, indicator):
@@ -318,35 +313,27 @@ class DiscretizationEngine(JointEngine):
         ``O((sum_i T_i) * nnz * r/d)``.
 
         Columns are genuinely independent -- the operator's reward
-        truncation depends on ``r`` -- and fan out over GIL-releasing
-        threads (``max_workers`` knob); results keep grid order and
-        the per-worker counters are merged deterministically.
+        truncation depends on ``r`` -- so each column is one work unit
+        (:meth:`~repro.algorithms.base.JointEngine.work_units`); this
+        method runs its columns in order.
         """
         times = [float(t) for t in times]
         live_times = [(i, t) for i, t in enumerate(times) if t > 0.0]
         positive_times = [t for _, t in live_times]
         backend = self._backend_for(model)
 
-        def column(reward: float):
-            stats = EngineStats()
-            if not positive_times:
-                return None, stats
-            if reward == 0.0:
-                rows = zero_reward_bound_sweep(model, positive_times,
-                                               indicator, stats=stats,
-                                               kernel=backend)
-                return rows, stats
-            return self._adjoint_column(model, positive_times, reward,
-                                        indicator, stats, backend), stats
-
-        columns = threaded_map(column, [float(r) for r in rewards],
-                               max_workers=self.max_workers)
         grid = np.empty((len(times), len(rewards), model.num_states))
-        for j, (values, stats) in enumerate(columns):
-            self.stats.merge(stats)
-            if values is not None:
-                for row, (i, _) in enumerate(live_times):
-                    grid[i, j] = values[row]
+        for j, reward in enumerate(rewards if positive_times else ()):
+            if reward == 0.0:
+                values = zero_reward_bound_sweep(
+                    model, positive_times, indicator, stats=self.stats,
+                    kernel=backend)
+            else:
+                values = self._adjoint_column(
+                    model, positive_times, float(reward), indicator,
+                    self.stats, backend)
+            for row, (i, _) in enumerate(live_times):
+                grid[i, j] = values[row]
         # t = 0 rows: Y_0 = 0 <= r whatever r, matching the scalar path.
         for i, t in enumerate(times):
             if t == 0.0:

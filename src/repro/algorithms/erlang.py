@@ -47,8 +47,7 @@ import scipy.sparse as sp
 from repro.algorithms.base import (EngineCapabilities, JointEngine,
                                    register_engine,
                                    richardson_bracket)
-from repro.algorithms.cache import EngineStats, matrix_cache
-from repro.algorithms.parallel import threaded_map
+from repro.algorithms.cache import matrix_cache
 from repro.ctmc.ctmc import CTMC
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError
@@ -176,6 +175,11 @@ class ErlangEngine(JointEngine):
     """
 
     name = "erlang"
+    #: Threads lose here: on the Q3 grid the expanded chains are small
+    #: enough that GIL contention outweighs the overlap (measurements
+    #: in docs/EXECUTION.md), so the thread executor runs columns
+    #: inline.
+    parallel_units = False
 
     @classmethod
     def capabilities(cls) -> EngineCapabilities:
@@ -187,16 +191,11 @@ class ErlangEngine(JointEngine):
                    "1/phases"))
 
     def __init__(self, phases: int = 64, epsilon: float = 1e-12,
-                 max_workers: Optional[int] = None,
                  kernel: Kernel = None):
         if phases < 1:
             raise NumericalError(f"need at least one phase, got {phases}")
         self.phases = int(phases)
         self.epsilon = float(epsilon)
-        #: Thread count of the per-reward-bound sweep fan-out
-        #: (``None`` = automatic, see :mod:`repro.algorithms.parallel`).
-        #: Not part of the cache token: it never changes values.
-        self.max_workers = max_workers
         self.last_expanded_size: Optional[int] = None
         self._kernel_request = kernel
         self._backend: Optional[KernelBackend] = resolve_static(kernel)
@@ -259,46 +258,35 @@ class ErlangEngine(JointEngine):
                              times: Sequence[float],
                              rewards: Sequence[float],
                              indicator: np.ndarray) -> np.ndarray:
-        """Shared-iterate sweep with a threaded per-``r`` fan-out.
+        """Shared-iterate sweep, one expanded chain per reward bound.
 
         The expanded chain depends on ``r`` only, and on it the
         backward iterates ``P^k w`` are shared by every time bound --
         so each reward bound costs **one** series to the largest
         truncation point (re-weighted per ``t``) instead of
-        ``len(times)`` runs.  The remaining independent work -- one
-        expanded chain per distinct ``r`` -- fans out over threads
-        (scipy's sparse products release the GIL); results keep grid
-        order and the per-worker counters are merged deterministically.
+        ``len(times)`` runs.  Each reward column is one work unit
+        (:meth:`~repro.algorithms.base.JointEngine.work_units`); this
+        method runs its columns in order.
         """
         times = [float(t) for t in times]
-
-        def column(reward: float):
-            stats = EngineStats()
+        grid = np.empty((len(times), len(rewards), model.num_states))
+        for j, reward in enumerate(rewards):
             if reward == 0.0:
-                rows = zero_reward_bound_sweep(
+                grid[:, j, :] = zero_reward_bound_sweep(
                     model, times, indicator, epsilon=self.epsilon,
-                    stats=stats, kernel=self._backend_for(model))
-                return rows, stats, None
-            expanded, barrier = erlang_expanded_model(model, reward,
+                    stats=self.stats, kernel=self._backend_for(model))
+                continue
+            expanded, barrier = erlang_expanded_model(model, float(reward),
                                                       self.phases)
+            self.last_expanded_size = expanded.num_states
             rows = transient_target_probabilities_sweep(
                 expanded, times,
                 self._expanded_indicator(expanded, indicator),
-                epsilon=self.epsilon, stats=stats,
+                epsilon=self.epsilon, stats=self.stats,
                 kernel=self._backend_for(expanded),
                 metrics_engine=self.name)
-            column_values = np.clip(
-                rows[:, 0:barrier:self.phases], 0.0, 1.0)
-            return column_values, stats, expanded.num_states
-
-        columns = threaded_map(column, [float(r) for r in rewards],
-                               max_workers=self.max_workers)
-        grid = np.empty((len(times), len(rewards), model.num_states))
-        for j, (values, stats, expanded_size) in enumerate(columns):
-            grid[:, j, :] = values
-            self.stats.merge(stats)
-            if expanded_size is not None:
-                self.last_expanded_size = expanded_size
+            grid[:, j, :] = np.clip(rows[:, 0:barrier:self.phases],
+                                    0.0, 1.0)
         # t = 0 rows: Y_0 = 0 <= r whatever r, matching the scalar path.
         for i, t in enumerate(times):
             if t == 0.0:
@@ -318,7 +306,6 @@ class ErlangEngine(JointEngine):
         """The ``2k`` companion used by the interval bracket."""
         return ErlangEngine(phases=self.phases * 2,
                             epsilon=self.epsilon,
-                            max_workers=self.max_workers,
                             kernel=self._kernel_request)
 
     def _compute_joint_interval(self, model, t, r, indicator):

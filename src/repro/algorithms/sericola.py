@@ -54,12 +54,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.algorithms.base import (EngineCapabilities, JointEngine,
-                                   register_engine)
+                                   WorkUnit, register_engine)
 from repro.algorithms.cache import matrix_cache
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError
@@ -108,6 +108,10 @@ class SericolaEngine(JointEngine):
     """
 
     name = "sericola"
+    #: The series loop holds the GIL on the small operands of the
+    #: paper's models: two column groups on two threads measured 3.7x
+    #: slower than one group inline (docs/EXECUTION.md).
+    parallel_units = False
 
     @classmethod
     def capabilities(cls) -> EngineCapabilities:
@@ -406,6 +410,23 @@ class SericolaEngine(JointEngine):
     # ------------------------------------------------------------------
     # shared-prefix (t, r) grid path
     # ------------------------------------------------------------------
+
+    def work_units(self, missing: np.ndarray,
+                   workers: int = 1) -> List[WorkUnit]:
+        """At most *workers* column groups over the full series depth.
+
+        The ``b(g, n, k)`` series does not depend on the bounds, so
+        every group pays for one whole series: more groups than
+        parallel workers would only repeat it.
+        """
+        columns = np.flatnonzero(missing.any(axis=0))
+        groups = np.array_split(columns,
+                                max(1, min(workers, len(columns))))
+        return [WorkUnit(
+                    tuple(np.flatnonzero(missing[:, group].any(axis=1))
+                          .tolist()),
+                    tuple(group.tolist()))
+                for group in groups if len(group)]
 
     def _compute_joint_sweep(self,
                              model: MarkovRewardModel,

@@ -35,8 +35,9 @@ def main(argv: Optional[list] = None) -> int:
     """Entry point of the ``repro`` command.
 
     ``SIGINT`` (Ctrl-C) is not a crash: any sweep checkpoint has
-    already been flushed cell by cell (the checkpoint file is fsynced
-    per append and closed by the executor's teardown on the way out),
+    already been flushed unit by unit (the checkpoint file is fsynced
+    per finished work unit and closed by the executor's teardown on
+    the way out),
     so the command prints where to resume from and exits with the
     conventional ``130``.
     """
@@ -128,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "retries and per-task timeouts)")
     check.add_argument("--checkpoint", default=None, metavar="FILE",
                        help="durable sweep checkpoint (JSONL): "
-                            "completed cells are appended as they "
-                            "finish and a re-run with the same file "
+                            "each finished work unit's cells are "
+                            "appended and a re-run with the same file "
                             "resumes instead of recomputing")
     check.add_argument("--max-workers", type=int, default=None,
                        help="worker cap for sweep runs (default: "
@@ -379,12 +380,13 @@ def _sweep_check(checker: ModelChecker, model, formula: str,
     """``repro check --sweep-times ... --sweep-rewards ...``.
 
     Evaluates the formula's until operator over the whole ``(t, r)``
-    bound grid -- the workload of the paper's tables -- cell by cell
-    through the fault-tolerant partial-sweep path, so ``--executor
-    process`` shards cells over crash-isolated workers and
-    ``--checkpoint`` makes progress durable.  Exit code 0 when every
-    cell completed, 1 when some cells are missing (their failures are
-    listed; a checkpointed re-run retries only those).
+    bound grid -- the workload of the paper's tables -- through the
+    fault-tolerant partial-sweep path, which runs the engine's
+    shared-work units (a reward column, a Sericola column group), so
+    ``--executor process`` shards units over crash-isolated workers
+    and ``--checkpoint`` makes progress durable.  Exit code 0 when
+    every cell completed, 1 when some cells are missing (their
+    failures are listed; a checkpointed re-run retries only those).
     """
     from repro.logic import ast
     from repro.logic.parser import parse_formula

@@ -1,9 +1,9 @@
 """Durable JSONL checkpoints for ``(t, r)`` sweep grids.
 
 A checkpoint file makes a long sweep restartable across process death:
-every completed cell is appended (and flushed) the moment it finishes,
-so a crash -- including ``kill -9`` of the driving process -- loses at
-most the cells in flight.  Re-running the same sweep with the same
+the cells of every finished work unit are appended (and flushed) the
+moment it finishes, so a crash -- including ``kill -9`` of the driving
+process -- loses at most the units in flight.  Re-running the same sweep with the same
 checkpoint path resumes exactly where the previous run stopped: loaded
 cells are served from the file, only the remainder is dispatched.
 
@@ -33,9 +33,12 @@ File format: one JSON object per line.
   crash mid-write, or duplicated are skipped/deduplicated on load; the
   affected cells are simply recomputed.
 
-Appends are lock-protected and flushed per row (``flush`` +
-``os.fsync``), so concurrent worker threads may append and the rows
-are durable when :meth:`SweepCheckpoint.append` returns.
+Appends are lock-protected and flushed per call (``flush`` +
+``os.fsync``; :meth:`SweepCheckpoint.extend` writes a whole unit's
+rows at once), so concurrent worker threads may append and the rows
+are durable when the call returns.  The row format is per cell
+whatever the unit size, so files written one cell per fsync resume
+unchanged.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import hashlib
 import json
 import os
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,13 +178,6 @@ class SweepCheckpoint:
 
     # ------------------------------------------------------------------
 
-    @property
-    def cells(self) -> Dict[Tuple[int, int], np.ndarray]:
-        """Completed cells loaded from disk plus those appended since
-        (do not mutate)."""
-        with self._lock:
-            return dict(self._cells)
-
     def __contains__(self, cell: Tuple[int, int]) -> bool:
         with self._lock:
             return tuple(cell) in self._cells
@@ -192,16 +188,29 @@ class SweepCheckpoint:
 
     def append(self, cell: Tuple[int, int], vector: np.ndarray) -> None:
         """Record one completed cell, durably (flush + fsync)."""
-        i, j = int(cell[0]), int(cell[1])
-        data = np.ascontiguousarray(vector, dtype="<f8").tobytes()
-        row = json.dumps({"cell": [i, j],
-                          "data": base64.b64encode(data).decode("ascii"),
-                          "checksum": _checksum(data)})
+        self.extend([(cell, vector)])
+
+    def extend(self, cells: Iterable[Tuple[Tuple[int, int],
+                                           np.ndarray]]) -> None:
+        """Record completed ``(cell, vector)`` pairs -- a finished work
+        unit -- durably, with one write and one fsync; cells already
+        recorded are skipped."""
+        lines = []
         with self._lock:
-            if (i, j) in self._cells:
+            for cell, vector in cells:
+                i, j = int(cell[0]), int(cell[1])
+                if (i, j) in self._cells:
+                    continue
+                data = np.ascontiguousarray(vector, dtype="<f8").tobytes()
+                self._cells[(i, j)] = np.asarray(vector,
+                                                 dtype=float).copy()
+                lines.append(json.dumps(
+                    {"cell": [i, j],
+                     "data": base64.b64encode(data).decode("ascii"),
+                     "checksum": _checksum(data)}) + "\n")
+            if not lines:
                 return
-            self._cells[(i, j)] = np.asarray(vector, dtype=float).copy()
-            self._handle.write(row + "\n")
+            self._handle.write("".join(lines))
             self._handle.flush()
             os.fsync(self._handle.fileno())
 

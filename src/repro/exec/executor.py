@@ -1,12 +1,26 @@
-"""Crash-isolated multi-process sweep execution.
+"""Sweep executors: in-process and crash-isolated multi-process.
 
-:class:`ProcessShardExecutor` shards the cells of a ``(t, r)`` sweep
-grid across worker *processes* (see :mod:`repro.exec.worker` for the
-worker side and the wire protocol), so a crashing, hanging or
-OOM-killed computation takes down one task attempt, never the sweep:
+Every executor runs an engine's shared-work units
+(:meth:`~repro.algorithms.base.JointEngine.work_units`), one
+:meth:`~repro.algorithms.base.JointEngine.sweep_unit` call each.
+:class:`SweepGrid` holds everything that does not depend on *where*
+units run -- validation, cache and checkpoint prefill, the merge of
+finished unit blocks, failure isolation -- so
+:class:`ThreadShardExecutor` (in this process, behind
+``joint_probability_sweep``) and :class:`ProcessShardExecutor` only
+schedule.
+
+:class:`ProcessShardExecutor` shards the shared-work units of a
+``(t, r)`` sweep grid (:meth:`~repro.algorithms.base.JointEngine.\
+work_units`: a reward column, a Sericola column group) across worker
+*processes* (see :mod:`repro.exec.worker` for the worker side and the
+wire protocol), so a crashing, hanging or OOM-killed computation takes
+down one task attempt, never the sweep.  One task is one unit; the
+executor never sees single cells, except that a unit which fails for
+good is retried cell by cell so the fault costs only its own cell:
 
 * **Crash isolation** -- a dead worker is detected (pipe EOF / process
-  sentinel), its in-flight cell is retried on a respawned worker, and
+  sentinel), its in-flight unit is retried on a respawned worker, and
   the restart is counted (``repro_worker_restart_total{reason=...}``).
 * **Hang detection** -- workers heartbeat on a background thread; a
   busy worker whose heartbeat goes stale (or whose per-task wall-clock
@@ -26,10 +40,16 @@ OOM-killed computation takes down one task attempt, never the sweep:
   skips the engine until the cooldown expires.
 * **Checkpointed resume** -- with a checkpoint
   (:class:`~repro.exec.checkpoint.SweepCheckpoint` or a path), every
-  completed cell is durably appended the moment it arrives, cells
-  already in the file are served without computing, and both are
-  seeded into the shared joint-vector cache -- so an interrupted run
-  (``SIGINT``, crash, ``kill -9``) resumes exactly where it stopped.
+  finished unit's cells are durably appended in one write the moment
+  it arrives, cells already in the file are served without computing,
+  and both are seeded into the shared joint-vector cache -- so an
+  interrupted run (``SIGINT``, crash, ``kill -9``) resumes exactly
+  where it stopped, re-running only units with missing cells.
+* **Fault injection** -- the scheduler applies the
+  :class:`~repro.exec.faultinject.FaultPlan` (``faults=`` or
+  ``REPRO_FAULTS``): an attempt of a unit faults when one of its cells
+  still has a scheduled fault, which that attempt consumes, so each
+  scheduled cell fault fires exactly once per its cell attempt.
 
 Determinism: the engines are deterministic functions of (model
 content, engine parameters), results travel as raw float64 bytes with
@@ -39,8 +59,9 @@ count, fault history or resume pattern.  The chaos suite
 (``tests/test_exec_chaos.py``) asserts exactly that.
 
 The executor returns the same :class:`~repro.algorithms.base.\
-PartialSweep` the threaded path does, and populates the same caches,
-so callers switch with one ``executor="process"`` argument.
+PartialSweep` the threaded path does, through the same
+:class:`SweepGrid` bookkeeping, so callers switch with one
+``executor="process"`` argument.
 """
 
 from __future__ import annotations
@@ -52,17 +73,23 @@ import pickle
 import shutil
 import tempfile
 import time
-from typing import (Any, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Tuple, Union)
+from collections import deque
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ThreadPoolExecutor, wait)
+from contextlib import nullcontext
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
+from repro.algorithms.base import PartialSweep, WorkUnit, frozen_copy
 from repro.algorithms.cache import EngineStats, joint_cache
 from repro.algorithms.parallel import (_record_deadline_missed,
                                        remaining, resolve_workers)
 from repro.errors import (NumericalError, RemoteTaskError,
                           WorkerCrashError, WorkerError)
 from repro.exec.checkpoint import SweepCheckpoint
+from repro.exec.faultinject import FaultPlan
 from repro.exec.retry import BREAKERS, BreakerRegistry, RetryPolicy
 from repro.exec.worker import _checksum, worker_main
 from repro.obs import OBS, REGISTRY, record_engine_stats
@@ -94,17 +121,280 @@ def breaker_key(engine) -> str:
     return f"{engine.name}/{kernel}"
 
 
+class SweepGrid:
+    """One sweep's grid, cache and checkpoint side.
+
+    Construction validates the sweep, counts ``sweep_points`` and
+    serves cells from *checkpoint* (seeding the shared cache) and from
+    the shared cache (one ``cache_hits`` each, every other cell one
+    ``cache_misses``); :meth:`units` hands out the work for the rest.
+    """
+
+    def __init__(self, engine, model, times, rewards, target,
+                 checkpoint: Union[None, str, SweepCheckpoint] = None):
+        self.engine = engine
+        self.model = model
+        self.times = [float(t) for t in times]
+        self.rewards = [float(r) for r in rewards]
+        self.indicator = engine._validate(
+            model, min(self.times, default=0.0),
+            min(self.rewards, default=0.0), target)
+        self.token = engine._cache_token()
+        self.mask = self.indicator.tobytes()
+        shape = (len(self.times), len(self.rewards), model.num_states)
+        self.grid = np.full(shape, np.nan)
+        self.completed = np.zeros(shape[:2], dtype=bool)
+        self.failures: Dict[int, WorkerError] = {}
+        engine.stats.sweep_points += self.completed.size
+        self.checkpoint: Optional[SweepCheckpoint] = None
+        self._own_checkpoint = False
+        self.resumed = 0
+        if checkpoint is not None:
+            if isinstance(checkpoint, SweepCheckpoint):
+                self.checkpoint = checkpoint
+            else:
+                self.checkpoint = SweepCheckpoint.open(
+                    str(checkpoint), model.fingerprint, self.token,
+                    self.times, self.rewards, self.indicator)
+                self._own_checkpoint = True
+            self.resumed = len(self.checkpoint.load_into(self.grid,
+                                                         self.completed))
+        from_cache = []
+        for i, j in np.ndindex(*shape[:2]):
+            key = self._key(i, j)
+            if self.completed[i, j]:
+                # Resumed from the checkpoint: seed the cache so later
+                # scalar queries (and the certified checker) hit.
+                if joint_cache.get(key) is None:
+                    self._cache(key, self.grid[i, j])
+                continue
+            cached = joint_cache.get(key)
+            if cached is None:
+                engine.stats.cache_misses += 1
+                continue
+            engine.stats.cache_hits += 1
+            self.grid[i, j] = cached
+            self.completed[i, j] = True
+            from_cache.append(((i, j), self.grid[i, j]))
+        if self.checkpoint is not None and from_cache:
+            self.checkpoint.extend(from_cache)
+
+    # ------------------------------------------------------------------
+
+    def _key(self, i: int, j: int) -> Tuple:
+        return (self.model.fingerprint, self.token, self.times[i],
+                self.rewards[j], self.mask)
+
+    def _cache(self, key: Tuple, vector: np.ndarray) -> None:
+        self.engine.stats.cache_evictions += joint_cache.put(
+            key, frozen_copy(vector))
+
+    def label(self, i: int, j: int) -> str:
+        return f"cell (t={self.times[i]}, r={self.rewards[j]})"
+
+    def linear(self, i: int, j: int) -> int:
+        """The cell's linear index (the fault plan's cell numbering)."""
+        return i * len(self.rewards) + j
+
+    @property
+    def missing_columns(self) -> int:
+        return int(np.count_nonzero((~self.completed).any(axis=0)))
+
+    def units(self, workers: int) -> List[WorkUnit]:
+        """The engine's work units for every cell still missing."""
+        return self.engine.work_units(~self.completed, workers)
+
+    def bounds(self, unit: WorkUnit) -> Tuple[List[float], List[float]]:
+        """The unit's time and reward bounds."""
+        return ([self.times[i] for i in unit.rows],
+                [self.rewards[j] for j in unit.columns])
+
+    def complete(self, unit: WorkUnit, block: np.ndarray) -> None:
+        """Merge a finished unit: grid, cache, then one checkpoint
+        write for all its cells."""
+        rows = []
+        for a, i in enumerate(unit.rows):
+            for b, j in enumerate(unit.columns):
+                if self.completed[i, j]:
+                    continue
+                self.grid[i, j] = block[a, b]
+                self.completed[i, j] = True
+                self._cache(self._key(i, j), block[a, b])
+                rows.append(((i, j), self.grid[i, j]))
+        if self.checkpoint is not None and rows:
+            self.checkpoint.extend(rows)
+
+    def fail(self, unit: WorkUnit, cause: BaseException,
+             flight_tail=()) -> List[WorkUnit]:
+        """A unit that failed for good.
+
+        A multi-cell unit comes back split into single-cell units for
+        the caller to run, so a fault that follows one cell costs only
+        that cell; a single cell is recorded as a
+        :class:`~repro.errors.WorkerError`.
+        """
+        cells = [(i, j) for i, j in unit.cells
+                 if not self.completed[i, j]]
+        if len(cells) > 1:
+            return [WorkUnit((i,), (j,)) for i, j in cells]
+        for i, j in cells:
+            pos = self.linear(i, j)
+            self.failures[pos] = WorkerError(pos, cause,
+                                             self.label(i, j),
+                                             flight_tail=flight_tail)
+        return []
+
+    def result(self) -> PartialSweep:
+        return PartialSweep(
+            grid=self.grid, completed=self.completed,
+            unevaluated=tuple(map(tuple, np.argwhere(
+                ~self.completed).tolist())),
+            failures=tuple(self.failures[pos]
+                           for pos in sorted(self.failures)))
+
+    def close(self) -> None:
+        if self._own_checkpoint and self.checkpoint is not None:
+            self.checkpoint.close()
+
+
+class _InlinePool:
+    """Runs each task at submission, on the calling thread."""
+
+    def submit(self, function, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(function(*args))
+        except Exception as exc:  # noqa: BLE001 - delivered via future
+            future.set_exception(exc)
+        return future
+
+
+class ThreadShardExecutor:
+    """Runs a sweep's work units in this process.
+
+    Units go to a thread pool of ``max_workers`` (``None``: one per
+    CPU, capped by the unit count) when the engine's
+    :attr:`~repro.algorithms.base.JointEngine.parallel_units` says
+    threads pay, else inline on the calling thread.  Threaded units run
+    on engine clones whose counters and ``last_*`` diagnostics are
+    folded back as each finishes.
+    """
+
+    name = "thread"
+
+    def __init__(self, max_workers: Optional[int] = None):
+        self.max_workers = max_workers
+
+    def run(self, engine, model, times, reward_bounds, target,
+            deadline: Optional[float] = None,
+            checkpoint: Union[None, str, SweepCheckpoint] = None
+            ) -> PartialSweep:
+        """The fault-isolating, deadline-bounded run behind
+        :meth:`~repro.algorithms.base.JointEngine.\
+joint_probability_sweep_partial`."""
+        return self._run("joint_sweep_partial", engine, model, times,
+                         reward_bounds, target, deadline, checkpoint)
+
+    def sweep(self, engine, model, times, reward_bounds,
+              target) -> np.ndarray:
+        """The all-or-nothing run behind :meth:`~repro.algorithms.base.\
+JointEngine.joint_probability_sweep`: the first engine error
+        propagates unchanged."""
+        return self._run("joint_sweep", engine, model, times,
+                         reward_bounds, target, None, None).grid
+
+    def _run(self, name: str, engine, model, times, reward_bounds,
+             target, deadline, checkpoint) -> PartialSweep:
+        with engine._observed(name,
+                              points=len(times) * len(reward_bounds)
+                              ) as span:
+            sweep = SweepGrid(engine, model, times, reward_bounds,
+                              target, checkpoint)
+            span.set(missing=int((~sweep.completed).sum()),
+                     resumed=sweep.resumed)
+            try:
+                self._drive(sweep, deadline,
+                            isolate=name == "joint_sweep_partial")
+            finally:
+                sweep.close()
+            result = sweep.result()
+            span.set(unevaluated=len(result.unevaluated))
+            return result
+
+    def _drive(self, sweep: SweepGrid, deadline: Optional[float],
+               isolate: bool) -> None:
+        engine = sweep.engine
+        workers = (resolve_workers(self.max_workers,
+                                   sweep.missing_columns)
+                   if engine.parallel_units else 1)
+        queue = deque(sweep.units(workers))
+        parent = OBS.tracer.current() if OBS.enabled else None
+
+        def compute(unit: WorkUnit, runner, label: str) -> np.ndarray:
+            start = time.perf_counter()
+            # Pool threads do not inherit the caller's span: attach.
+            scope = (nullcontext() if runner is engine or parent is None
+                     else OBS.tracer.span("worker", parent=parent,
+                                          worker=label))
+            try:
+                with scope:
+                    return runner.sweep_unit(sweep.model,
+                                             *sweep.bounds(unit),
+                                             sweep.indicator)
+            finally:
+                if OBS.enabled and isolate:
+                    OBS.metrics.histogram(
+                        "repro_sweep_cell_seconds",
+                        engine=engine.name).observe(
+                            time.perf_counter() - start)
+
+        running: Dict[Future, Tuple[WorkUnit, object]] = {}
+        started = 0
+        with (ThreadPoolExecutor(workers) if workers > 1
+              else nullcontext(_InlinePool())) as pool:
+            while queue or running:
+                while (queue and len(running) < workers
+                       and remaining(deadline) > 0.0):
+                    unit = queue.popleft()
+                    label = f"thread-{started}"
+                    started += 1
+                    runner = (engine if workers == 1
+                              else engine._worker_clone(label=label))
+                    running[pool.submit(compute, unit, runner,
+                                        label)] = (unit, runner)
+                if not running:
+                    break  # the deadline passed; the queue stays undone
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    unit, runner = running.pop(future)
+                    if runner is not engine:
+                        engine._absorb(runner)
+                    error = future.exception()
+                    if error is None:
+                        sweep.complete(unit, future.result())
+                    elif not isolate:
+                        raise error
+                    else:
+                        queue.extend(sweep.fail(unit, error))
+        _record_deadline_missed(len(queue))
+
+    def close(self) -> None:
+        pass
+
+    def __repr__(self) -> str:
+        return f"ThreadShardExecutor(max_workers={self.max_workers})"
+
+
 class _Worker:
     """Parent-side handle of one worker process."""
 
-    __slots__ = ("process", "conn", "id", "ready", "acked",
-                 "last_heartbeat", "task", "dead", "last_span")
+    __slots__ = ("process", "conn", "id", "acked", "last_heartbeat",
+                 "task", "dead", "last_span")
 
     def __init__(self, process, conn, worker_id: int):
         self.process = process
         self.conn = conn
         self.id = worker_id
-        self.ready = False
         self.acked = False
         self.last_heartbeat = time.monotonic()
         self.task: Optional[_Assignment] = None
@@ -119,18 +409,13 @@ class _Worker:
         return self.acked and self.task is None and not self.dead
 
 
-class _Assignment:
-    """One in-flight task: which cell, which attempt, since when."""
+class _Assignment(NamedTuple):
+    """One in-flight task: which unit, since when, until when."""
 
-    __slots__ = ("seq", "pos", "attempt", "started", "deadline")
-
-    def __init__(self, seq: int, pos: int, attempt: int,
-                 started: float, deadline: Optional[float]):
-        self.seq = seq
-        self.pos = pos
-        self.attempt = attempt
-        self.started = started
-        self.deadline = deadline
+    seq: int
+    key: int
+    started: float
+    deadline: Optional[float]
 
 
 class SweepProgress:
@@ -187,13 +472,13 @@ class SweepProgress:
 
 
 class ProcessShardExecutor:
-    """Shards sweep cells over crash-isolated worker processes.
+    """Shards sweep work units over crash-isolated worker processes.
 
     Parameters
     ----------
     max_workers:
         Worker process count; ``None`` resolves like the threaded
-        fan-out (``min(cpu_count, 8, cells)``).
+        executor (``min(cpu_count, 8, reward columns)``).
     task_timeout:
         Per-task wall-clock limit in seconds; an attempt exceeding it
         has its worker killed and is retried.  ``None`` = no limit
@@ -214,9 +499,9 @@ BREAKERS` the certified checker reads).
         ``multiprocessing`` start method (default: ``REPRO_EXEC_START``
         env var, else ``fork`` where available, else ``spawn``).
     faults:
-        Fault-injection spec string shipped to every worker
-        (:mod:`repro.exec.faultinject`); ``None`` lets workers read
-        ``REPRO_FAULTS`` from their environment.
+        Fault-injection spec string (:mod:`repro.exec.faultinject`)
+        the scheduler applies to unit attempts; ``None`` reads
+        ``REPRO_FAULTS`` from the environment.
     recorder_dir:
         Directory for the per-worker flight-recorder sidecars
         (``worker-<id>.jsonl``, see
@@ -289,8 +574,9 @@ BREAKERS` the certified checker reads).
 
         The semantics mirror ``engine.joint_probability_sweep_partial``:
         *deadline* is an absolute ``time.monotonic()`` timestamp after
-        which undone cells come back unevaluated; permanently failed
-        cells appear in both ``unevaluated`` and ``failures``.
+        which no unit starts (running units drain) and undone cells
+        come back unevaluated; permanently failed cells appear in both
+        ``unevaluated`` and ``failures``.
         """
         if self._closed:
             raise NumericalError("executor is closed")
@@ -325,46 +611,26 @@ class _Run:
         self.model = model
         self.deadline = deadline
         self.sweep_id = sweep_id
-        self.times = [float(t) for t in times]
-        self.rewards = [float(r) for r in reward_bounds]
-        self.indicator = engine._validate(model, 0.0, 0.0, target)
-        for t in self.times:
-            if t < 0.0:
-                raise NumericalError(
-                    f"time bound must be >= 0, got {t}")
-        for r in self.rewards:
-            if r < 0.0:
-                raise NumericalError(
-                    f"reward bound must be >= 0, got {r}")
-        self.target_list = [int(s)
-                            for s in np.flatnonzero(self.indicator)]
-        self.token = engine._cache_token()
-        self.mask = self.indicator.tobytes()
         self.spec = engine.spec()
-        self.cells = [(i, j) for i in range(len(self.times))
-                      for j in range(len(self.rewards))]
-        shape = (len(self.times), len(self.rewards), model.num_states)
-        self.grid = np.full(shape, np.nan)
-        self.completed = np.zeros(shape[:2], dtype=bool)
+        self.stats_before = engine.stats.as_dict()
+        self.sweep = SweepGrid(engine, model, times, reward_bounds,
+                               target, checkpoint)
+        self.target_list = [int(s) for s in
+                            np.flatnonzero(self.sweep.indicator)]
         self.breaker = executor.breakers.breaker(breaker_key(engine))
-        self.checkpoint: Optional[SweepCheckpoint] = None
-        self._own_checkpoint = False
-        if checkpoint is not None:
-            if isinstance(checkpoint, SweepCheckpoint):
-                self.checkpoint = checkpoint
-            else:
-                self.checkpoint = SweepCheckpoint.open(
-                    str(checkpoint), model.fingerprint, self.token,
-                    self.times, self.rewards, self.indicator)
-                self._own_checkpoint = True
-        self.resumed = 0
-        # Scheduling state.
+        self.plan = (FaultPlan.parse(executor.faults)
+                     if executor.faults is not None
+                     else FaultPlan.from_env())
+        #: Per linear cell: scheduled faults already fired.
+        self.fault_attempts: Dict[int, int] = {}
+        # Scheduling state: units by key, a heap of (ready, key,
+        # attempt) for the ones waiting to run.
+        self.units: Dict[int, WorkUnit] = {}
         self.workers: Dict[int, _Worker] = {}
         self._next_worker_id = 0
         self._next_seq = 0
         self.pending: List[Tuple[float, int, int]] = []  # heap
         self.attempts_failed: Dict[int, int] = {}
-        self.failures: Dict[int, WorkerError] = {}
         self.aborted: Optional[str] = None
         self._model_blob: Optional[bytes] = None
         # Observability state (tentpole wiring).  The enabled flag is
@@ -387,14 +653,9 @@ class _Run:
 
     # -- identity helpers ----------------------------------------------
 
-    def _cache_key(self, pos: int):
-        i, j = self.cells[pos]
-        return (self.model.fingerprint, self.token, self.times[i],
-                self.rewards[j], self.mask)
-
-    def _label(self, pos: int) -> str:
-        i, j = self.cells[pos]
-        return f"cell (t={self.times[i]}, r={self.rewards[j]})"
+    def _label(self, key: int) -> str:
+        times, rewards = self.sweep.bounds(self.units[key])
+        return f"unit (t={times}, r={rewards})"
 
     def model_blob(self) -> bytes:
         if self._model_blob is None:
@@ -402,22 +663,27 @@ class _Run:
                 self.model, protocol=pickle.HIGHEST_PROTOCOL)
         return self._model_blob
 
+    def _schedule(self, unit: WorkUnit, ready: float) -> None:
+        key = len(self.units)
+        self.units[key] = unit
+        heapq.heappush(self.pending, (ready, key, 0))
+
     # -- the drive loop ------------------------------------------------
 
     def drive(self):
-        from repro.algorithms.base import PartialSweep
         engine = self.engine
-        stats_before = engine.stats.as_dict()
-        engine.stats.sweep_points += len(self.cells)
-        self._prefill()
+        workers = resolve_workers(self.executor.max_workers,
+                                  self.sweep.missing_columns)
+        for unit in self.sweep.units(workers):
+            self._schedule(unit, 0.0)
         self._start_sampler()
         with obs_span("process_sweep", engine=engine.name,
-                      points=len(self.cells),
+                      points=self.sweep.completed.size,
                       workers=resolve_workers(
                           self.executor.max_workers,
                           len(self.pending))) as span:
             self.sweep_span = span if self.obs_enabled else None
-            # The breaker gates whole runs, not individual cells: an
+            # The breaker gates whole runs, not individual units: an
             # open breaker (repeated failures in earlier runs) vetoes
             # up front, while failures *within* this run are bounded
             # by the retry policy -- aborting mid-sweep would make
@@ -433,34 +699,26 @@ class _Run:
                 self._shutdown()
                 self._stop_sampler()
                 self._cleanup_recorders()
-                if self._own_checkpoint and self.checkpoint is not None:
-                    self.checkpoint.close()
+                self.sweep.close()
             self._report_progress(time.monotonic(), force=True)
             if self.obs_enabled:
-                self._publish_parent_stats(stats_before)
-            unevaluated = [
-                (i, j) for pos, (i, j) in enumerate(self.cells)
-                if not self.completed[i, j]]
-            failures = [self.failures[pos]
-                        for pos in sorted(self.failures)]
-            span.set(unevaluated=len(unevaluated),
-                     resumed=self.resumed,
+                self._publish_parent_stats(self.stats_before)
+            result = self.sweep.result()
+            span.set(unevaluated=len(result.unevaluated),
+                     resumed=self.sweep.resumed,
                      restarts=self.executor.restarts,
                      retries=self.executor.retries)
             if self.aborted:
                 span.set(aborted=self.aborted)
-            return PartialSweep(grid=self.grid,
-                                completed=self.completed,
-                                unevaluated=tuple(unevaluated),
-                                failures=tuple(failures))
+            return result
 
     def _publish_parent_stats(self, before: Dict[str, int]) -> None:
         """Publish the parent's *own* engine-stats contribution.
 
-        Workers already shipped their per-cell deltas (merged with a
+        Workers already shipped their per-unit deltas (merged with a
         ``worker="process-N"`` label); what remains unlabelled is the
-        parent-local share -- prefill cache hits, cache evictions from
-        the merge side, and the sweep-point count -- so the summed
+        parent-local share -- the sweep-point count, cache hits and
+        misses, cache evictions from the merge side -- so the summed
         counters match a thread-executor run of the same grid.
         """
         after = self.engine.stats.as_dict()
@@ -523,8 +781,8 @@ class _Run:
                         worker=f"process-{worker.id}")
 
     def _progress_snapshot(self, now: float) -> SweepProgress:
-        done = int(self.completed.sum())
-        total = len(self.cells)
+        done = int(self.sweep.completed.sum())
+        total = self.sweep.completed.size
         elapsed = max(now - self._started, 1e-9)
         rate = done / elapsed
         left = total - done
@@ -534,7 +792,7 @@ class _Run:
             if worker.dead:
                 states[worker.id] = "dead"
             elif worker.task is not None:
-                states[worker.id] = self._label(worker.task.pos)
+                states[worker.id] = self._label(worker.task.key)
             elif worker.acked:
                 states[worker.id] = "idle"
             else:
@@ -545,7 +803,7 @@ class _Run:
             rss = {label: sample[1] for label, sample
                    in self.sampler.latest().items()}
         return SweepProgress(done=done, total=total,
-                             failed=len(self.failures),
+                             failed=len(self.sweep.failures),
                              pending=len(self.pending),
                              elapsed=elapsed, rate=rate,
                              eta_seconds=eta, workers=states,
@@ -565,32 +823,6 @@ class _Run:
         except Exception:  # noqa: BLE001 - progress must not kill a run
             pass
 
-    def _prefill(self) -> None:
-        """Serve cells from the checkpoint and the shared cache; queue
-        the rest."""
-        if self.checkpoint is not None:
-            served = self.checkpoint.load_into(self.grid,
-                                               self.completed)
-            self.resumed = len(served)
-        for pos, (i, j) in enumerate(self.cells):
-            key = self._cache_key(pos)
-            if self.completed[i, j]:
-                # Resumed from the checkpoint: seed the cache so later
-                # scalar queries (and the certified checker) hit.
-                if joint_cache.get(key) is None:
-                    frozen = self.grid[i, j].copy()
-                    frozen.flags.writeable = False
-                    self.engine.stats.cache_evictions += (
-                        joint_cache.put(key, frozen))
-                continue
-            cached = joint_cache.get(key)
-            if cached is not None:
-                self.engine.stats.cache_hits += 1
-                self._complete(pos, np.asarray(cached, dtype=float),
-                               from_cache=True)
-                continue
-            heapq.heappush(self.pending, (0.0, pos, 0))
-
     def _in_flight(self) -> List[_Worker]:
         return [w for w in self.workers.values() if w.task is not None]
 
@@ -598,10 +830,12 @@ class _Run:
         executor = self.executor
         while (self.pending or self._in_flight()) and not self.aborted:
             now = time.monotonic()
-            if remaining(self.deadline) <= 0.0:
-                undone = len(self.pending) + len(self._in_flight())
-                _record_deadline_missed(undone)
-                break
+            if self.pending and remaining(self.deadline) <= 0.0:
+                # Units that have not started stay undone; running
+                # units drain.
+                _record_deadline_missed(len(self.pending))
+                self.pending.clear()
+                continue
             want = resolve_workers(
                 executor.max_workers,
                 len(self.pending) + len(self._in_flight()))
@@ -617,22 +851,40 @@ class _Run:
     def _dispatch(self, now: float) -> None:
         idle = [w for w in self.workers.values() if w.idle]
         while idle and self.pending and self.pending[0][0] <= now:
-            _, pos, attempt = heapq.heappop(self.pending)
+            _, key, attempt = heapq.heappop(self.pending)
             worker = idle.pop()
             seq = self._next_seq
             self._next_seq += 1
-            i, j = self.cells[pos]
+            unit = self.units[key]
             try:
-                worker.conn.send(("task", seq, pos, i, j, attempt))
+                worker.conn.send(("task", seq, unit.rows, unit.columns,
+                                  attempt, self._fault_for(unit),
+                                  self.plan.sleep * len(unit.cells)))
             except (BrokenPipeError, OSError):
                 worker.dead = True
-                heapq.heappush(self.pending, (now, pos, attempt))
+                heapq.heappush(self.pending, (now, key, attempt))
                 continue
             task_deadline = (None if self.executor.task_timeout is None
                              else now + self.executor.task_timeout)
-            worker.task = _Assignment(seq, pos, attempt, now,
-                                      task_deadline)
+            worker.task = _Assignment(seq, key, now, task_deadline)
             worker.last_heartbeat = now
+
+    def _fault_for(self, unit: WorkUnit) -> Optional[str]:
+        """The injected fault of this attempt of *unit*, if any.
+
+        The first of the unit's cells whose next attempt the plan
+        faults fires, and that counts as the cell's attempt -- so
+        ``crash@3`` crashes the unit holding cell 3, and every
+        scheduled cell fault fires exactly once.
+        """
+        for i, j in unit.cells:
+            cell = self.sweep.linear(i, j)
+            fired = self.fault_attempts.get(cell, 0)
+            fault = self.plan.fault_for(cell, fired)
+            if fault is not None:
+                self.fault_attempts[cell] = fired + 1
+                return fault
+        return None
 
     def _wait_timeout(self, now: float) -> float:
         wake = [0.5]
@@ -645,7 +897,7 @@ class _Run:
                 if worker.task.deadline is not None:
                     wake.append(worker.task.deadline - now)
         left = remaining(self.deadline)
-        if left != float("inf"):
+        if self.pending and left != float("inf"):
             wake.append(left)
         return max(0.01, min(wake))
 
@@ -683,11 +935,10 @@ class _Run:
     def _handle(self, worker: _Worker, message: Tuple) -> None:
         kind = message[0]
         if kind == "ready":
-            worker.ready = True
             worker.last_heartbeat = time.monotonic()
             worker.conn.send(
                 ("sweep", self.sweep_id, self.model.fingerprint,
-                 self.spec, self.times, self.rewards,
+                 self.spec, self.sweep.times, self.sweep.rewards,
                  self.target_list))
         elif kind == "need_model":
             worker.conn.send(("model", self.model.fingerprint,
@@ -711,7 +962,7 @@ class _Run:
             # Engine exceptions are deterministic: retrying replays
             # the same failure, so give up immediately (the threaded
             # path's semantics).
-            self._give_up(task.pos, cause)
+            self._give_up(task.key, cause)
             self.breaker.record_failure()
 
     def _handle_result(self, worker: _Worker, message: Tuple) -> None:
@@ -725,15 +976,16 @@ class _Run:
         if _checksum(data) != checksum:
             worker.last_span = None
             self._task_failed(
-                task.pos, task.attempt, "corrupt",
+                task.key, "corrupt",
                 WorkerCrashError("corrupt", worker.id,
                                  flight_tail=self._flight_tail(
                                      worker.id)))
             return
-        vector = np.frombuffer(data, dtype="<f8").astype(float,
-                                                         copy=True)
+        unit = self.units[task.key]
+        block = np.frombuffer(data, dtype="<f8").reshape(
+            len(unit.rows), len(unit.columns), self.model.num_states)
         self.engine.stats.merge(EngineStats(**delta))
-        self._complete(task.pos, vector)
+        self.sweep.complete(unit, block)
         self.breaker.record_success()
         if self.obs_enabled:
             for key, value in delta.items():
@@ -744,46 +996,43 @@ class _Run:
                 engine=self.engine.name).observe(elapsed)
             with OBS.tracer.span("worker",
                                  worker=f"process-{worker.id}",
-                                 cell=self._label(task.pos),
+                                 unit=self._label(task.key),
+                                 cells=len(unit.cells),
                                  seconds=round(elapsed, 6)) as wspan:
                 pass
-            # The telemetry delta for this cell follows on the same
+            # The telemetry delta for this unit follows on the same
             # pipe; its spans re-parent under this "worker" span.
             worker.last_span = wspan
 
-    def _complete(self, pos: int, vector: np.ndarray,
-                  from_cache: bool = False) -> None:
-        i, j = self.cells[pos]
-        self.grid[i, j] = vector
-        self.completed[i, j] = True
-        if not from_cache:
-            frozen = vector.copy()
-            frozen.flags.writeable = False
-            self.engine.stats.cache_evictions += joint_cache.put(
-                self._cache_key(pos), frozen)
-        if self.checkpoint is not None:
-            self.checkpoint.append((i, j), vector)
-
     # -- failure machinery ---------------------------------------------
 
-    def _give_up(self, pos: int, cause: BaseException) -> None:
-        tail = getattr(cause, "flight_tail", ())
-        self.failures[pos] = WorkerError(pos, cause, self._label(pos),
-                                         flight_tail=tail)
+    def _give_up(self, key: int, cause: BaseException) -> None:
+        """The unit failed for good: retry its cells one by one (when
+        there is still time), or record the single cell's failure."""
+        cells = self.sweep.fail(self.units[key], cause,
+                                getattr(cause, "flight_tail", ()))
+        if not cells or remaining(self.deadline) <= 0.0:
+            return
+        REGISTRY.counter("repro_retry_total", reason="split").inc()
+        self.executor.retries += 1
+        for unit in cells:
+            self._schedule(unit, time.monotonic())
 
-    def _task_failed(self, pos: int, attempt: int, reason: str,
+    def _task_failed(self, key: int, reason: str,
                      cause: BaseException) -> None:
         self.breaker.record_failure()
-        count = self.attempts_failed.get(pos, 0) + 1
-        self.attempts_failed[pos] = count
+        count = self.attempts_failed.get(key, 0) + 1
+        self.attempts_failed[key] = count
         if self.executor.retry.gives_up(count):
-            self._give_up(pos, cause)
+            self._give_up(key, cause)
             return
+        if remaining(self.deadline) <= 0.0:
+            return  # no retry starts after the deadline
         REGISTRY.counter("repro_retry_total", reason=reason).inc()
         self.executor.retries += 1
-        delay = self.executor.retry.delay(pos, count)
+        delay = self.executor.retry.delay(key, count)
         heapq.heappush(self.pending,
-                       (time.monotonic() + delay, pos, count))
+                       (time.monotonic() + delay, key, count))
 
     def _worker_failed(self, worker: _Worker, reason: str,
                        exitcode: Optional[int]) -> None:
@@ -795,7 +1044,7 @@ class _Run:
         worker.task = None
         if task is not None:
             self._task_failed(
-                task.pos, task.attempt, reason,
+                task.key, reason,
                 WorkerCrashError(reason, worker.id, exitcode,
                                  flight_tail=self._flight_tail(
                                      worker.id)))
@@ -860,7 +1109,6 @@ class _Run:
             target=worker_main,
             args=(child_conn, worker_id,
                   self.executor.heartbeat_interval,
-                  self.executor.faults,
                   self.obs_enabled,
                   self._recorder_path(worker_id)),
             name=f"repro-exec-{self.sweep_id}-{worker_id}",
@@ -898,7 +1146,7 @@ class _Run:
         polling until the grace deadline loses nothing from workers
         that die mid-drain -- their pipes just EOF.
         """
-        # A worker's last per-cell telemetry may still be in flight
+        # A worker's last per-unit telemetry may still be in flight
         # when the loop exits; its ``last_span`` is intact, so that
         # payload still lands under the right worker span, while the
         # final drain proper (sent after it) re-parents to the sweep
@@ -920,40 +1168,6 @@ class _Run:
                 if not got_final and worker.process.is_alive():
                     still.append(worker)
             waiting = still
-
-
-class ThreadShardExecutor:
-    """The threaded executor behind the same ``run`` interface.
-
-    Delegates to the engine's in-process partial-sweep path
-    (GIL-releasing thread fan-out), so ``executor="thread"`` and the
-    historical ``executor=None`` behave identically -- including
-    checkpoint support, which the engine path shares.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
-
-    def run(self, engine, model, times, reward_bounds, target,
-            deadline: Optional[float] = None,
-            checkpoint: Union[None, str, SweepCheckpoint] = None):
-        return engine.joint_probability_sweep_partial(
-            model, times, reward_bounds, target, deadline=deadline,
-            max_workers=self.max_workers, checkpoint=checkpoint)
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "ThreadShardExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return f"ThreadShardExecutor(max_workers={self.max_workers})"
 
 
 #: The executor names ``resolve_executor`` accepts.

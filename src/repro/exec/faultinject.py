@@ -14,9 +14,15 @@ bit-for-bit against a fault-free one.  This module is that harness:
   not luck, is what completes the sweep.
 * Plans are parsed from a spec string, supplied either programmatically
   (``ProcessShardExecutor(faults=...)``) or through the
-  ``REPRO_FAULTS`` environment variable, which worker processes read
-  at startup -- so the CI leg can chaos-test any workload without code
-  changes.
+  ``REPRO_FAULTS`` environment variable -- so the CI leg can
+  chaos-test any workload without code changes.
+* Specs keep their *cell* meaning although the executor runs work
+  units (a reward column, a Sericola column group): the scheduler
+  faults an attempt of a unit when one of its cells has a scheduled
+  fault left, and that attempt counts as the cell's attempt.  So
+  ``crash@3`` crashes the unit holding cell 3, and every scheduled
+  ``(cell, attempt)`` fault fires exactly once; the worker applies
+  the fault the scheduler shipped with the task.
 
 Spec grammar (``;``-separated clauses)::
 
@@ -27,9 +33,10 @@ Spec grammar (``;``-separated clauses)::
     crash@3,7             explicit linear cell indices per kind
     hang@5                (override/augment the rate-based selection)
     corrupt@0 oom@2       ...
-    sleep=0.25            throttle: sleep this long before every cell
-                          (not a fault; slows cells down so tests can
-                          interrupt mid-sweep deterministically)
+    sleep=0.25            throttle: sleep this long per cell before
+                          every unit (not a fault; slows units down so
+                          tests can interrupt mid-sweep
+                          deterministically)
 
 Fault kinds (applied inside the worker, see
 :mod:`repro.exec.worker`):

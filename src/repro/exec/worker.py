@@ -10,7 +10,10 @@ Parent -> worker::
     ("sweep", sweep_id, fingerprint, engine_spec,
               times, rewards, target)      start serving this sweep
     ("model", fingerprint, blob)           pickled model payload
-    ("task", seq, linear, i, j, attempt)   evaluate one grid cell
+    ("task", seq, rows, columns, attempt,  evaluate one work unit (the
+              fault, sleep)                cells rows x columns), after
+                                           the injected fault / sleep
+                                           the scheduler chose
     ("stop",)                              exit cleanly
 
 Worker -> parent::
@@ -19,7 +22,7 @@ Worker -> parent::
     ("need_model", fingerprint)            BLAKE2b handshake miss
     ("sweep_ok", sweep_id)                 sweep context installed
     ("heartbeat", monotonic_ts)            liveness (background thread)
-    ("result", seq, data, checksum, stats) cell result, raw float64
+    ("result", seq, data, checksum, stats) unit block, raw float64
                                            bytes + BLAKE2b checksum +
                                            engine-stats delta
     ("error", seq, type, message, tb)      the engine raised
@@ -50,13 +53,14 @@ Design notes:
   send, so any corruption in transport (or injected by the fault
   harness after hashing) is detected by the parent and retried rather
   than silently merged into the grid.
-* **Fault injection** -- when a :class:`~repro.exec.faultinject.\
-FaultPlan` is active (explicit spec or the ``REPRO_FAULTS``
-  environment variable), the worker consults it per ``(cell,
-  attempt)`` right before computing; see :mod:`repro.exec.faultinject`
-  for the kinds.
-* **Flight recorder** -- every task-level event (start, injected
-  fault, completion with its stats delta, engine error) is appended
+* **Fault injection** -- the parent's scheduler evaluates the
+  :class:`~repro.exec.faultinject.FaultPlan` per unit attempt and
+  ships the chosen fault (and the throttle sleep) with the task; the
+  worker applies it right before computing.  See
+  :mod:`repro.exec.faultinject` for the kinds.
+* **Flight recorder** -- every task-level event (start with the
+  unit's cells, injected fault, completion with its stats delta,
+  engine error) is appended
   to an fsynced per-worker JSONL sidecar
   (:class:`~repro.obs.recorder.FlightRecorder`) *before* the risky
   step runs, so after a crash or hang kill the parent can read what
@@ -83,7 +87,6 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.exec.faultinject import FaultPlan
 from repro.obs import OBS, REGISTRY
 from repro.obs.recorder import FlightRecorder
 from repro.obs.remote import export_telemetry
@@ -184,30 +187,32 @@ def _send_telemetry(conn, send_lock: threading.Lock,
 
 
 def _run_task(context: _SweepContext, message: Tuple,
-              plan: FaultPlan, heartbeat: _Heartbeat,
+              heartbeat: _Heartbeat,
               conn, send_lock: threading.Lock,
               recorder: Optional[FlightRecorder] = None,
               worker_id: int = 0,
               obs_enabled: bool = False) -> None:
-    _, seq, linear, i, j, attempt = message
-    fault = plan.fault_for(int(linear), int(attempt))
+    _, seq, rows, columns, attempt, fault, sleep = message
+    cells = [[int(i), int(j)] for i in rows for j in columns]
+    times = [context.times[i] for i in rows]
+    rewards = [context.rewards[j] for j in columns]
     started = time.monotonic()
     if recorder is not None:
-        recorder.record("task_start", seq=int(seq),
-                        cell=[int(i), int(j)],
-                        t=context.times[i], r=context.rewards[j],
+        recorder.record("task_start", seq=int(seq), cell=cells[0],
+                        cells=cells, t=times, r=rewards,
                         attempt=int(attempt))
         if fault is not None:
             recorder.record("fault", seq=int(seq), fault=fault)
-    if plan.sleep > 0.0:
-        time.sleep(plan.sleep)
+    if sleep > 0.0:
+        time.sleep(sleep)
     _apply_pre_fault(fault, heartbeat)
     engine = context.engine
     before = engine.stats.as_dict()
     try:
-        vector = engine.joint_probability_vector(
-            context.model, context.times[i], context.rewards[j],
-            context.target)
+        indicator = engine._validate(context.model, 0.0, 0.0,
+                                     context.target)
+        block = engine.sweep_unit(context.model, times, rewards,
+                                  indicator)
     except BaseException as exc:  # noqa: BLE001 - shipped to parent
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
             raise
@@ -228,7 +233,7 @@ def _run_task(context: _SweepContext, message: Tuple,
                         seconds=round(time.monotonic() - started, 6),
                         delta={key: value for key, value
                                in delta.items() if value})
-    data = np.ascontiguousarray(vector, dtype="<f8").tobytes()
+    data = np.ascontiguousarray(block, dtype="<f8").tobytes()
     checksum = _checksum(data)
     if fault == "corrupt":
         data = _corrupt(data)
@@ -239,12 +244,9 @@ def _run_task(context: _SweepContext, message: Tuple,
 
 
 def worker_main(conn, worker_id: int, heartbeat_interval: float,
-                fault_spec: Optional[str],
                 obs_enabled: bool = False,
                 recorder_path: Optional[str] = None) -> None:
     """Entry point of one worker process (see the module docstring)."""
-    plan = (FaultPlan.parse(fault_spec) if fault_spec is not None
-            else FaultPlan.from_env())
     if obs_enabled:
         # Start from a clean slate: under the fork start method this
         # process inherited the parent's registry and spans, which the
@@ -301,7 +303,7 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float,
                         conn.send(("error", message[1], "ProtocolError",
                                    "task before sweep context", ""))
                     continue
-                _run_task(context, message, plan, heartbeat, conn,
+                _run_task(context, message, heartbeat, conn,
                           send_lock, recorder=recorder,
                           worker_id=worker_id,
                           obs_enabled=obs_enabled)

@@ -215,9 +215,10 @@ EngineStats` as a plain dict: ``cache_hits``/``cache_misses`` against
         grid (:meth:`JointEngine.joint_probability_sweep`), instead of
         one full propagation per bound pair.
 
-        *executor*/*checkpoint* switch to the fault-tolerant cell-by-
-        cell evaluation (crash-isolated worker processes, durable
-        resume; see :mod:`repro.exec`) with bit-identical values.
+        *executor*/*checkpoint* run the grid's shared-work units
+        through the fault-tolerant executors instead (crash-isolated
+        worker processes, durable resume; see :mod:`repro.exec`), with
+        bit-identical values.
         """
         phi = set(self.satisfaction_set(left))
         psi = set(self.satisfaction_set(right))
@@ -293,20 +294,22 @@ CertifiedCheckResult` whose verdict is TRUE/FALSE only when certified.
                                         checkpoint=None):
         """Deadline-bounded variant of :meth:`until_probability_sweep`.
 
-        Evaluates the ``(t, r)`` grid cell by cell under an absolute
+        Runs the ``(t, r)`` grid's shared-work units (a reward column,
+        a Sericola column group) under an absolute
         ``time.monotonic()`` *deadline* and returns a
         :class:`~repro.algorithms.base.PartialSweep` instead of
-        raising when time runs out: every cell finished before the
-        deadline is kept, the rest are listed in ``unevaluated`` (and
-        hold NaN in the grid), and per-cell worker failures are
-        isolated into ``failures`` rather than poisoning the finished
-        cells.  Completed cells land in the shared joint-vector cache,
-        so a retry of the same grid resumes where this call stopped.
+        raising when time runs out: every unit finished before the
+        deadline is kept, the cells of units that never started are
+        listed in ``unevaluated`` (and hold NaN in the grid), and
+        worker failures are isolated into per-cell ``failures``
+        rather than poisoning the finished cells.  Completed cells
+        land in the shared joint-vector cache, so a retry of the same
+        grid resumes where this call stopped.
 
-        *executor* shards the cells over crash-isolated worker
+        *executor* shards the units over crash-isolated worker
         processes (``"process"`` or a :class:`~repro.exec.\
 ProcessShardExecutor`) instead of in-process threads; *checkpoint* (a
-        path) additionally makes every completed cell durable, so the
+        path) additionally makes every finished unit durable, so the
         grid survives the death of this process and a re-run resumes
         from the file.  Results are bit-identical in all
         configurations.

@@ -234,10 +234,10 @@ def time_reward_bounded_until_sweep(model: MarkovRewardModel,
 
     With *executor* (``"process"`` or a
     :class:`~repro.exec.ProcessShardExecutor`) and/or *checkpoint*
-    (a path) the grid is evaluated cell by cell through the
+    (a path) the grid's shared-work units run through the
     fault-tolerant partial-sweep machinery instead of the all-or-
-    nothing shared-prefix run, with durable per-cell progress; values
-    are bit-identical.  This full-grid entry point still promises a
+    nothing run, with durable per-unit progress; values are
+    bit-identical.  This full-grid entry point still promises a
     complete grid, so cells that permanently failed raise a
     :class:`~repro.errors.ParallelExecutionError` carrying every
     per-cell failure (resuming from the checkpoint retries only the

@@ -14,6 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.algorithms import DiscretizationEngine
 from repro.algorithms.base import PartialSweep, get_engine
 from repro.algorithms.cache import clear_caches
 from repro.errors import (CheckpointError, NumericalError,
@@ -313,6 +314,45 @@ class TestSweepCheckpoint:
             cp.append((0, 0), np.ones(3))
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 2  # header + one cell
+
+    def test_unit_rows_share_one_fsync(self, tmp_path, monkeypatch):
+        import repro.exec.checkpoint as checkpoint_module
+        path = tmp_path / "sweep.jsonl"
+        with self._open(path) as cp:
+            synced = []
+            monkeypatch.setattr(checkpoint_module.os, "fsync",
+                                synced.append)
+            cp.extend([((0, 0), np.zeros(3)), ((1, 0), np.ones(3))])
+            assert len(synced) == 1 and len(cp) == 2
+        rows = path.read_text().strip().splitlines()
+        assert len(rows) == 3  # header + one row per cell
+
+    def test_cell_by_cell_file_resumes_by_unit(self, flip_flop,
+                                               tmp_path):
+        """A file written one cell per append (the per-cell format)
+        resumes: recorded cells are served, and only units with a
+        missing cell run again."""
+        times, rewards = [0.5, 1.0], [0.4, 0.8, 1.2]
+        engine = DiscretizationEngine(step=1.0 / 16)
+        reference = engine.joint_probability_sweep(flip_flop, times,
+                                                   rewards, {1})
+        path = tmp_path / "cp.jsonl"
+        indicator = np.array([0.0, 1.0])
+        with SweepCheckpoint.open(str(path), flip_flop.fingerprint,
+                                  engine._cache_token(), times, rewards,
+                                  indicator) as cp:
+            for cell in [(0, 0), (1, 0), (0, 1)]:
+                cp.append(cell, reference[cell])
+        clear_caches()
+        resumed = DiscretizationEngine(step=1.0 / 16)
+        partial = resumed.joint_probability_sweep_partial(
+            flip_flop, times, rewards, {1}, checkpoint=str(path))
+        assert partial.complete
+        assert partial.grid.tobytes() == reference.tobytes()
+        # Column 0 came from the file; columns 1 and 2 ran as units.
+        assert resumed.stats.cache_misses == 3
+        rows = path.read_text().strip().splitlines()
+        assert len(rows) == 1 + len(times) * len(rewards)
 
     def test_identity_mismatch_raises(self, tmp_path):
         path = tmp_path / "sweep.jsonl"

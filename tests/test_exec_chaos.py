@@ -121,6 +121,38 @@ def test_double_fault_exhausts_then_retries_succeed(reference):
     _assert_no_orphans()
 
 
+def test_crash_restarts_exactly_the_unit_holding_the_cell(tmp_path):
+    """``crash@4`` on a 3 x 3 grid kills the attempt of the work unit
+    holding cell 4 -- reward column 1 for the pseudo-Erlang engine --
+    and only that unit runs twice; the grid still equals the shared
+    sweep bit for bit."""
+    from repro.obs.recorder import FlightRecorder
+    times, rewards = TIMES[:3], REWARDS
+    reference = get_engine("erlang", phases=16).joint_probability_sweep(
+        build_model(), times, rewards, TARGET)
+    clear_caches()
+    recorder_dir = tmp_path / "flight"
+    executor = ProcessShardExecutor(
+        max_workers=2, heartbeat_interval=0.05, heartbeat_timeout=0.5,
+        faults="crash@4", recorder_dir=str(recorder_dir))
+    partial = get_engine("erlang", phases=16).joint_probability_sweep_partial(
+        build_model(), times, rewards, TARGET, executor=executor)
+    assert partial.complete
+    assert partial.grid.tobytes() == reference.tobytes()
+    assert executor.restarts == 1 and executor.retries == 1
+    starts = [event for sidecar in recorder_dir.iterdir()
+              for event in FlightRecorder.read_tail(str(sidecar), 1000)
+              if event["kind"] == "task_start"]
+    runs = {}
+    for event in starts:
+        column = {j for _, j in event["cells"]}
+        assert len(event["cells"]) == 3 and len(column) == 1
+        runs.setdefault(column.pop(), []).append(event["attempt"])
+    assert {j: sorted(attempts) for j, attempts in runs.items()} == \
+        {0: [0], 1: [0, 1], 2: [0]}
+    _assert_no_orphans()
+
+
 def _run_give_up(faults: str, recorder_dir=None):
     """A sweep whose cell-0 faults outlast the retry budget."""
     from repro.exec import RetryPolicy

@@ -2,10 +2,10 @@
 
 Covers the tracer/metrics/convergence units, the JSON-lines
 round-trip, the worker-span attachment of the thread fan-out, the
-deadline-missed counter, EngineStats atomicity -- and the two
-bit-identity guarantees: observability on vs off never changes engine
-outputs, and the disabled instrumentation path stays within noise on
-the Table-4 reference query.
+thread executor's deadline-missed counter, EngineStats atomicity --
+and the two bit-identity guarantees: observability on vs off never
+changes engine outputs, and the disabled instrumentation path stays
+within noise on the Table-4 reference query.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
                               SericolaEngine, clear_caches)
 from repro.algorithms.cache import EngineStats
-from repro.algorithms.parallel import (deadline_map, remaining,
-                                       threaded_map)
+from repro.algorithms.parallel import remaining, threaded_map
+from repro.exec import ThreadShardExecutor
 from repro.mc.checker import ModelChecker
 from repro.obs import OBS, REGISTRY, span
 from repro.obs.convergence import ConvergenceRecorder
@@ -330,24 +330,29 @@ class TestParallelObservability:
             5.0, abs=0.5)
         assert remaining(time.monotonic() - 1.0) <= 0.0
 
+    @staticmethod
+    def _expired_sweep(flip_flop, workers):
+        """A three-column (three-unit) sweep whose deadline passed."""
+        return ThreadShardExecutor(max_workers=workers).run(
+            DiscretizationEngine(step=1.0 / 8), flip_flop, [1.0],
+            [1.0, 2.0, 4.0], {1}, deadline=time.monotonic() - 1.0)
+
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_deadline_missed_counter(self, workers):
+    def test_deadline_missed_counter(self, workers, flip_flop):
         REGISTRY.reset()
-        passed = time.monotonic() - 1.0
-        results, completed, failures = deadline_map(
-            lambda item: item, [1, 2, 3], deadline=passed,
-            max_workers=workers)
-        assert failures == []
+        clear_caches()
+        partial = self._expired_sweep(flip_flop, workers)
+        assert partial.failures == ()
         missed = REGISTRY.snapshot().get(
             "repro_deadline_missed_total", {}).get("", 0)
-        done = sum(completed)
+        done = int(partial.completed.any(axis=0).sum())
         assert done + missed == 3
         assert missed > 0 or done == 3  # at least recorded when skipped
 
-    def test_sequential_deadline_counts_all_skipped(self):
+    def test_sequential_deadline_counts_all_skipped(self, flip_flop):
         REGISTRY.reset()
-        deadline_map(lambda item: item, [1, 2, 3],
-                     deadline=time.monotonic() - 1.0, max_workers=1)
+        clear_caches()
+        self._expired_sweep(flip_flop, 1)
         missed = REGISTRY.snapshot()["repro_deadline_missed_total"][""]
         assert missed == 3
 

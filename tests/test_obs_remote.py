@@ -389,7 +389,7 @@ class TestProcessAggregation:
         worker_spans = [c for c in sweeps[0].children
                         if c.name == "worker"]
         assert worker_spans
-        assert any(c.name == "joint_vector"
+        assert any(c.name == "sweep_unit"
                    for w in worker_spans for c in w.children)
 
     def test_obs_off_grid_bit_identical(self):

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
-                              SericolaEngine, clear_caches, deadline_map,
-                              joint_cache, richardson_bracket,
-                              threaded_map, value_nbytes)
+                              SericolaEngine, clear_caches, joint_cache,
+                              richardson_bracket, threaded_map,
+                              value_nbytes)
 from repro.algorithms.base import JointEngine
 from repro.algorithms.cache import LRUCache
 from repro.ctmc import CTMC, ModelBuilder
@@ -322,46 +322,25 @@ class TestWorkerFailureIsolation:
         assert threaded_map(lambda x: x + 1, [1, 2, 3],
                             max_workers=2) == [2, 3, 4]
 
-    def test_deadline_map_isolates_failures(self):
-        results, completed, failures = deadline_map(
-            self._flaky, list(range(5)), deadline=None, max_workers=2)
-        assert [results[i] for i in (0, 2, 3)] == [0, 20, 30]
-        assert list(completed) == [True, False, True, True, False]
-        assert {f.index for f in failures} == {1, 4}
-
-    def test_deadline_map_expired_deadline_cancels(self):
-        started = []
-
-        def slow(item):
-            started.append(item)
-            time.sleep(0.05)
-            return item
-
-        past = time.monotonic() - 1.0
-        results, completed, failures = deadline_map(
-            slow, list(range(8)), deadline=past, max_workers=2)
-        assert not failures
-        # The cancel sweep prevents the bulk of the grid from ever
-        # starting; at most the tasks the two workers had already
-        # picked up can complete.
-        assert sum(completed) < 8
-        assert len(started) < 8
-        assert all(results[i] is None
-                   for i, done in enumerate(completed) if not done)
-
 
 # ----------------------------------------------------------------------
 # tentpole: mid-sweep deadline with partial results
 # ----------------------------------------------------------------------
 
 class SlowSericola(SericolaEngine):
-    """Sericola with an injected per-computation delay."""
+    """Sericola with an injected delay per computed cell, run as one
+    work unit per reward column so a deadline can fall between
+    units."""
 
     delay = 0.08
 
-    def _compute_joint_vector(self, model, t, r, indicator):
-        time.sleep(self.delay)
-        return super()._compute_joint_vector(model, t, r, indicator)
+    def work_units(self, missing, workers=1):
+        return JointEngine.work_units(self, missing, workers)
+
+    def _compute_joint_sweep(self, model, times, rewards, indicator):
+        time.sleep(self.delay * len(times) * len(rewards))
+        return super()._compute_joint_sweep(model, times, rewards,
+                                            indicator)
 
 
 class TestPartialSweep:
@@ -418,11 +397,12 @@ class TestPartialSweep:
         clear_caches()
 
         class FlakyCell(SericolaEngine):
-            def _compute_joint_vector(self, model, t, r, indicator):
-                if r == 1.5:
+            def _compute_joint_sweep(self, model, times, rewards,
+                                     indicator):
+                if 1.5 in rewards:
                     raise ConvergenceError("injected cell failure")
-                return super()._compute_joint_vector(model, t, r,
-                                                     indicator)
+                return super()._compute_joint_sweep(model, times,
+                                                    rewards, indicator)
 
         partial = FlakyCell(
             epsilon=1e-8).joint_probability_sweep_partial(
@@ -435,6 +415,31 @@ class TestPartialSweep:
             assert "r=1.5" in str(failure)
             assert "injected cell failure" in str(failure)
         assert set(partial.unevaluated) == {(0, 1), (1, 1), (2, 1)}
+
+    def test_process_deadline_at_unit_grain(self, flip_flop):
+        """A unit running when the deadline passes drains; a unit that
+        has not started lists all its cells as unevaluated."""
+        from repro.exec import ProcessShardExecutor
+        clear_caches()
+        times, rewards = [0.5, 1.0, 1.5], [0.5, 1.0, 1.5]
+        reference = ErlangEngine(phases=16).joint_probability_sweep(
+            flip_flop, times, rewards, [1])
+        clear_caches()
+        # One worker, one reward column per unit, 3 x 0.6 s per unit:
+        # the deadline falls inside the first unit.
+        executor = ProcessShardExecutor(max_workers=1, faults="sleep=0.6")
+        partial = ErlangEngine(phases=16).joint_probability_sweep_partial(
+            flip_flop, times, rewards, [1], executor=executor,
+            deadline=time.monotonic() + 1.0)
+        assert not partial.failures
+        done = partial.completed.all(axis=0)
+        assert np.array_equal(partial.completed.any(axis=0), done)
+        assert done[0] and not done.all()
+        assert set(partial.unevaluated) == {
+            (i, j) for i in range(3) for j in range(3) if not done[j]}
+        assert partial.grid[:, done].tobytes() == \
+            reference[:, done].tobytes()
+        assert np.isnan(partial.grid[:, ~done]).all()
 
 
 # ----------------------------------------------------------------------

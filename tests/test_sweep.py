@@ -12,6 +12,10 @@ Covers the shared-prefix ``(t, r)`` grid layer on top of the engines:
   ``stats.sweep_points`` accounts the grid cells served;
 * the threaded fan-out returns results in task order with merged
   worker statistics, bit-identical to the sequential run;
+* every executor -- inline, threads, worker processes, and processes
+  with a checkpoint and injected faults -- returns the shared sweep's
+  grid bit for bit, on every engine, with impulse rewards and on the
+  ``t == 0`` / ``r == 0`` edges;
 * the model checker's grid API matches per-formula checks.
 """
 
@@ -22,11 +26,11 @@ import pytest
 
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
                               SericolaEngine, clear_caches, joint_cache,
-                              parallel_joint_sweeps,
-                              parallel_joint_vectors, threaded_map)
+                              parallel_joint_sweeps, threaded_map)
 from repro.algorithms.parallel import resolve_workers
 from repro.ctmc import ModelBuilder
 from repro.errors import NumericalError
+from repro.exec import ProcessShardExecutor, ThreadShardExecutor
 from repro.mc.checker import ModelChecker
 from repro.models.adhoc import Q3_REWARD_BOUND, Q3_TIME_BOUND
 from repro.models.workloads import random_mrm
@@ -221,39 +225,107 @@ class TestParallelFanOut:
         assert engine.stats.sweep_points == 4 * len(queries)
         assert engine.stats.cache_misses == 4 * len(queries)
 
-    def test_parallel_vectors_match_sequential(self):
-        models = [random_mrm(8, seed=s, reward_levels=(0.0, 1.0, 2.0))
-                  for s in (4, 5)]
-        queries = [(m, 1.0, 1.5, {0}) for m in models]
-        engine = ErlangEngine(phases=32)
-        clear_caches()
-        sequential = [engine.joint_probability_vector(*q)
-                      for q in queries]
-        clear_caches()
-        engine.stats.reset()
-        threaded = parallel_joint_vectors(engine, queries,
-                                          max_workers=2)
-        for seq, thr in zip(sequential, threaded):
-            np.testing.assert_array_equal(seq, thr)
-        assert engine.stats.cache_misses == len(queries)
-
     def test_erlang_threaded_columns_deterministic(self):
         model = random_mrm(8, seed=6, reward_levels=(0.0, 1.0, 2.0))
-        serial = ErlangEngine(phases=32, max_workers=1)
-        threaded = ErlangEngine(phases=32, max_workers=4)
-        clear_caches()
-        first = serial.joint_probability_sweep(
-            model, [0.5, 1.0], [0.0, 1.0, 2.0], {0, 2})
-        clear_caches()
-        second = threaded.joint_probability_sweep(
-            model, [0.5, 1.0], [0.0, 1.0, 2.0], {0, 2})
-        np.testing.assert_array_equal(first, second)
+        grids = []
+        for workers in (1, 4):
+            clear_caches()
+            engine = ErlangEngine(phases=32)
+            # Erlang units run inline by default; force the pool.
+            engine.parallel_units = workers > 1
+            partial = engine.joint_probability_sweep_partial(
+                model, [0.5, 1.0], [0.0, 1.0, 2.0], {0, 2},
+                max_workers=workers)
+            assert partial.complete
+            grids.append(partial.grid)
+        np.testing.assert_array_equal(grids[0], grids[1])
+
+    def test_thread_executor_stress_keeps_counters(self, flip_flop):
+        """More unit threads than cores and a tiny switch interval: the
+        grid and the folded-back counters match the inline run."""
+        import sys
+        times, rewards = [0.5, 1.0], [0.25 * k for k in range(1, 13)]
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 8):
+                clear_caches()
+                engine = DiscretizationEngine(step=1.0 / 16)
+                partial = ThreadShardExecutor(max_workers=workers).run(
+                    engine, flip_flop, times, rewards, {1})
+                runs.append((partial, engine.stats.as_dict()))
+        finally:
+            sys.setswitchinterval(interval)
+        (inline, inline_stats), (threaded, threaded_stats) = runs
+        assert threaded.complete
+        assert threaded.grid.tobytes() == inline.grid.tobytes()
+        assert threaded_stats == inline_stats
+        assert threaded_stats["sweep_points"] == len(times) * len(rewards)
 
     def test_worker_clone_shares_cache_token(self):
         engine = SericolaEngine(epsilon=1e-10)
         clone = engine._worker_clone()
         assert clone._cache_token() == engine._cache_token()
         assert clone.stats is not engine.stats
+
+
+# ----------------------------------------------------------------------
+# executors run work units: every grid equals the shared sweep
+# ----------------------------------------------------------------------
+
+def executor_grids(engine, model, times, rewards, target, tmp_path):
+    """The grid from each executor, every run cold."""
+    grids = {}
+    for name in ("inline", "thread", "process", "durable"):
+        clear_caches()
+        checkpoint = None
+        if name in ("inline", "thread"):
+            executor = ThreadShardExecutor(
+                max_workers=1 if name == "inline" else 2)
+        else:
+            faults = None
+            if name == "durable":
+                faults = "crash@1;corrupt@6"
+                checkpoint = str(tmp_path / f"{engine.name}.jsonl")
+            executor = ProcessShardExecutor(max_workers=2,
+                                            faults=faults)
+        partial = engine.joint_probability_sweep_partial(
+            model, times, rewards, target, executor=executor,
+            checkpoint=checkpoint)
+        assert partial.complete, (name, partial.failures)
+        grids[name] = partial.grid
+    return grids
+
+
+class TestExecutorsMatchSharedSweep:
+    @pytest.mark.parametrize("engine", engines(), ids=lambda e: e.name)
+    def test_random_mrm_with_edge_rows(self, engine, tmp_path):
+        model = random_mrm(12, seed=20020623,
+                           reward_levels=(0.0, 1.0, 2.0))
+        target = set(model.states_with("green")) or {0}
+        clear_caches()
+        shared = engine.joint_probability_sweep(model, TIMES, REWARDS,
+                                                target)
+        grids = executor_grids(engine, model, TIMES, REWARDS, target,
+                               tmp_path)
+        for name, grid in grids.items():
+            assert grid.tobytes() == shared.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "engine",
+        [ErlangEngine(phases=48), DiscretizationEngine(step=1.0 / 16)],
+        ids=lambda e: e.name)
+    def test_impulse_model(self, impulse_model, engine, tmp_path):
+        target = set(impulse_model.states_with("green"))
+        times, rewards = [0.0, 0.5, 1.5], [0.0, 1.0, 2.5]
+        clear_caches()
+        shared = engine.joint_probability_sweep(impulse_model, times,
+                                                rewards, target)
+        grids = executor_grids(engine, impulse_model, times, rewards,
+                               target, tmp_path)
+        for name, grid in grids.items():
+            assert grid.tobytes() == shared.tobytes(), name
 
 
 # ----------------------------------------------------------------------
