@@ -17,14 +17,12 @@ common interface (:class:`~repro.algorithms.base.JointEngine`):
   Sericola's occupation-time algorithm (the only one with an a-priori
   error bound).
 
-Beyond the scalar :meth:`~repro.algorithms.base.JointEngine.\
-joint_probability_vector`, every engine evaluates whole ``(t, r)``
-bound grids with a shared propagation prefix
-(:meth:`~repro.algorithms.base.JointEngine.joint_probability_sweep`),
-split into shared-work units (:class:`~repro.algorithms.base.WorkUnit`)
-that the executors of :mod:`repro.exec` schedule, and
-:mod:`~repro.algorithms.parallel` fans genuinely independent queries
--- distinct reduced models -- over GIL-releasing threads.
+Each engine has one core, a whole ``(t, r)`` bound grid with a shared
+propagation prefix (:meth:`~repro.algorithms.base.JointEngine.\
+joint_probability_sweep`, run as :class:`~repro.algorithms.base.WorkUnit`
+blocks by :mod:`repro.exec`); scalar vectors and certified intervals are
+views of it.  :mod:`~repro.algorithms.parallel` fans genuinely
+independent queries -- distinct reduced models -- over threads.
 """
 
 from repro.algorithms.base import (JointEngine, PartialSweep, WorkUnit,

@@ -10,28 +10,31 @@ reward-bounded until checking to.  Engines are stateless value objects
 holding their accuracy parameters, so one engine instance can be reused
 across models and queries.
 
-The entry point :meth:`JointEngine.joint_probability_vector` is a
-template method: it validates the query, consults the shared
-least-recently-used result cache (:mod:`repro.algorithms.cache`) keyed
-on ``(model fingerprint, engine parameters, t, r, target mask)``, and
-only on a miss invokes the engine's batched computation
-:meth:`JointEngine._compute_joint_vector`, which produces the values
-for **all initial states in one propagation**.  Per-engine run counters
-(cache hits/misses, propagation steps, sparse products) are exposed as
-:attr:`JointEngine.stats`.
+Each engine has **one** computational core,
+:meth:`JointEngine._compute_joint_sweep`: the per-initial-state values
+over a whole ``(t, r)`` grid, sharing the propagation prefix across the
+grid (one discretisation adjoint run or Erlang expanded chain per
+reward column, one Sericola series per column group).  Every public
+entry point is a view of it:
 
-:meth:`JointEngine.joint_probability_sweep` extends the template to a
-whole ``(t, r)`` grid: the cache is consulted *per grid point* (the
-keys are exactly the scalar keys, so sweep and scalar calls feed each
-other), and the missing cells are split into the engine's shared-work
-units (:meth:`JointEngine.work_units`), each one run of
-:meth:`JointEngine._compute_joint_sweep`, whose engine-native
-overrides share the propagation prefix across the unit instead of
-re-running per point (one discretisation adjoint run or Erlang
-expanded chain per reward column, one Sericola series per column
-group).  The executors of :mod:`repro.exec` schedule, retry and
-checkpoint those units -- in-process, on threads or on worker
-processes -- and never see single cells.
+* :meth:`JointEngine.joint_probability_sweep` consults the shared
+  least-recently-used result cache (:mod:`repro.algorithms.cache`)
+  *per grid point*, keyed on ``(model fingerprint, engine parameters,
+  t, r, target mask)``, and splits the missing cells into the engine's
+  shared-work units (:meth:`JointEngine.work_units`), each one core
+  run; the executors of :mod:`repro.exec` schedule, retry and
+  checkpoint those units -- in-process, on threads or on worker
+  processes -- and never see single cells;
+* :meth:`JointEngine.joint_probability_vector` is its ``1 x 1`` cell;
+* :meth:`JointEngine.joint_probability_interval_sweep` combines cached
+  point sweeps with the engine's error accounting, which each engine
+  declares as exactly one of an a-priori bound
+  (:meth:`JointEngine._a_priori_widths`) or a bracket companion
+  (:meth:`JointEngine._bracket_companion`), and
+  :meth:`JointEngine.joint_probability_interval` is its ``1 x 1`` cell.
+
+Per-engine run counters (cache hits/misses, propagation steps, sparse
+products) are exposed as :attr:`JointEngine.stats`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.algorithms.cache import EngineStats, joint_cache
+from repro.algorithms.cache import EngineStats
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError, WorkerError
 from repro.obs import OBS, peak_rss_bytes, record_engine_stats
@@ -56,16 +59,6 @@ from repro.obs import span as obs_span
 #: Per-thread nesting depth of :meth:`JointEngine._observed` blocks;
 #: stats deltas are published at depth 0 only (see its docstring).
 _OBS_DEPTH = threading.local()
-
-
-def frozen_copy(value):
-    """A read-only float copy of *value* (an array, or a tuple of
-    arrays): the form every shared result-cache entry takes."""
-    if isinstance(value, tuple):
-        return tuple(frozen_copy(part) for part in value)
-    frozen = np.array(value, dtype=float)
-    frozen.flags.writeable = False
-    return frozen
 
 
 def richardson_bracket(coarse: np.ndarray, fine: np.ndarray,
@@ -117,9 +110,6 @@ class EngineCapabilities:
         Veldman discretisation counts reward in grid cells).
     grid_aligned_time:
         Whether time bounds must be multiples of an engine step.
-    certified_intervals:
-        Whether :meth:`JointEngine.joint_probability_interval` is
-        implemented.
     notes:
         Free-form cost caveats (phase explosion, grid memory, ...).
     """
@@ -127,7 +117,6 @@ class EngineCapabilities:
     impulse_rewards: bool = True
     natural_rewards_only: bool = False
     grid_aligned_time: bool = False
-    certified_intervals: bool = True
     notes: str = ""
 
 
@@ -329,19 +318,16 @@ class JointEngine(ABC):
 
         Returns the vector ``v`` with
         ``v[s] = Pr{Y_t <= r, X_t in target | X_0 = s}``, computed for
-        every initial state in a single propagation.  Identical queries
-        (same model content, engine parameters, bounds and target set)
-        are served from the shared LRU cache; the
+        every initial state in a single propagation.  It is the ``1 x
+        1`` cell of :meth:`joint_probability_sweep`, so scalar and grid
+        queries share one computation and one cache path; the
         :attr:`stats` counters record hits and misses.
         """
         with self._observed("joint_vector",
                             histogram="repro_engine_joint_vector_seconds",
-                            t=float(t), r=float(r)) as span:
-            indicator = self._validate(model, t, r, target)
-            key = (model.fingerprint, self._cache_token(),
-                   float(t), float(r), indicator.tobytes())
-            return self._cached(span, key, lambda: self._compute_joint_vector(
-                model, t, r, indicator)).copy()
+                            t=float(t), r=float(r)):
+            return self.joint_probability_sweep(model, [t], [r],
+                                                target)[0, 0]
 
     def joint_probability_interval(self,
                                    model: MarkovRewardModel,
@@ -349,55 +335,20 @@ class JointEngine(ABC):
                                    r: float,
                                    target: Iterable[int]
                                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Certified ``(lower, upper)`` interval vectors, cached.
+        """Certified ``(lower, upper)`` interval vectors.
 
         Returns two vectors with ``lower[s] <= Pr{Y_t <= r, X_t in
         target | X_0 = s} <= upper[s]`` -- a *sound* enclosure of the
         exact joint probability derived from the engine's own error
-        accounting (the a-priori Sericola truncation bound, the
-        ``d`` vs ``d/2`` discretisation bracket, the ``k`` vs ``2k``
-        pseudo-Erlang bracket; see the engines' docstrings).  The
-        engine's point value :meth:`joint_probability_vector` always
-        lies inside the interval.  Entries are cached alongside the
-        point vectors under interval-marked keys.
+        accounting (see :meth:`joint_probability_interval_sweep`, of
+        which this is the ``1 x 1`` cell).  The engine's point value
+        :meth:`joint_probability_vector` always lies inside the
+        interval.
         """
-        with self._observed("joint_interval", t=float(t),
-                            r=float(r)) as span:
-            indicator = self._validate(model, t, r, target)
-            key = (model.fingerprint, self._cache_token(),
-                   float(t), float(r), indicator.tobytes(), "interval")
-            lower, upper = self._cached(
-                span, key, lambda: self._compute_joint_interval(
-                    model, float(t), float(r), indicator))
-            return lower.copy(), upper.copy()
-
-    def _cached(self, span, key: Tuple, compute):
-        """The frozen cache entry for *key*; on a miss *compute* it and
-        store it.  Hits and misses count in :attr:`stats`."""
-        value = joint_cache.get(key)
-        span.set(cache_hit=value is not None)
-        if value is not None:
-            self.stats.cache_hits += 1
-            return value
-        self.stats.cache_misses += 1
-        value = frozen_copy(compute())
-        self.stats.cache_evictions += joint_cache.put(key, value)
-        return value
-
-    def _compute_joint_interval(self,
-                                model: MarkovRewardModel,
-                                t: float,
-                                r: float,
-                                indicator: np.ndarray
-                                ) -> Tuple[np.ndarray, np.ndarray]:
-        """Engine-specific certified enclosure (uncached).
-
-        Concrete engines override this with their error accounting;
-        the base class has no generally sound bound to offer.
-        """
-        raise NumericalError(
-            f"engine {self.name!r} does not support certified "
-            f"intervals")
+        with self._observed("joint_interval", t=float(t), r=float(r)):
+            lower, upper = self.joint_probability_interval_sweep(
+                model, [t], [r], target)
+            return lower[0, 0], upper[0, 0]
 
     def joint_probability_interval_sweep(
             self,
@@ -409,76 +360,51 @@ class JointEngine(ABC):
         """Certified interval grids over a whole ``(t, r)`` grid.
 
         Returns ``(lower, upper)`` arrays of shape ``(len(times),
-        len(reward_bounds), |S|)``; every cell equals an independent
-        :meth:`joint_probability_interval` call, evaluated through the
-        engine's shared-prefix sweep machinery (two bracketing sweeps
-        for the discretisation and pseudo-Erlang engines, one plus the
-        a-priori bound for Sericola).  Caching is per grid point with
-        the interval-marked scalar keys, so sweep and scalar interval
-        queries feed each other.
+        len(reward_bounds), |S|)``, built from cached point sweeps and
+        the engine's declared error accounting -- exactly one of
+
+        * an a-priori bound (:meth:`_a_priori_widths`): the interval is
+          the point grid widened by the declared amounts, clipped to
+          ``[0, 1]``;
+        * a bracket companion (:meth:`_bracket_companion`): the
+          interval is :func:`richardson_bracket` of the point grid and
+          the companion's grid.
+
+        Both grids go through the shared result cache, so an interval
+        after a point query computes only the companion's cells, and a
+        later refinement to the companion starts warm.
         """
-        times = [float(t) for t in times]
-        rewards = [float(r) for r in reward_bounds]
+        widths = self._a_priori_widths()
+        companion = (self._bracket_companion() if widths is None
+                     else None)
+        if widths is None and companion is None:
+            raise NumericalError(
+                f"engine {self.name!r} does not support certified "
+                f"intervals")
         with self._observed("joint_interval_sweep",
-                            points=len(times) * len(rewards)) as span:
-            indicator = self._validate(model, min(times, default=0.0),
-                                       min(rewards, default=0.0), target)
-            token = self._cache_token()
-            mask = indicator.tobytes()
+                            points=len(times) * len(reward_bounds)):
+            point = self.joint_probability_sweep(model, times,
+                                                 reward_bounds, target)
+            if widths is not None:
+                below, above = widths
+                return (np.maximum(point - below, 0.0),
+                        np.minimum(point + above, 1.0))
+            fine = companion.joint_probability_sweep(
+                model, times, reward_bounds, target)
+            self._absorb(companion)
+            return richardson_bracket(point, fine)
 
-            def key(i: int, j: int) -> Tuple:
-                return (model.fingerprint, token, times[i], rewards[j],
-                        mask, "interval")
+    def _a_priori_widths(self) -> Optional[Tuple[float, float]]:
+        """``(below, above)``: the exact value lies in ``[value -
+        below, value + above]`` of every computed value, or ``None``
+        when the engine has no a-priori error bound."""
+        return None
 
-            shape = (len(times), len(rewards), model.num_states)
-            lower = np.empty(shape)
-            upper = np.empty(shape)
-            self.stats.sweep_points += shape[0] * shape[1]
-            missing: List[Tuple[int, int]] = []
-            for i, j in np.ndindex(*shape[:2]):
-                cached = joint_cache.get(key(i, j))
-                if cached is None:
-                    self.stats.cache_misses += 1
-                    missing.append((i, j))
-                    continue
-                self.stats.cache_hits += 1
-                lower[i, j], upper[i, j] = cached
-            span.set(missing=len(missing))
-            if not missing:
-                return lower, upper
-            need_times = sorted({times[i] for i, _ in missing})
-            need_rewards = sorted({rewards[j] for _, j in missing})
-            sub_lower, sub_upper = self._compute_joint_interval_sweep(
-                model, need_times, need_rewards, indicator)
-            for i, j in missing:
-                si = need_times.index(times[i])
-                sj = need_rewards.index(rewards[j])
-                lower[i, j] = sub_lower[si, sj]
-                upper[i, j] = sub_upper[si, sj]
-                self.stats.cache_evictions += joint_cache.put(
-                    key(i, j), frozen_copy((lower[i, j], upper[i, j])))
-            return lower, upper
-
-    def _compute_joint_interval_sweep(self,
-                                      model: MarkovRewardModel,
-                                      times: Sequence[float],
-                                      rewards: Sequence[float],
-                                      indicator: np.ndarray
-                                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Engine-native certified grid computation (uncached).
-
-        The base implementation loops :meth:`_compute_joint_interval`
-        per grid point; the concrete engines override it with
-        bracketing shared-prefix sweeps.
-        """
-        shape = (len(times), len(rewards), model.num_states)
-        lower = np.empty(shape)
-        upper = np.empty(shape)
-        for i, t in enumerate(times):
-            for j, r in enumerate(rewards):
-                lower[i, j], upper[i, j] = self._compute_joint_interval(
-                    model, t, r, indicator)
-        return lower, upper
+    def _bracket_companion(self) -> "Optional[JointEngine]":
+        """A more accurate engine whose error is at most half this
+        one's (the premise of :func:`richardson_bracket`), or ``None``
+        when the engine brackets nothing."""
+        return None
 
     def spec(self) -> Dict:
         """Transportable identity: the constructor arguments that
@@ -569,18 +495,6 @@ class JointEngine(ABC):
             if resolved is not executor:
                 resolved.close()
 
-    @abstractmethod
-    def _compute_joint_vector(self,
-                              model: MarkovRewardModel,
-                              t: float,
-                              r: float,
-                              indicator: np.ndarray) -> np.ndarray:
-        """The engine's batched computation for all initial states.
-
-        *indicator* is the validated 0/1 vector of the target set.
-        Implementations must not read or write the result cache.
-        """
-
     def joint_probability_sweep(self,
                                 model: MarkovRewardModel,
                                 times: Sequence[float],
@@ -591,13 +505,13 @@ class JointEngine(ABC):
         Returns the array ``grid`` of shape ``(len(times),
         len(reward_bounds), |S|)`` with ``grid[i, j, s] =
         Pr{Y_{t_i} <= r_j, X_{t_i} in target | X_0 = s}`` -- every cell
-        equals an independent :meth:`joint_probability_vector` call,
-        but the engine shares the propagation prefix across the grid
-        (see :meth:`_compute_joint_sweep`) instead of re-running per
-        point.
+        equals the same cell of a ``1 x 1`` grid (a
+        :meth:`joint_probability_vector` call) bit for bit, but the
+        engine shares the propagation prefix across the grid (see
+        :meth:`_compute_joint_sweep`) instead of re-running per point.
 
-        Caching is per grid point with the *scalar* cache keys:
-        already-cached cells are filled from the LRU (a per-point
+        Caching is per grid point: already-cached cells (from earlier
+        grids or scalar queries) are filled from the LRU (a per-point
         ``cache_hits`` increment), the remaining cells are computed by
         the engine's work units (:meth:`work_units`, run by the
         in-process :class:`~repro.exec.ThreadShardExecutor`) and then
@@ -640,27 +554,22 @@ class JointEngine(ABC):
             return block[np.ix_([need_times.index(t) for t in times],
                                 [need_rewards.index(r) for r in rewards])]
 
+    @abstractmethod
     def _compute_joint_sweep(self,
                              model: MarkovRewardModel,
                              times: Sequence[float],
                              rewards: Sequence[float],
                              indicator: np.ndarray) -> np.ndarray:
-        """Engine-native grid computation (uncached).
+        """The engine's one computational core (uncached).
 
-        The base implementation falls back to one
-        :meth:`_compute_joint_vector` run per grid point; the concrete
-        engines override it with shared-prefix evaluations.
-        Implementations must not read or write the result cache, and
-        must return an array of shape ``(len(times), len(rewards),
-        |S|)`` whose cells match the scalar path to floating-point
-        accuracy.
+        Returns the ``(len(times), len(rewards), |S|)`` grid of
+        per-initial-state joint probabilities for the validated 0/1
+        target *indicator*, sharing the propagation prefix across the
+        grid.  Every public entry point -- scalar vector, grid, unit,
+        interval -- is a view of it.  Implementations must not read or
+        write the result cache, and each cell must equal the same
+        cell computed in a ``1 x 1`` grid bit for bit.
         """
-        grid = np.empty((len(times), len(rewards), model.num_states))
-        for i, t in enumerate(times):
-            for j, r in enumerate(rewards):
-                grid[i, j] = self._compute_joint_vector(model, t, r,
-                                                        indicator)
-        return grid
 
     def _worker_clone(self,
                       label: Optional[str] = None) -> "JointEngine":
@@ -681,9 +590,9 @@ class JointEngine(ABC):
         return clone
 
     def _absorb(self, clone: "JointEngine") -> None:
-        """Fold a finished worker clone back: merge its counters and
-        keep its ``last_*`` diagnostics (kernel, truncation depth,
-        expanded size)."""
+        """Fold a finished worker clone (or bracket companion) back:
+        merge its counters and keep its ``last_*`` diagnostics (kernel,
+        truncation depth, expanded size)."""
         self.stats.merge(clone.stats)
         for name, value in vars(clone).items():
             if name.startswith("last_") and value is not None:
@@ -711,17 +620,16 @@ class JointEngine(ABC):
                                initial_state: int) -> float:
         """Joint probability from a single initial state.
 
-        The base implementation runs the engine's (uncached) batched
-        computation and reads off one entry -- engines with a genuinely
-        scalar algorithm (the discretisation's single-initial-state
+        The base implementation runs the engine's (uncached) ``1 x 1``
+        grid and reads off one entry -- engines with a genuinely scalar
+        algorithm (the discretisation's single-initial-state
         propagation, the pseudo-Erlang forward analysis) override this
         with an independent per-state path, which the equivalence tests
         compare against the batched vector.
         """
-        indicator = np.asarray(indicator, dtype=float)
-        vector = self._compute_joint_vector(model, float(t), float(r),
-                                            indicator)
-        return float(vector[int(initial_state)])
+        grid = self._compute_joint_sweep(model, [float(t)], [float(r)],
+                                         np.asarray(indicator, dtype=float))
+        return float(grid[0, 0, int(initial_state)])
 
     # ------------------------------------------------------------------
 

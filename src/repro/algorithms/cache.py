@@ -59,9 +59,8 @@ class EngineStats:
     sweep_points:
         Grid points served through
         :meth:`~repro.algorithms.base.JointEngine.\
-joint_probability_sweep` (each point is also accounted as a cache hit
-        or miss, so ``sweep_points == sweep hits + sweep misses`` for a
-        sweep-only workload).
+joint_probability_sweep` (a scalar query is one point; each point is
+        also accounted as a cache hit or miss).
     cache_evictions:
         Entries this engine's cache insertions pushed out of
         :data:`joint_cache` (count or byte-size cap reached).  A
@@ -268,9 +267,8 @@ class LRUCache:
                     "evictions": self.evictions}
 
 
-#: Joint-probability vectors (and certified interval pairs, whose keys
-#: carry an extra ``"interval"`` marker), keyed on
-#: ``(model fingerprint, engine token, t, r, target-mask bytes[, kind])``.
+#: Joint-probability vectors, one per grid cell, keyed on
+#: ``(model fingerprint, engine token, t, r, target-mask bytes)``.
 #: Bounded both in entry count and total bytes: sweeps over large grids
 #: stay within a fixed memory budget, with LRU eviction reported via
 #: ``EngineStats.cache_evictions``.

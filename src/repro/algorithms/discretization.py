@@ -80,9 +80,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.algorithms.base import (EngineCapabilities, JointEngine,
-                                   register_engine,
-                                   richardson_bracket)
-from repro.algorithms.cache import EngineStats, matrix_cache
+                                   register_engine)
+from repro.algorithms.cache import matrix_cache
 from repro.algorithms.erlang import (zero_reward_bound_sweep,
                                      zero_reward_bound_vector)
 from repro.ctmc.mrm import MarkovRewardModel
@@ -183,62 +182,6 @@ class DiscretizationEngine(JointEngine):
                             "kernel": self._kernel_option()}}
 
     # ------------------------------------------------------------------
-    # batched (all initial states) path
-    # ------------------------------------------------------------------
-
-    def _compute_joint_vector(self,
-                              model: MarkovRewardModel,
-                              t: float,
-                              r: float,
-                              indicator: np.ndarray) -> np.ndarray:
-        """One adjoint sweep covering every initial state.
-
-        Propagates the accepting-cell weight array backwards through
-        the adjoint of the density recurrence (see the module
-        docstring); the per-step cost equals *one* forward step, so the
-        full vector costs as much as a single per-state run of the
-        seed implementation.
-        """
-        if t == 0.0:
-            return indicator.astype(float).copy()
-        backend = self._backend_for(model)
-        if r == 0.0:
-            return zero_reward_bound_vector(model, t, indicator,
-                                            kernel=backend)
-        num_steps, num_cells, rho, _ = self._setup(model, t, r)
-        n = model.num_states
-
-        start = 0 if self.include_zero else 1
-        weight = np.zeros((n, num_cells))
-        weight[:, start:] = indicator[:, None]
-
-        stepper = self._propagator(model, num_cells, weight,
-                                   forward=False, backend=backend)
-        note_selected(self.name, backend.name)
-        matvec_hist = (OBS.metrics.histogram("repro_matvec_block_seconds",
-                                             engine=self.name,
-                                             kernel=backend.name)
-                       if OBS.enabled else None)
-        with obs_span("adjoint_propagation", steps=num_steps - 1,
-                      cells=num_cells):
-            for _ in range(num_steps - 1):
-                # Adjoint step: the fused (diag(stay) + R d) product plus
-                # the impulse shift-down products, then the per-state
-                # reward shift down (see repro.kernels.base).
-                if matvec_hist is not None:
-                    block_start = time.perf_counter()
-                weight = stepper.step()
-                if matvec_hist is not None:
-                    matvec_hist.observe(time.perf_counter() - block_start)
-                self.stats.matvec_count += stepper.products_per_step
-                self.stats.propagation_steps += 1
-
-        result = np.zeros(n)
-        in_range = rho < num_cells
-        result[in_range] = weight[in_range, rho[in_range]]
-        return np.clip(result, 0.0, 1.0)
-
-    # ------------------------------------------------------------------
     # certified intervals: the d vs d/2 Richardson-style bracket
     # ------------------------------------------------------------------
 
@@ -246,51 +189,25 @@ class DiscretizationEngine(JointEngine):
     #: quadratic in ``1/d``; below this a different engine is cheaper).
     MIN_STEP = 1.0 / 4096
 
-    def _half_step_engine(self) -> "DiscretizationEngine":
-        """The ``d/2`` companion used by the interval bracket."""
-        return DiscretizationEngine(step=self.step / 2.0,
-                                    underflow=self.underflow,
-                                    include_zero=self.include_zero,
-                                    kernel=self._kernel_request)
-
-    def _compute_joint_interval(self, model, t, r, indicator):
-        """Certified enclosure from the ``d`` vs ``d/2`` bracket.
+    def _bracket_companion(self) -> "DiscretizationEngine":
+        """The ``d/2`` companion of the certified interval.
 
         The scheme converges at rate O(d) (Table 4 of the paper), so
         the run at half the step carries at most half the error and
         :func:`~repro.algorithms.base.richardson_bracket` turns the two
         resolutions into a sound interval that contains both the exact
-        value and this engine's own point value (the ``d`` run).  The
-        half-step run goes through the shared result cache, so a later
-        refinement to ``d/2`` starts from a warm cache.
+        value and this engine's own point value (the ``d`` run).
         """
-        coarse = self._compute_joint_vector(model, t, r, indicator)
-        fine_engine = self._half_step_engine()
-        target = np.flatnonzero(indicator)
-        fine = fine_engine.joint_probability_vector(model, t, r, target)
-        self.stats.merge(fine_engine.stats)
-        return richardson_bracket(coarse, fine)
-
-    def _compute_joint_interval_sweep(self, model, times, rewards,
-                                      indicator):
-        """Two bracketing shared-prefix sweeps (steps ``d`` and
-        ``d/2``), combined cell-wise."""
-        coarse = np.asarray(
-            self._compute_joint_sweep(model, times, rewards, indicator),
-            dtype=float)
-        fine_engine = self._half_step_engine()
-        target = np.flatnonzero(indicator)
-        fine = np.asarray(
-            fine_engine.joint_probability_sweep(model, times, rewards,
-                                                target), dtype=float)
-        self.stats.merge(fine_engine.stats)
-        return richardson_bracket(coarse, fine)
+        return DiscretizationEngine(step=self.step / 2.0,
+                                    underflow=self.underflow,
+                                    include_zero=self.include_zero,
+                                    kernel=self._kernel_request)
 
     def refined(self):
         """Halve the step ``d`` (the Table 4 knob)."""
         if self.step / 2.0 < self.MIN_STEP:
             return None
-        return self._half_step_engine()
+        return self._bracket_companion()
 
     # ------------------------------------------------------------------
     # shared-prefix (t, r) grid path
@@ -331,10 +248,10 @@ class DiscretizationEngine(JointEngine):
             else:
                 values = self._adjoint_column(
                     model, positive_times, float(reward), indicator,
-                    self.stats, backend)
+                    backend)
             for row, (i, _) in enumerate(live_times):
                 grid[i, j] = values[row]
-        # t = 0 rows: Y_0 = 0 <= r whatever r, matching the scalar path.
+        # t = 0 rows: Y_0 = 0 <= r whatever r.
         for i, t in enumerate(times):
             if t == 0.0:
                 grid[i, :, :] = indicator.astype(float)
@@ -345,30 +262,20 @@ class DiscretizationEngine(JointEngine):
                         times: Sequence[float],
                         r: float,
                         indicator: np.ndarray,
-                        stats: EngineStats,
-                        backend: Optional[KernelBackend] = None
-                        ) -> np.ndarray:
+                        backend: KernelBackend) -> np.ndarray:
         """Backward values for a fixed bound *r* at several times.
 
         Returns the ``(len(times), |S|)`` array of joint-probability
-        vectors; *times* must be positive multiples of the step.  The
-        loop body is exactly :meth:`_compute_joint_vector`'s, with the
-        weight array read off at every requested horizon instead of
-        only the last one.
+        vectors; *times* must be positive multiples of the step.  One
+        adjoint run to the largest horizon, with the weight array read
+        off at every requested horizon on the way.
         """
         t_max = max(times)
-        if backend is None:
-            backend = self._backend_for(model)
-        num_steps, num_cells, rho, _ = self._setup(model, t_max, r)
+        num_steps, num_cells, rho = self._setup(model, t_max, r)
         n = model.num_states
-        d = self.step
         snapshots: Dict[int, List[int]] = {}
         for index, t in enumerate(times):
-            steps = t / d
-            if abs(steps - round(steps)) > 1e-9:
-                raise NumericalError(
-                    f"time bound {t} is not a multiple of the step {d}")
-            snapshots.setdefault(int(round(steps)), []).append(index)
+            snapshots.setdefault(self._num_steps(t), []).append(index)
 
         in_range = rho < num_cells
 
@@ -400,8 +307,8 @@ class DiscretizationEngine(JointEngine):
                 weight = stepper.step()
                 if matvec_hist is not None:
                     matvec_hist.observe(time.perf_counter() - block_start)
-                stats.matvec_count += stepper.products_per_step
-                stats.propagation_steps += 1
+                self.stats.matvec_count += stepper.products_per_step
+                self.stats.propagation_steps += 1
         return out
 
     def final_density_batch(self,
@@ -419,7 +326,7 @@ class DiscretizationEngine(JointEngine):
         the ``(|S|, batch * (R+1))`` flattened tensor instead of
         ``len(initial_states)`` independent runs.
         """
-        num_steps, num_cells, rho, _ = self._setup(model, t, r)
+        num_steps, num_cells, rho = self._setup(model, t, r)
         n = model.num_states
         if initial_states is None:
             inits = np.arange(n)
@@ -485,9 +392,10 @@ class DiscretizationEngine(JointEngine):
         ``F[s, k]`` approximates the joint density of ``(X_t, Y_t)`` at
         ``Y_t = k * d``, restricted to ``Y_t <= r`` (mass beyond the
         bound is discarded on the fly; it never flows back because
-        displacements are non-negative).
+        displacements are non-negative).  ``R = r / d``, capped at
+        ``rho_max t / d`` on impulse-free models (see :meth:`_setup`).
         """
-        num_steps, num_cells, rho, _ = self._setup(model, t, r)
+        num_steps, num_cells, rho = self._setup(model, t, r)
         d = self.step
 
         density = np.zeros((model.num_states, num_cells))
@@ -576,15 +484,23 @@ class DiscretizationEngine(JointEngine):
             matrix_cache.put(key, cached)
         return cached
 
-    def _setup(self, model: MarkovRewardModel, t: float, r: float
-               ) -> Tuple[int, int, np.ndarray, np.ndarray]:
-        """Validated ``(num_steps, num_cells, rho, stay)`` of a run."""
-        d = self.step
-        steps = t / d
+    def _num_steps(self, t: float) -> int:
+        """``t / d``, which must be an integer."""
+        steps = t / self.step
         if abs(steps - round(steps)) > 1e-9:
-            raise NumericalError(
-                f"time bound {t} is not a multiple of the step {d}")
-        num_steps = int(round(steps))
+            raise NumericalError(f"time bound {t} is not a multiple of "
+                                 f"the step {self.step}")
+        return int(round(steps))
+
+    def _setup(self, model: MarkovRewardModel, t: float, r: float
+               ) -> Tuple[int, int, np.ndarray]:
+        """Validated ``(num_steps, num_cells, rho)`` of a run.
+
+        On impulse-free models ``Y_t <= rho_max * t``, so the reward
+        cells stop there whatever *r* is.
+        """
+        d = self.step
+        num_steps = self._num_steps(t)
         if not model.has_integer_rewards():
             raise RewardError(
                 "the discretisation scheme needs natural-number rewards; "
@@ -597,9 +513,10 @@ class DiscretizationEngine(JointEngine):
                 f"step {d} too coarse: max exit rate {exit_rates.max()} "
                 f"gives a negative stay probability; need d <= "
                 f"{1.0 / exit_rates.max()}")
+        if not model.has_impulse_rewards:
+            r = min(r, float(rho.max()) * t)
         num_cells = int(np.floor(r / d + 1e-9)) + 1
-        stay = 1.0 - exit_rates * d
-        return num_steps, num_cells, rho, stay
+        return num_steps, num_cells, rho
 
     @classmethod
     def _step_groups(cls, model: MarkovRewardModel, d: float

@@ -45,8 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.algorithms.base import (EngineCapabilities, JointEngine,
-                                   register_engine,
-                                   richardson_bracket)
+                                   register_engine)
 from repro.algorithms.cache import matrix_cache
 from repro.ctmc.ctmc import CTMC
 from repro.ctmc.mrm import MarkovRewardModel
@@ -54,8 +53,7 @@ from repro.errors import NumericalError
 from repro.kernels import KernelBackend, note_selected, resolve_static
 from repro.obs import span as obs_span
 from repro.numerics.uniformization import (
-    Kernel, transient_distribution, transient_target_probabilities,
-    transient_target_probabilities_sweep)
+    Kernel, transient_distribution, transient_target_probabilities_sweep)
 
 
 def erlang_expanded_model(model: MarkovRewardModel,
@@ -184,7 +182,6 @@ class ErlangEngine(JointEngine):
     @classmethod
     def capabilities(cls) -> EngineCapabilities:
         return EngineCapabilities(
-            certified_intervals=True,
             notes=("the expanded chain has n*phases+1 states, so work "
                    "and memory grow linearly with the phase count "
                    "while the approximation error shrinks as "
@@ -211,46 +208,12 @@ class ErlangEngine(JointEngine):
                             "epsilon": self.epsilon,
                             "kernel": self._kernel_option()}}
 
-    def _compute_joint_vector(self,
-                              model: MarkovRewardModel,
-                              t: float,
-                              r: float,
-                              indicator: np.ndarray) -> np.ndarray:
-        """Batched backward uniformisation over the expanded chain.
-
-        One backward series on the ``|S| * k + 1``-state expanded CTMC
-        yields every initial state at once (the phase-0 entries).
-        """
-        if t == 0.0:
-            # Y_0 = 0 <= r for any r >= 0: only the target matters.
-            return indicator.astype(float).copy()
-        if r == 0.0:
-            return zero_reward_bound_vector(
-                model, t, indicator, epsilon=self.epsilon,
-                kernel=self._backend_for(model))
-        expanded, barrier = erlang_expanded_model(model, r, self.phases)
-        self.last_expanded_size = expanded.num_states
-        # Auto-selection keys on the *expanded* chain -- that is the
-        # chain being propagated, and its dimensions are a function of
-        # (model, r, phases), all of which sit in the cache key.
-        backend = self._backend_for(expanded)
-        note_selected(self.name, backend.name)
-        vector = transient_target_probabilities(
-            expanded, t, self._expanded_indicator(expanded, indicator),
-            epsilon=self.epsilon, stats=self.stats,
-            kernel=backend, metrics_engine=self.name)
-        # Initial phase is 0: read off the (s, 0) entries.
-        result = vector[0:barrier:self.phases].copy()
-        return np.clip(result, 0.0, 1.0)
-
     def _expanded_indicator(self, expanded: CTMC,
                             indicator: np.ndarray) -> np.ndarray:
         """Target mask on the expanded chain: any phase of a target
         state (phase < k means the Erlang bound is not yet exceeded)."""
-        k = self.phases
         expanded_indicator = np.zeros(expanded.num_states)
-        for s in np.flatnonzero(indicator):
-            expanded_indicator[s * k:(s + 1) * k] = indicator[s]
+        expanded_indicator[:-1] = np.repeat(indicator, self.phases)
         return expanded_indicator
 
     def _compute_joint_sweep(self,
@@ -270,7 +233,7 @@ class ErlangEngine(JointEngine):
         """
         times = [float(t) for t in times]
         grid = np.empty((len(times), len(rewards), model.num_states))
-        for j, reward in enumerate(rewards):
+        for j, reward in enumerate(rewards if any(times) else ()):
             if reward == 0.0:
                 grid[:, j, :] = zero_reward_bound_sweep(
                     model, times, indicator, epsilon=self.epsilon,
@@ -279,15 +242,19 @@ class ErlangEngine(JointEngine):
             expanded, barrier = erlang_expanded_model(model, float(reward),
                                                       self.phases)
             self.last_expanded_size = expanded.num_states
+            # Auto-selection keys on the *expanded* chain -- that is
+            # the chain being propagated, and its dimensions are a
+            # function of (model, r, phases), all in the cache key.
+            backend = self._backend_for(expanded)
+            note_selected(self.name, backend.name)
             rows = transient_target_probabilities_sweep(
                 expanded, times,
                 self._expanded_indicator(expanded, indicator),
                 epsilon=self.epsilon, stats=self.stats,
-                kernel=self._backend_for(expanded),
-                metrics_engine=self.name)
+                kernel=backend, metrics_engine=self.name)
             grid[:, j, :] = np.clip(rows[:, 0:barrier:self.phases],
                                     0.0, 1.0)
-        # t = 0 rows: Y_0 = 0 <= r whatever r, matching the scalar path.
+        # t = 0 rows: Y_0 = 0 <= r whatever r.
         for i, t in enumerate(times):
             if t == 0.0:
                 grid[i, :, :] = indicator.astype(float)
@@ -302,14 +269,8 @@ class ErlangEngine(JointEngine):
     #: rate grows with ``k max(rho) / r``).
     MAX_PHASES = 65536
 
-    def _double_phase_engine(self) -> "ErlangEngine":
-        """The ``2k`` companion used by the interval bracket."""
-        return ErlangEngine(phases=self.phases * 2,
-                            epsilon=self.epsilon,
-                            kernel=self._kernel_request)
-
-    def _compute_joint_interval(self, model, t, r, indicator):
-        """Certified enclosure from the ``k`` vs ``2k`` bracket.
+    def _bracket_companion(self) -> "ErlangEngine":
+        """The ``2k`` companion of the certified interval.
 
         Doubling the phase count halves the variance ``r^2 / k`` of
         the Erlang bound, and on the stochastic-ordering argument of
@@ -317,38 +278,17 @@ class ErlangEngine(JointEngine):
         (Table 3 observes clean halving per doubling at smooth points);
         :func:`~repro.algorithms.base.richardson_bracket` turns the
         ``k`` and ``2k`` runs into an interval containing the exact
-        value and the engine's own ``k``-phase point value.  The
-        ``2k`` run is served through the shared result cache, so a
-        later refinement to ``2k`` phases starts warm.
+        value and the engine's own ``k``-phase point value.
         """
-        coarse = self._compute_joint_vector(model, t, r, indicator)
-        fine_engine = self._double_phase_engine()
-        target = np.flatnonzero(indicator)
-        fine = fine_engine.joint_probability_vector(model, t, r, target)
-        self.stats.merge(fine_engine.stats)
-        self.last_expanded_size = fine_engine.last_expanded_size
-        return richardson_bracket(coarse, fine)
-
-    def _compute_joint_interval_sweep(self, model, times, rewards,
-                                      indicator):
-        """Two bracketing shared-iterate sweeps (``k`` and ``2k``
-        phases), combined cell-wise."""
-        coarse = np.asarray(
-            self._compute_joint_sweep(model, times, rewards, indicator),
-            dtype=float)
-        fine_engine = self._double_phase_engine()
-        target = np.flatnonzero(indicator)
-        fine = np.asarray(
-            fine_engine.joint_probability_sweep(model, times, rewards,
-                                                target), dtype=float)
-        self.stats.merge(fine_engine.stats)
-        return richardson_bracket(coarse, fine)
+        return ErlangEngine(phases=self.phases * 2,
+                            epsilon=self.epsilon,
+                            kernel=self._kernel_request)
 
     def refined(self):
         """Double the phase count ``k`` (the Table 3 knob)."""
         if self.phases * 2 > self.MAX_PHASES:
             return None
-        return self._double_phase_engine()
+        return self._bracket_companion()
 
     def joint_probability_from(self,
                                model: MarkovRewardModel,
@@ -429,19 +369,10 @@ def zero_reward_bound_vector(model: MarkovRewardModel,
                              indicator: np.ndarray,
                              epsilon: float = 1e-12,
                              kernel: Kernel = None) -> np.ndarray:
-    """Exact ``Pr{Y_t <= 0, X_t in S'}`` for every initial state.
-
-    Transient analysis of the restricted chain of
-    :func:`_zero_reward_restriction`; at ``t = 0`` the answer is the
-    plain target indicator (no time has passed, so no reward has
-    accrued whatever the rates are).
-    """
-    if t == 0.0:
-        return np.asarray(indicator, dtype=float).copy()
-    restricted, masked = _zero_reward_restriction(model, indicator)
-    return transient_target_probabilities(
-        restricted, t, masked, epsilon=epsilon,
-        kernel=kernel)[:model.num_states]
+    """Exact ``Pr{Y_t <= 0, X_t in S'}`` for every initial state: the
+    single-time-bound case of :func:`zero_reward_bound_sweep`."""
+    return zero_reward_bound_sweep(model, [t], indicator, epsilon=epsilon,
+                                   kernel=kernel)[0]
 
 
 def zero_reward_bound_sweep(model: MarkovRewardModel,
@@ -450,10 +381,11 @@ def zero_reward_bound_sweep(model: MarkovRewardModel,
                             epsilon: float = 1e-12,
                             stats=None,
                             kernel: Kernel = None) -> np.ndarray:
-    """:func:`zero_reward_bound_vector` for many time bounds at once.
+    """Exact ``Pr{Y_t <= 0, X_t in S'}`` for many time bounds at once.
 
-    One restricted chain and one shared backward series cover every
-    time bound (see
+    Transient analysis of the restricted chain of
+    :func:`_zero_reward_restriction`; one shared backward series covers
+    every time bound (see
     :func:`~repro.numerics.uniformization.\
 transient_target_probabilities_sweep`); returns the ``(len(times),
     |S|)`` array of per-initial-state values.

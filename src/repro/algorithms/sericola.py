@@ -44,6 +44,13 @@ and yields the joint probability **for every initial state at once**.
 The special cases reproduce known algorithms: two reward levels {0, 1}
 give the Rubino--Sericola interval-availability scheme.
 
+The recursion does not depend on the bounds, so the engine's one
+computational core, :meth:`SericolaEngine._compute_joint_sweep`, runs
+it once for a whole ``(t, r)`` grid; a scalar query is its ``1 x 1``
+cell, and the certified interval is the a-priori bound above around
+the cached point value.  The complementary probability ``H`` is the
+transient probability minus the joint one.
+
 Unlike the paper (which requires ``rho_0 = 0``), the implementation
 supports any minimal reward: the level-0 boundary ``C(0,n,n) = P^n``
 expresses that a path starting in a state with ``rho(i) > rho_0``
@@ -67,7 +74,8 @@ from repro.kernels import KernelBackend, note_selected, resolve_static
 from repro.kernels.base import (SericolaPlan, SericolaSeries,
                                 build_sericola_plan)
 from repro.numerics.poisson import poisson_weights, right_truncation_point
-from repro.numerics.uniformization import Kernel, uniformized_operator
+from repro.numerics.uniformization import (
+    Kernel, transient_target_probabilities, uniformized_operator)
 from repro.obs import OBS
 from repro.obs import span as obs_span
 
@@ -95,13 +103,14 @@ class SericolaEngine(JointEngine):
         Optional override of the uniformisation rate ``lambda``
         (must be at least the maximal exit rate).
     steady_state_detection:
-        Stop the outer series early once the per-step inner terms have
-        converged (the remaining Poisson mass then multiplies a fixed
-        vector).  This implements the paper's Section 5.4 outlook --
-        "whether some kind of steady-state detection can be employed
-        to shorten the series" -- and pays off when the time bound is
-        large relative to the mixing time.  The detection threshold is
-        tied to ``epsilon``, so the overall accuracy is preserved.
+        Stop the outer series early, per grid point, once the per-step
+        inner terms have converged (the remaining Poisson mass then
+        multiplies a fixed vector).  This implements the paper's
+        Section 5.4 outlook -- "whether some kind of steady-state
+        detection can be employed to shorten the series" -- and pays
+        off when the time bound is large relative to the mixing time.
+        The detection threshold is tied to ``epsilon``, so the overall
+        accuracy is preserved.
     kernel:
         Kernel backend running the triangular ``b(h,n,k)`` update (see
         ``docs/KERNELS.md``); backends agree to ``<= 1e-12``.
@@ -152,19 +161,8 @@ class SericolaEngine(JointEngine):
 
     # ------------------------------------------------------------------
 
-    def _compute_joint_vector(self,
-                              model: MarkovRewardModel,
-                              t: float,
-                              r: float,
-                              indicator: np.ndarray) -> np.ndarray:
-        """One run of the series -- per-initial-state values are native
-        to the occupation-time algorithm (the column-aggregate
-        recursion carries all initial states, see module docstring)."""
-        joint, _ = self._series(model, t, r, indicator)
-        return joint
-
-    def _compute_joint_interval(self, model, t, r, indicator):
-        """Certified enclosure from the a-priori truncation bound.
+    def _a_priori_widths(self):
+        """The a-priori truncation bound as an interval.
 
         Every term of the truncated series is non-negative (``0 <=
         C(h,n,k) <= P^n`` entrywise), so the computed value converges
@@ -179,20 +177,7 @@ class SericolaEngine(JointEngine):
         accuracy the weights are computed with -- so the lower end is
         widened by exactly that slack.
         """
-        value = self._compute_joint_vector(model, t, r, indicator)
-        slack = self.epsilon * 1e-3
-        return (np.maximum(value - slack, 0.0),
-                np.minimum(value + self.epsilon, 1.0))
-
-    def _compute_joint_interval_sweep(self, model, times, rewards,
-                                      indicator):
-        """One shared-prefix sweep plus the a-priori bound per cell."""
-        grid = np.asarray(
-            self._compute_joint_sweep(model, times, rewards, indicator),
-            dtype=float)
-        slack = self.epsilon * 1e-3
-        return (np.maximum(grid - slack, 0.0),
-                np.minimum(grid + self.epsilon, 1.0))
+        return self.epsilon * 1e-3, self.epsilon
 
     #: Tightest epsilon the refinement loop will request; below this
     #: the truncated-series arithmetic itself is the accuracy limit.
@@ -215,10 +200,17 @@ class SericolaEngine(JointEngine):
                              indicator: np.ndarray) -> np.ndarray:
         """``Pr{Y_t > r, X_t in S' | X_0 = i}`` for every i.
 
-        *indicator* is the 0/1 vector of the target set ``S'``.
+        *indicator* is the 0/1 vector of the target set ``S'``; the
+        value is the transient probability ``Pr{X_t in S'}`` minus the
+        joint one.
         """
-        _, complementary = self._series(model, t, r, indicator)
-        return complementary
+        indicator = np.asarray(indicator, dtype=float)
+        joint = self._compute_joint_sweep(model, [float(t)], [float(r)],
+                                          indicator)[0, 0]
+        transient = transient_target_probabilities(
+            model, t, indicator, epsilon=min(self.epsilon * 1e-3, 1e-14),
+            stats=self.stats, kernel=self._backend_for(model))
+        return np.clip(transient - joint, 0.0, 1.0)
 
     def joint_distribution_matrix(self,
                                   model: MarkovRewardModel,
@@ -241,159 +233,6 @@ class SericolaEngine(JointEngine):
             columns.append(self.complementary_vector(model, t, r,
                                                      indicator))
         return np.column_stack(columns)
-
-    def _series(self, model: MarkovRewardModel, t: float, r: float,
-                indicator: np.ndarray):
-        """Run the uniformisation series once, accumulating both
-
-        * the joint probability ``Pr{Y_t <= r, X_t in S'}`` as
-          ``sum_n psi_n (u_n - sum_k w_k b(h,n,k))`` -- all terms are
-          non-negative because ``0 <= C(h,n,k) <= P^n``, so truncation
-          converges from *below*, exactly as in Table 2 of the paper
-          ("these can be computed simultaneously with H"), and
-
-        * the complementary probability ``H = Pr{Y_t > r, X_t in S'}``.
-
-        Returns ``(joint, complementary)`` vectors over initial states.
-        """
-        n_states = model.num_states
-        rho = model.rewards
-        self._check_capabilities(model)
-        if t == 0.0:
-            # Y_0 = 0 <= r: nothing exceeds the bound.
-            return indicator.astype(float).copy(), np.zeros(n_states)
-
-        backend = self._backend_for(model)
-        plan = self._sericola_plan(model)
-        levels = plan.levels
-        m = len(levels) - 1
-        if r >= levels[-1] * t:
-            # Y_t <= rho_max * t surely: the bound never binds.
-            transient = self._backward_transient(model, t, indicator,
-                                                 backend)
-            return transient, np.zeros(n_states)
-        if m == 0 or r < levels[0] * t:
-            # Deterministic accumulation above r (single level), or
-            # Y_t >= rho_min * t > r: exceeding is sure.
-            transient = self._backward_transient(model, t, indicator,
-                                                 backend)
-            return np.zeros(n_states), transient
-
-        # Level h with rho_{h-1} t <= r < rho_h t, and normalised bound.
-        h = int(np.searchsorted(levels * t, r, side="right"))
-        x = (r - levels[h - 1] * t) / ((levels[h] - levels[h - 1]) * t)
-
-        rate = (model.max_exit_rate if self.uniformization_rate is None
-                else float(self.uniformization_rate))
-        if rate == 0.0:
-            # No transitions at all: Y_t = rho(i) * t deterministically.
-            exceeding = indicator * (rho * t > r).astype(float)
-            return indicator - exceeding, exceeding
-        operator = uniformized_operator(model, rate,
-                                        policy=backend.operator_policy)
-        note_selected(self.name, backend.name)
-        q = rate * t
-        depth = right_truncation_point(q, self.epsilon)
-        psi = poisson_weights(q, epsilon=min(self.epsilon * 1e-3, 1e-14))
-
-        # The preallocated series state: one (|S|, depth+1, m) buffer
-        # pair whose n*m-column prefix feeds a single block product per
-        # step (see repro.kernels.base.SericolaSeries).
-        series = SericolaSeries(backend, operator,
-                                indicator.astype(float), plan, depth)
-        u = series.u  # u = P^n 1_{S'}
-
-        # Binomial mixture weights w[k] = binom(n,k) x^k (1-x)^{n-k}.
-        mix = np.array([1.0])
-
-        complementary = np.zeros(n_states)
-        joint = np.zeros(n_states)
-        inner = series.inner(h, mix)
-        weight = psi.probability(0)
-        complementary += weight * inner
-        joint += weight * (u - inner)
-
-        detection_tolerance = self.epsilon * 1e-2
-        stable_steps = 0
-        previous_inner = inner
-        previous_u = u
-        steps_used = depth
-
-        matvec_hist = (OBS.metrics.histogram("repro_matvec_block_seconds",
-                                             engine=self.name,
-                                             kernel=backend.name)
-                       if OBS.enabled else None)
-        record = None
-        tail = None
-        if OBS.enabled:
-            record = OBS.convergence.start_series(
-                "sericola_series", depth, engine=self.name,
-                rate=rate, t=float(t), r=float(r), levels=m + 1)
-            tail = psi.tail_from()
-        with obs_span("series", depth=depth) as series_span:
-            for n in range(1, depth + 1):
-                if matvec_hist is not None:
-                    block_start = time.perf_counter()
-                series.advance()
-                if matvec_hist is not None:
-                    matvec_hist.observe(time.perf_counter() - block_start)
-                # Two operator applications per step: the u matvec and
-                # the one stacked-levels block product.
-                self.stats.matvec_count += 2
-                self.stats.propagation_steps += 1
-                u = series.u
-                # Binomial weights:
-                # w(n,k) = (1-x) w(n-1,k) + x w(n-1,k-1).
-                new_mix = np.zeros(n + 1)
-                new_mix[:n] = (1.0 - x) * mix
-                new_mix[1:] += x * mix
-                mix = new_mix
-                inner = series.inner(h, mix)
-                weight = psi.probability(n)
-                if weight > 0.0:
-                    complementary += weight * inner
-                    joint += weight * (u - inner)
-                if record is not None:
-                    record.record(n, psi.remaining_after(n, tail))
-                if self.steady_state_detection:
-                    drift = max(float(np.max(np.abs(inner
-                                                    - previous_inner))),
-                                float(np.max(np.abs(u - previous_u))))
-                    stable_steps = stable_steps + 1 \
-                        if drift < detection_tolerance else 0
-                    if stable_steps >= 3:
-                        # The inner terms have stabilised: the
-                        # remaining Poisson mass multiplies
-                        # (essentially) the same vectors.
-                        remaining_complementary = inner
-                        remaining_joint = u - inner
-                        if n >= psi.left:
-                            mass = float(
-                                psi.weights[n + 1 - psi.left:].sum())
-                        else:
-                            mass = 1.0 - float(
-                                psi.weights[:max(0, n + 1
-                                                 - psi.left)].sum())
-                        complementary += mass * remaining_complementary
-                        joint += mass * remaining_joint
-                        steps_used = n
-                        break
-                    previous_inner = inner
-                    previous_u = u
-            series_span.set(steps=steps_used)
-
-        if OBS.enabled:
-            OBS.metrics.gauge(
-                "repro_sericola_truncation_depth").update_max(
-                    steps_used)
-        self.last_diagnostics = SericolaDiagnostics(
-            truncation_steps=steps_used,
-            uniformization_rate=rate,
-            reward_levels=m + 1,
-            level_index=h,
-            normalized_bound=x)
-        return (np.clip(joint, 0.0, 1.0),
-                np.clip(complementary, 0.0, 1.0))
 
     @staticmethod
     def _sericola_plan(model: MarkovRewardModel) -> SericolaPlan:
@@ -436,21 +275,24 @@ class SericolaEngine(JointEngine):
         """The whole grid from **one** run of the series.
 
         The expensive part of the algorithm -- the ``b(g, n, k)``
-        recursion (:meth:`_advance_series`) -- does not depend on the
-        bounds at all: ``(t, r)`` only enter through the Poisson
-        weights ``psi_n(lambda t)``, the level index ``h``, the
-        normalised bound ``x`` and the truncation depth.  So one series
-        advanced to the *deepest* truncation serves every grid point:
-        each point keeps its own binomial mixture (points sharing ``x``
-        share it), reads ``mix @ b[h-1]`` at each step, weighs with its
-        own Poisson term and stops accumulating at its own depth --
-        arithmetically identical to the scalar runs.  Points whose
-        bound never binds ride the same ``u_n = P^n 1_{S'}`` iterates
-        as a plain transient accumulation.
+        recursion (:class:`~repro.kernels.base.SericolaSeries`) -- does
+        not depend on the bounds at all: ``(t, r)`` only enter through
+        the Poisson weights ``psi_n(lambda t)``, the level index ``h``,
+        the normalised bound ``x`` and the truncation depth.  So one
+        series advanced to the *deepest* truncation serves every grid
+        point: each point keeps its own binomial mixture (points sharing
+        ``x`` share it), reads ``inner_n = mix @ b[h-1]`` at each step
+        and accumulates ``psi_n (u_n - inner_n)`` up to its own depth.
+        All terms are non-negative because ``0 <= C(h,n,k) <= P^n``, so
+        truncation converges from *below*, exactly as in Table 2 of the
+        paper.  Points whose bound never binds ride the same ``u_n =
+        P^n 1_{S'}`` iterates as a plain transient accumulation.
 
-        ``steady_state_detection`` is ignored on this path (detection
-        would have to trigger per grid point); the truncation bound
-        alone already guarantees the ``epsilon`` accuracy.
+        With ``steady_state_detection`` a point finishes early once its
+        ``inner_n`` and ``u_n`` have drifted less than ``epsilon *
+        1e-2`` for three consecutive steps: the remaining Poisson mass
+        then multiplies (essentially) the same vector.  The series
+        stops as soon as no point needs it.
         """
         n_states = model.num_states
         rho = model.rewards
@@ -461,58 +303,66 @@ class SericolaEngine(JointEngine):
         m = len(levels) - 1
         rate = (model.max_exit_rate if self.uniformization_rate is None
                 else float(self.uniformization_rate))
+        weight_epsilon = min(self.epsilon * 1e-3, 1e-14)
         grid = np.empty((len(times), len(rewards), n_states))
-        transient_points = []   # (i, j): the bound never binds
+        trans = []              # (i, j, psi): the bound never binds
         normal_points = []      # dicts: genuine series points
         for i, t in enumerate(times):
             for j, r in enumerate(rewards):
                 if t == 0.0:
-                    grid[i, j] = indicator.astype(float)
+                    # Y_0 = 0 <= r: nothing exceeds the bound.
+                    grid[i, j] = indicator
                 elif r >= levels[-1] * t:
+                    # Y_t <= rho_max * t surely: the bound never binds.
                     if rate == 0.0:
-                        grid[i, j] = indicator.astype(float)
+                        grid[i, j] = indicator
                     else:
                         grid[i, j] = 0.0
-                        transient_points.append((i, j, t))
+                        trans.append((i, j, poisson_weights(
+                            rate * t, epsilon=weight_epsilon)))
                 elif m == 0 or r < levels[0] * t:
+                    # Deterministic accumulation above r (single level),
+                    # or Y_t >= rho_min * t > r: exceeding is sure.
                     grid[i, j] = 0.0
                 elif rate == 0.0:
+                    # No transitions: Y_t = rho(i) * t deterministically.
                     exceeding = indicator * (rho * t > r).astype(float)
                     grid[i, j] = indicator - exceeding
                 else:
+                    # Level h with rho_{h-1} t <= r < rho_h t, and the
+                    # normalised bound x inside it.
                     h = int(np.searchsorted(levels * t, r,
                                             side="right"))
                     x = ((r - levels[h - 1] * t)
                          / ((levels[h] - levels[h - 1]) * t))
                     q = rate * t
+                    depth = right_truncation_point(q, self.epsilon)
                     normal_points.append({
-                        "i": i, "j": j, "h": h, "x": x,
-                        "depth": right_truncation_point(q, self.epsilon),
-                        "psi": poisson_weights(
-                            q, epsilon=min(self.epsilon * 1e-3, 1e-14)),
+                        "i": i, "j": j, "h": h, "x": x, "depth": depth,
+                        "steps": depth, "stable": 0,
+                        "psi": poisson_weights(q, epsilon=weight_epsilon),
                     })
-        if not transient_points and not normal_points:
+        if not trans and not normal_points:
             return grid
         operator = uniformized_operator(model, rate,
                                         policy=backend.operator_policy)
         note_selected(self.name, backend.name)
-        trans = [(i, j, poisson_weights(
-                     rate * t, epsilon=min(self.epsilon * 1e-3, 1e-14)))
-                 for i, j, t in transient_points]
+        depth_t = max((psi.right for _, _, psi in trans), default=0)
+        depth_u = max([depth_t] + [p["depth"] for p in normal_points])
 
-        depth_b = max((p["depth"] for p in normal_points), default=0)
-        depth_u = max([depth_b] + [psi.right for _, _, psi in trans])
-
-        series: Optional[SericolaSeries] = None
         if normal_points:
-            series = SericolaSeries(backend, operator,
-                                    indicator.astype(float), plan,
-                                    depth_b)
+            # The preallocated series state: one (|S|, depth+1, m)
+            # buffer pair whose n*m-column prefix feeds a single block
+            # product per step (see repro.kernels.base.SericolaSeries).
+            series = SericolaSeries(
+                backend, operator, indicator.astype(float), plan,
+                max(p["depth"] for p in normal_points))
             u = series.u
+            # Binomial mixture weights w[k] = binom(n,k) x^k (1-x)^{n-k}.
             mixes = {p["x"]: np.array([1.0]) for p in normal_points}
             for p in normal_points:
-                inner = series.inner(p["h"], mixes[p["x"]])
-                p["joint"] = p["psi"].probability(0) * (u - inner)
+                p["inner"] = series.inner(p["h"], mixes[p["x"]])
+                p["joint"] = p["psi"].probability(0) * (u - p["inner"])
         else:
             u = indicator.astype(float).copy()
         matvec_hist = (OBS.metrics.histogram("repro_matvec_block_seconds",
@@ -531,31 +381,43 @@ class SericolaEngine(JointEngine):
                 rate=rate, points=len(normal_points), sweep=True)
             record_psi = deepest["psi"]
             record_tail = record_psi.tail_from()
+        tolerance = self.epsilon * 1e-2
+        active = list(normal_points)
+        steps = 0
         with obs_span("series_sweep", depth=depth_u,
-                      points=len(normal_points) + len(trans)):
+                      points=len(normal_points) + len(trans)) as span:
             for n in range(1, depth_u + 1):
-                if n <= depth_b and series is not None:
+                if not active and n > depth_t:
+                    break
+                steps = n
+                previous_u = u
+                if active:
                     if matvec_hist is not None:
                         block_start = time.perf_counter()
                     series.advance()
                     if matvec_hist is not None:
                         matvec_hist.observe(
                             time.perf_counter() - block_start)
+                    # Two operator applications per step: the u matvec
+                    # and the one stacked-levels block product.
                     self.stats.matvec_count += 2
                     self.stats.propagation_steps += 1
                     u = series.u
+                    # w(n,k) = (1-x) w(n-1,k) + x w(n-1,k-1).
                     for x, mix in mixes.items():
                         new_mix = np.zeros(n + 1)
                         new_mix[:n] = (1.0 - x) * mix
                         new_mix[1:] += x * mix
                         mixes[x] = new_mix
-                    for p in normal_points:
-                        if n > p["depth"]:
-                            continue
+                    for p in active:
                         inner = series.inner(p["h"], mixes[p["x"]])
                         weight = p["psi"].probability(n)
                         if weight > 0.0:
                             p["joint"] += weight * (u - inner)
+                        if self.steady_state_detection:
+                            self._detect(p, n, u, previous_u, inner,
+                                         tolerance)
+                    active = [p for p in active if p["steps"] > n]
                 else:
                     # Past every series depth only the transient
                     # accumulations remain: advance u alone.
@@ -568,13 +430,14 @@ class SericolaEngine(JointEngine):
                 for i, j, psi in trans:
                     if psi.left <= n <= psi.right:
                         grid[i, j] += psi.weights[n - psi.left] * u
+            span.set(steps=steps)
 
         for p in normal_points:
             grid[p["i"], p["j"]] = np.clip(p["joint"], 0.0, 1.0)
         if normal_points:
-            deepest = max(normal_points, key=lambda p: p["depth"])
+            deepest = max(normal_points, key=lambda p: p["steps"])
             self.last_diagnostics = SericolaDiagnostics(
-                truncation_steps=deepest["depth"],
+                truncation_steps=deepest["steps"],
                 uniformization_rate=rate,
                 reward_levels=m + 1,
                 level_index=deepest["h"],
@@ -582,37 +445,24 @@ class SericolaEngine(JointEngine):
             if OBS.enabled:
                 OBS.metrics.gauge(
                     "repro_sericola_truncation_depth").update_max(
-                        deepest["depth"])
+                        deepest["steps"])
         return grid
 
-    # ------------------------------------------------------------------
+    @staticmethod
+    def _detect(point, n, u, previous_u, inner, tolerance) -> None:
+        """Steady-state detection for one series point at step *n*.
 
-    def _backward_transient(self,
-                            model: MarkovRewardModel,
-                            t: float,
-                            indicator: np.ndarray,
-                            backend: Optional[KernelBackend] = None
-                            ) -> np.ndarray:
-        """``Pr{X_t in S' | X_0 = i}`` for every i (backward series)."""
-        rate = (model.max_exit_rate if self.uniformization_rate is None
-                else float(self.uniformization_rate))
-        if rate == 0.0 or t == 0.0:
-            return indicator.astype(float).copy()
-        if backend is None:
-            backend = self._backend_for(model)
-        operator = uniformized_operator(model, rate,
-                                        policy=backend.operator_policy)
-        psi = poisson_weights(rate * t,
-                              epsilon=min(self.epsilon * 1e-3, 1e-14))
-        vector = indicator.astype(float).copy()
-        result = np.zeros_like(vector)
-        with obs_span("transient_series", depth=psi.right):
-            for k in range(psi.right + 1):
-                if k >= psi.left:
-                    result += psi.weights[k - psi.left] * vector
-                if k == psi.right:
-                    break
-                vector = operator.matvec(vector)
-                self.stats.matvec_count += 1
-                self.stats.propagation_steps += 1
-        return result
+        Once ``inner_n`` and ``u_n`` have drifted less than *tolerance*
+        for three consecutive steps, the remaining Poisson mass is
+        added against the current term and the point finishes at *n*.
+        """
+        drift = max(float(np.max(np.abs(inner - point["inner"]))),
+                    float(np.max(np.abs(u - previous_u))))
+        point["stable"] = point["stable"] + 1 if drift < tolerance else 0
+        point["inner"] = inner
+        if point["stable"] >= 3:
+            psi = point["psi"]
+            mass = (float(psi.weights[n + 1 - psi.left:].sum())
+                    if n >= psi.left else 1.0)
+            point["joint"] += mass * (u - inner)
+            point["steps"] = n

@@ -82,7 +82,7 @@ from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
 
 import numpy as np
 
-from repro.algorithms.base import PartialSweep, WorkUnit, frozen_copy
+from repro.algorithms.base import PartialSweep, WorkUnit
 from repro.algorithms.cache import EngineStats, joint_cache
 from repro.algorithms.parallel import (_record_deadline_missed,
                                        remaining, resolve_workers)
@@ -186,8 +186,9 @@ class SweepGrid:
                 self.rewards[j], self.mask)
 
     def _cache(self, key: Tuple, vector: np.ndarray) -> None:
-        self.engine.stats.cache_evictions += joint_cache.put(
-            key, frozen_copy(vector))
+        frozen = np.array(vector, dtype=float)
+        frozen.flags.writeable = False
+        self.engine.stats.cache_evictions += joint_cache.put(key, frozen)
 
     def label(self, i: int, j: int) -> str:
         return f"cell (t={self.times[i]}, r={self.rewards[j]})"

@@ -49,6 +49,19 @@ def three_level_chain():
     return builder.build(initial_state="fast")
 
 
+@pytest.fixture
+def impulse_model():
+    """Rewards 0, 1, 2 plus impulses 1 and 2 on two transitions."""
+    builder = ModelBuilder()
+    builder.add_state("a", labels=("green",), reward=0.0)
+    builder.add_state("b", labels=("green",), reward=1.0)
+    builder.add_state("c", reward=2.0)
+    builder.add_transition("a", "b", 0.8, impulse=1.0)
+    builder.add_transition("b", "c", 1.2)
+    builder.add_transition("c", "a", 0.5, impulse=2.0)
+    return builder.build(initial_state="a")
+
+
 @pytest.fixture(scope="session")
 def adhoc():
     """The 9-state case-study MRM (expensive enough to share)."""

@@ -129,6 +129,28 @@ class TestConvergence:
         assert combined == pytest.approx(0.5 * from_a + 0.5, abs=1e-9)
 
 
+class TestHugeRewardBound:
+    @pytest.mark.parametrize("underflow", ["drop", "clamp"])
+    def test_bound_beyond_reach_equals_rho_max_t(self, adhoc_reduced,
+                                                 underflow):
+        """On impulse-free models ``Y_t <= rho_max t``, so the reward
+        cells stop there: any larger bound gives the ``r = rho_max t``
+        value bit for bit (and ``r = 1e9`` fits in memory)."""
+        from repro.algorithms import clear_caches
+        model = adhoc_reduced.model
+        goal = [adhoc_reduced.goal_state]
+        rho_max = float(model.rewards.max())
+        engine = DiscretizationEngine(step=1.0 / 32, underflow=underflow)
+        clear_caches()
+        reference = engine.joint_probability_vector(model, 4.0,
+                                                    rho_max * 4.0, goal)
+        for r in (1200.0, 4800.0, 1e9):
+            clear_caches()
+            np.testing.assert_array_equal(
+                engine.joint_probability_vector(model, 4.0, r, goal),
+                reference)
+
+
 class TestDensity:
     def test_density_is_a_subdensity(self, two_state_absorbing):
         engine = DiscretizationEngine(step=0.05)

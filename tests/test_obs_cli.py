@@ -71,6 +71,14 @@ class TestProfileSubcommand:
 
 
 class TestCheckProfileFlags:
+    def test_check_verbose_profile_shows_joint_vector(self, capsys):
+        # Scalar queries run through the grid core but keep their
+        # entry-point span.
+        cli.main(["check", "--model", CLEAN_MODEL, "--formula", FORMULA,
+                  "-v", "--profile"])
+        captured = capsys.readouterr()
+        assert "joint_vector" in captured.out + captured.err
+
     def test_check_profile_appends_report(self, capsys):
         code = cli.main(["check", "--model", CLEAN_MODEL,
                          "--formula", FORMULA, "--profile"])

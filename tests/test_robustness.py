@@ -39,11 +39,11 @@ class FailingEngine(JointEngine):
 
     name = "failing"
 
-    def _compute_joint_vector(self, model, t, r, indicator):
+    def _compute_joint_sweep(self, model, times, rewards, indicator):
         raise ConvergenceError("injected non-convergence")
 
-    def _compute_joint_interval(self, model, t, r, indicator):
-        raise ConvergenceError("injected non-convergence")
+    def _a_priori_widths(self):
+        return 0.0, 0.0
 
 
 # ----------------------------------------------------------------------
@@ -186,20 +186,6 @@ class TestIntervalSoundness:
         # sound, so both contain the exact value).
         assert np.all(np.maximum(lower, tighter_lo)
                       <= np.minimum(upper, tighter_up) + 1e-12)
-
-    @pytest.mark.parametrize("engine", _engines(),
-                             ids=lambda e: e.name)
-    def test_interval_sweep_matches_scalar(self, flip_flop, engine):
-        clear_caches()
-        times, rewards = [0.5, 1.0], [0.5, 1.5]
-        lower, upper = engine.joint_probability_interval_sweep(
-            flip_flop, times, rewards, [1])
-        for i, t in enumerate(times):
-            for j, r in enumerate(rewards):
-                lo, up = engine._worker_clone().joint_probability_interval(
-                    flip_flop, t, r, [1])
-                assert lower[i, j] == pytest.approx(lo, abs=1e-12)
-                assert upper[i, j] == pytest.approx(up, abs=1e-12)
 
     def test_richardson_bracket_contains_both_points(self):
         lower, upper = richardson_bracket(np.array([0.4]),

@@ -215,6 +215,33 @@ class TestConvergence:
         assert (detecting.last_diagnostics.truncation_steps
                 < plain_engine.last_diagnostics.truncation_steps)
 
+    def test_detection_same_whichever_path_runs_first(self):
+        """Scalar and grid queries are one computation: a detecting
+        engine's vector and truncation depth do not depend on whether
+        a scalar query or a sweep filled the cache."""
+        from repro.algorithms import clear_caches
+        from repro.models.workloads import workstation_cluster
+        model = workstation_cluster(8, failure_rate=0.5,
+                                    repair_rate=5.0)
+        t = 200.0
+        r = 0.9 * 8 * t
+        target = range(4, 9)
+        clear_caches()
+        scalar_first = SericolaEngine(epsilon=1e-8,
+                                      steady_state_detection=True)
+        vector = scalar_first.joint_probability_vector(model, t, r,
+                                                       target)
+        clear_caches()
+        sweep_first = SericolaEngine(epsilon=1e-8,
+                                     steady_state_detection=True)
+        swept = sweep_first.joint_probability_sweep(model, [t], [r],
+                                                    target)
+        again = sweep_first.joint_probability_vector(model, t, r, target)
+        np.testing.assert_array_equal(swept[0, 0], vector)
+        np.testing.assert_array_equal(again, vector)
+        assert (sweep_first.last_diagnostics.truncation_steps
+                == scalar_first.last_diagnostics.truncation_steps)
+
     def test_detection_off_by_default(self, adhoc_reduced):
         engine = SericolaEngine(epsilon=1e-6)
         assert not engine.steady_state_detection

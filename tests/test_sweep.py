@@ -3,8 +3,8 @@
 Covers the shared-prefix ``(t, r)`` grid layer on top of the engines:
 
 * :meth:`JointEngine.joint_probability_sweep` agrees with a per-point
-  loop of scalar :meth:`joint_probability_vector` calls (to 1e-10, in
-  practice bit-identical) for all three engines -- on random MRMs, on
+  loop of scalar :meth:`joint_probability_vector` calls bit for bit
+  for all three engines -- on random MRMs, on
   the reduced case-study model, on impulse models (discretisation and
   pseudo-Erlang; the occupation-time engine rejects impulses), and on
   grids containing the ``t == 0`` and ``r == 0`` edge rows;
@@ -28,7 +28,6 @@ from repro.algorithms import (DiscretizationEngine, ErlangEngine,
                               SericolaEngine, clear_caches, joint_cache,
                               parallel_joint_sweeps, threaded_map)
 from repro.algorithms.parallel import resolve_workers
-from repro.ctmc import ModelBuilder
 from repro.errors import NumericalError
 from repro.exec import ProcessShardExecutor, ThreadShardExecutor
 from repro.mc.checker import ModelChecker
@@ -57,18 +56,6 @@ def scalar_grid(engine, model, times, rewards, target):
     return grid
 
 
-@pytest.fixture
-def impulse_model():
-    builder = ModelBuilder()
-    builder.add_state("a", labels=("green",), reward=0.0)
-    builder.add_state("b", labels=("green",), reward=1.0)
-    builder.add_state("c", reward=2.0)
-    builder.add_transition("a", "b", 0.8, impulse=1.0)
-    builder.add_transition("b", "c", 1.2)
-    builder.add_transition("c", "a", 0.5, impulse=2.0)
-    return builder.build(initial_state="a")
-
-
 # ----------------------------------------------------------------------
 # sweep == per-point scalar loop
 # ----------------------------------------------------------------------
@@ -84,7 +71,7 @@ class TestSweepEquivalence:
                                                target)
         clear_caches()
         loop = scalar_grid(engine, model, TIMES, REWARDS, target)
-        np.testing.assert_allclose(swept, loop, atol=1e-10)
+        np.testing.assert_array_equal(swept, loop)
 
     @pytest.mark.parametrize(
         "engine",
@@ -101,7 +88,7 @@ class TestSweepEquivalence:
                                                target)
         clear_caches()
         loop = scalar_grid(engine, model, times, rewards, target)
-        np.testing.assert_allclose(swept, loop, atol=1e-10)
+        np.testing.assert_array_equal(swept, loop)
 
     @pytest.mark.parametrize(
         "engine",
@@ -116,7 +103,7 @@ class TestSweepEquivalence:
                                                rewards, target)
         clear_caches()
         loop = scalar_grid(engine, impulse_model, times, rewards, target)
-        np.testing.assert_allclose(swept, loop, atol=1e-10)
+        np.testing.assert_array_equal(swept, loop)
 
     def test_sericola_rejects_impulses(self, impulse_model):
         engine = SericolaEngine()
