@@ -273,9 +273,8 @@ def lumpable_model(context: AnalysisContext) -> Iterator[Diagnostic]:
                  f"states collapse to {lumping.num_blocks} blocks "
                  f"({ratio:.1f}x) with identical checking results"),
         hint=("the checker's pre-pass (lump=\"auto\") applies this "
-              "automatically on models of >= 512 states; pass "
-              "lump=True to force it, or run 'repro lump' to "
-              "materialise the quotient"),
+              "automatically; pass lump=True to lift its state cap, or "
+              "run 'repro lump' to materialise the quotient"),
         source="model")
 
 

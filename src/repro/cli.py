@@ -354,10 +354,6 @@ def _report_verbose(checker: ModelChecker, file) -> None:
     if info.applied:
         print(f"lump: {info.num_states} states -> {info.num_blocks} "
               f"blocks", file=file)
-    elif info.num_blocks is not None:
-        print(f"lump: {info.num_blocks} blocks found for "
-              f"{info.num_states} states, not applied ({info.reason})",
-              file=file)
     else:
         print(f"lump: not applied ({info.reason})", file=file)
 

@@ -11,9 +11,13 @@ reference semantics; the numba backend must agree to ``<= 1e-12``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.kernels.base import KernelBackend, SericolaPlan, ShiftPlan
+
+#: :func:`scipy.signal.lfilter`, imported on the first
+#: :meth:`NumpyBackend.first_order_scan` call: ``scipy.signal`` costs
+#: ~0.5 s to import and only the Sericola triangular update needs it.
+_lfilter = None
 
 
 class NumpyBackend(KernelBackend):
@@ -59,9 +63,12 @@ class NumpyBackend(KernelBackend):
                          start: np.ndarray) -> np.ndarray:
         if inputs.shape[1] == 0:
             return np.array(inputs, dtype=float)
+        global _lfilter
+        if _lfilter is None:
+            from scipy.signal import lfilter as _lfilter
         initial = (stay * start)[:, None]
-        output, _ = lfilter([move], [1.0, -stay], inputs, axis=1,
-                            zi=initial)
+        output, _ = _lfilter([move], [1.0, -stay], inputs, axis=1,
+                             zi=initial)
         return output
 
     def sericola_triangular(self, pb: np.ndarray, new_b: np.ndarray,

@@ -58,11 +58,13 @@ class ModelChecker:
     lump:
         Lumping pre-pass policy for P3 checks (:mod:`repro.mc.\
 prepass`): ``"auto"`` (default) minimises the Theorem-1-reduced model
-        by ordinary lumpability when it is small enough to try and the
-        quotient is smaller, ``True`` always attempts it, ``False``
-        never does.  The pre-pass is exact -- answers are identical,
-        only the propagated chain shrinks; :attr:`last_lump` reports
-        what the last P3 check did.
+        by ordinary lumpability whenever the quotient is smaller and the
+        model is within the pre-pass state cap, ``True`` lifts that
+        cap, ``False`` never lumps.  The pre-pass is exact -- only the
+        propagated chain shrinks; quotient rates sum in a different
+        floating-point order, so answers agree with ``lump=False`` to
+        rounding, not bit for bit.  :attr:`last_lump` reports what the
+        last P3 check did.
 
     Examples
     --------

@@ -25,15 +25,10 @@ The knob surface (``ModelChecker(lump=...)``, ``repro check
 
 ``"auto"``
     attempt the pre-pass under the state-count cap
-    (:data:`LUMP_MAX_STATES`) and apply it only on models of at least
-    :data:`LUMP_MIN_STATES` states -- the default.  Below that floor a
-    propagation is already trivially cheap, and skipping keeps small
-    checks bit-for-bit identical to the unlumped pipeline (the
-    quotient's aggregated rates are mathematically exact but sum in a
-    different floating-point order);
+    (:data:`LUMP_MAX_STATES`) and apply any reduction it finds -- the
+    default;
 ``True``
-    attempt it regardless of model size (the pass cap still applies)
-    and apply on any reduction;
+    the same without the state-count cap (the pass cap still applies);
 ``False``
     never lump.
 """
@@ -61,12 +56,6 @@ LUMP_MAX_STATES = 262_144
 #: passes forfeits the attempt (a partial partition is not a valid
 #: lumping).
 LUMP_MAX_PASSES = 64
-
-#: Smallest model ``"auto"`` will actually *apply* a found lumping to;
-#: smaller quotients are still discovered and reported (``check -v``)
-#: but the original chain is propagated -- it is already cheap, and
-#: identical arithmetic beats a few saved states.
-LUMP_MIN_STATES = 512
 
 LumpMode = Union[str, bool]
 
@@ -169,10 +158,6 @@ def prepare(model: MarkovRewardModel,
                          else n))
     if lumping is None:
         _record(PrepassInfo(n, None, False, "no_reduction"))
-        return None
-    if mode == "auto" and n < LUMP_MIN_STATES:
-        _record(PrepassInfo(n, lumping.num_blocks, False,
-                            "small_model"))
         return None
     psi_blocks = frozenset(
         int(b) for b in np.unique(lumping.block_of[list(psi)])

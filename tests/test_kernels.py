@@ -12,6 +12,8 @@ impulse rewards.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -259,6 +261,29 @@ class TestEngineIntegration:
                                           state)
             np.testing.assert_allclose(batch[index], single,
                                        rtol=0.0, atol=1e-12)
+
+    def test_scipy_signal_imported_only_for_sericola(self):
+        """Erlang and discretisation checks leave ``scipy.signal`` (the
+        home of Sericola's ``lfilter`` scan) unimported."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (os.path.abspath(src) + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        script = (
+            "import sys\n"
+            "from repro import ModelChecker\n"
+            "from repro.algorithms import DiscretizationEngine, "
+            "ErlangEngine\n"
+            "from repro.models import adhoc\n"
+            "model = adhoc.adhoc_model()\n"
+            "for engine in (ErlangEngine(phases=16),\n"
+            "               DiscretizationEngine(step=1.0 / 32)):\n"
+            "    ModelChecker(model, engine=engine).check(adhoc.Q3)\n"
+            "print('scipy.signal' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """End-to-end tests for the automatic lumping pre-pass.
 
 The pre-pass (:mod:`repro.mc.prepass`) may change which chain the
-joint-distribution engines propagate, but never the answer: forced
-lumping must agree with the unlumped pipeline to 1e-12 everywhere, and
-the default ``"auto"`` mode must keep small checks *bit-identical*
-(it only applies a found lumping on models of >= 512 states).
+joint-distribution engines propagate, but never the answer: lumping
+must agree with the unlumped pipeline to 1e-12 everywhere, on every
+engine.  The default ``"auto"`` mode applies a found lumping at every
+model size, so under its state cap it is bit-identical to ``lump=True``.
 """
 
 import numpy as np
@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cli
-from repro.algorithms import DiscretizationEngine, clear_caches
+from repro.algorithms import (DiscretizationEngine, ErlangEngine,
+                              SericolaEngine, clear_caches)
 from repro.ctmc import ModelBuilder, io
 from repro.errors import ModelError
 from repro.logic.intervals import Interval
@@ -37,8 +38,21 @@ def _crowd_sets(model):
     return phi, psi
 
 
+#: One instance factory per joint-distribution engine.
+ENGINES = {
+    "sericola": lambda: SericolaEngine(epsilon=1e-10),
+    "erlang": lambda: ErlangEngine(phases=64),
+    "discretization": lambda: DiscretizationEngine(step=1.0 / 8),
+}
+
+
 def _engine():
-    return DiscretizationEngine(step=1.0 / 8)
+    return ENGINES["discretization"]()
+
+
+def _assert_close(lumped, unlumped, name):
+    error = np.max(np.abs(lumped - unlumped))
+    assert error <= FORCED_TOLERANCE, f"{name}: |diff| = {error}"
 
 
 # ---------------------------------------------------------------------------
@@ -50,44 +64,49 @@ class TestForcedLumpAgreement:
     def crowd(self):
         return crowd_mrm(12, 30)  # 360 states, lumps below 360 blocks
 
+    # Each test loops over ENGINES: one test id covers all three.
+
     def test_vector_agrees(self, crowd):
         phi, psi = _crowd_sets(crowd)
-        clear_caches()
-        unlumped = until.time_reward_bounded_until(
-            crowd, phi, psi, TIME, REWARD, _engine(), lump=False)
-        clear_caches()
-        lumped = until.time_reward_bounded_until(
-            crowd, phi, psi, TIME, REWARD, _engine(), lump=True)
-        info = prepass.last_info()
-        assert info is not None and info.applied
-        assert info.num_blocks < info.num_states
-        assert np.max(np.abs(lumped - unlumped)) <= FORCED_TOLERANCE
+        for name, make in ENGINES.items():
+            clear_caches()
+            unlumped = until.time_reward_bounded_until(
+                crowd, phi, psi, TIME, REWARD, make(), lump=False)
+            clear_caches()
+            lumped = until.time_reward_bounded_until(
+                crowd, phi, psi, TIME, REWARD, make(), lump=True)
+            info = prepass.last_info()
+            assert info is not None and info.applied
+            assert info.num_blocks < info.num_states
+            _assert_close(lumped, unlumped, name)
 
     def test_interval_agrees(self, crowd):
         phi, psi = _crowd_sets(crowd)
-        clear_caches()
-        lo0, hi0 = until.time_reward_bounded_until_interval(
-            crowd, phi, psi, TIME, REWARD, _engine(), lump=False)
-        clear_caches()
-        lo1, hi1 = until.time_reward_bounded_until_interval(
-            crowd, phi, psi, TIME, REWARD, _engine(), lump=True)
-        assert prepass.last_info().applied
-        assert np.max(np.abs(lo1 - lo0)) <= FORCED_TOLERANCE
-        assert np.max(np.abs(hi1 - hi0)) <= FORCED_TOLERANCE
+        for name, make in ENGINES.items():
+            clear_caches()
+            lo0, hi0 = until.time_reward_bounded_until_interval(
+                crowd, phi, psi, TIME, REWARD, make(), lump=False)
+            clear_caches()
+            lo1, hi1 = until.time_reward_bounded_until_interval(
+                crowd, phi, psi, TIME, REWARD, make(), lump=True)
+            assert prepass.last_info().applied
+            _assert_close(lo1, lo0, name)
+            _assert_close(hi1, hi0, name)
 
     def test_sweep_agrees(self, crowd):
         phi, psi = _crowd_sets(crowd)
         times = [0.5, 1.0]
         rewards = [1.0, 2.0]
-        clear_caches()
-        grid0 = until.time_reward_bounded_until_sweep(
-            crowd, phi, psi, times, rewards, _engine(), lump=False)
-        clear_caches()
-        grid1 = until.time_reward_bounded_until_sweep(
-            crowd, phi, psi, times, rewards, _engine(), lump=True)
-        assert prepass.last_info().applied
-        assert grid1.shape == (2, 2, crowd.num_states)
-        assert np.max(np.abs(grid1 - grid0)) <= FORCED_TOLERANCE
+        for name, make in ENGINES.items():
+            clear_caches()
+            grid0 = until.time_reward_bounded_until_sweep(
+                crowd, phi, psi, times, rewards, make(), lump=False)
+            clear_caches()
+            grid1 = until.time_reward_bounded_until_sweep(
+                crowd, phi, psi, times, rewards, make(), lump=True)
+            assert prepass.last_info().applied
+            assert grid1.shape == (2, 2, crowd.num_states)
+            _assert_close(grid1, grid0, name)
 
     @settings(max_examples=10, deadline=None)
     @given(sites=st.integers(min_value=3, max_value=10),
@@ -102,36 +121,37 @@ class TestForcedLumpAgreement:
         chosen = rng.choice(sites, size=max(1, sites // 2), replace=False)
         psi = {int(s) for s in range(model.num_states)
                if (s // members) in chosen}
-        clear_caches()
-        unlumped = until.time_reward_bounded_until(
-            model, phi, psi, TIME, REWARD, _engine(), lump=False)
-        clear_caches()
-        lumped = until.time_reward_bounded_until(
-            model, phi, psi, TIME, REWARD, _engine(), lump=True)
-        assert np.max(np.abs(lumped - unlumped)) <= FORCED_TOLERANCE
+        for name, make in ENGINES.items():
+            clear_caches()
+            unlumped = until.time_reward_bounded_until(
+                model, phi, psi, TIME, REWARD, make(), lump=False)
+            clear_caches()
+            lumped = until.time_reward_bounded_until(
+                model, phi, psi, TIME, REWARD, make(), lump=True)
+            _assert_close(lumped, unlumped, name)
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity of the default "auto" mode on small models
+# The default "auto" mode applies a found lumping at every model size
 
 
 class TestAutoModeBitIdentity:
-    def test_small_model_propagates_original_chain(self):
-        crowd = crowd_mrm(12, 30)  # well below LUMP_MIN_STATES
+    def test_auto_equals_forced_lump(self):
+        crowd = crowd_mrm(12, 30)  # 360 states
         phi, psi = _crowd_sets(crowd)
         clear_caches()
-        unlumped = until.time_reward_bounded_until(
-            crowd, phi, psi, TIME, REWARD, _engine(), lump=False)
+        forced = until.time_reward_bounded_until(
+            crowd, phi, psi, TIME, REWARD, _engine(), lump=True)
         clear_caches()
         auto = until.time_reward_bounded_until(
             crowd, phi, psi, TIME, REWARD, _engine(), lump="auto")
         info = prepass.last_info()
-        assert not info.applied and info.reason == "small_model"
-        assert info.num_blocks is not None  # found, reported, not used
-        np.testing.assert_array_equal(auto, unlumped)
+        assert info.applied and info.reason == "applied"
+        assert info.num_blocks < info.num_states
+        np.testing.assert_array_equal(auto, forced)
 
     def test_large_model_applies(self):
-        crowd = crowd_mrm(40, 20)  # 800 states >= LUMP_MIN_STATES
+        crowd = crowd_mrm(40, 20)  # 800 states
         phi, psi = _crowd_sets(crowd)
         clear_caches()
         auto = until.time_reward_bounded_until(
@@ -145,15 +165,33 @@ class TestAutoModeBitIdentity:
 
     @pytest.mark.parametrize("formula", [adhoc.Q1, adhoc.Q2, adhoc.Q3])
     def test_adhoc_q_formulas_bit_identical(self, formula):
-        """Q1-Q3 under the default pipeline == lump=False, bitwise."""
-        clear_caches()
-        default = ModelChecker(adhoc.adhoc_model()).check(formula)
-        clear_caches()
-        disabled = ModelChecker(adhoc.adhoc_model(),
-                                lump=False).check(formula)
-        assert default.states == disabled.states
+        """Q1-Q3 under the default pipeline == lump=True bitwise, and
+        == lump=False in Sat and to rounding in probability."""
+        def check(mode):
+            clear_caches()
+            return ModelChecker(adhoc.adhoc_model(),
+                                lump=mode).check(formula)
+
+        default, forced, disabled = (check(mode)
+                                     for mode in ("auto", True, False))
         np.testing.assert_array_equal(default.probabilities,
-                                      disabled.probabilities)
+                                      forced.probabilities)
+        assert default.states == forced.states == disabled.states
+        assert (np.max(np.abs(default.probabilities
+                              - disabled.probabilities))
+                <= FORCED_TOLERANCE)
+
+    def test_adhoc_q3_lumps_and_keeps_table2_depth(self):
+        """Reduced Q3 lumps 9 states to 5 blocks; Sericola on the
+        quotient still stops at N(1e-8) = 594 (Table 2)."""
+        clear_caches()
+        engine = SericolaEngine(epsilon=1e-8)
+        checker = ModelChecker(adhoc.adhoc_model(), engine=engine)
+        checker.check(adhoc.Q3)
+        info = checker.last_lump
+        assert info.applied
+        assert (info.num_states, info.num_blocks) == (9, 5)
+        assert engine.last_diagnostics.truncation_steps == 594
 
 
 # ---------------------------------------------------------------------------
@@ -254,5 +292,4 @@ class TestCheckerSurface:
             "check", "--model", str(tmp_path / "crowd"),
             "--formula", "P>=0.0 [ true U[0,1][0,2] crowded ]", "-v"])
         assert code == 0
-        # Small model: the lumping is found and reported, not applied.
-        assert "blocks found" in capsys.readouterr().err
+        assert "lump: 24 states -> 5 blocks" in capsys.readouterr().err

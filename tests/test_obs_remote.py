@@ -46,7 +46,7 @@ def clean_observability():
     clear_caches()
 
 
-def small_model() -> MarkovRewardModel:
+def two_state_model() -> MarkovRewardModel:
     rates = np.array([[0.0, 1.0], [2.0, 0.0]])
     return MarkovRewardModel(rates, rewards=[1.0, 0.0])
 
@@ -356,7 +356,7 @@ def _counter_sums(registry) -> dict:
 
 class TestProcessAggregation:
     def test_thread_and_process_counters_agree(self):
-        model = small_model()
+        model = two_state_model()
         clear_caches()
         with OBS.capture():
             threaded = _engine().joint_probability_sweep_partial(
@@ -393,7 +393,7 @@ class TestProcessAggregation:
                    for w in worker_spans for c in w.children)
 
     def test_obs_off_grid_bit_identical(self):
-        model = small_model()
+        model = two_state_model()
         clear_caches()
         baseline = _engine().joint_probability_sweep_partial(
             model, GRID_TIMES, GRID_REWARDS, GRID_TARGET)
@@ -452,7 +452,7 @@ class TestProcessAggregation:
         assert shape == json.loads(golden.read_text())
 
     def test_progress_callback_fires(self):
-        model = small_model()
+        model = two_state_model()
         clear_caches()
         snapshots = []
         executor = ProcessShardExecutor(
