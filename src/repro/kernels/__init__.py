@@ -112,9 +112,10 @@ def get_backend(name: Union[str, KernelBackend, None] = None
                 ) -> KernelBackend:
     """Return a kernel backend instance.
 
-    Accepts a backend name (``"numpy"``/``"numba"``), an existing
-    :class:`KernelBackend` instance (returned as-is), or ``None`` for
-    the default selection order documented in the module docstring.
+    Accepts a backend name (``"numpy"``, ``"numba"``, ``"sparse"``,
+    ``"dense"``), an existing :class:`KernelBackend` instance (returned
+    as-is), or ``None`` for the default selection order documented in
+    the module docstring.
     """
     if isinstance(name, KernelBackend):
         return name
@@ -139,15 +140,10 @@ def get_backend(name: Union[str, KernelBackend, None] = None
                 RuntimeWarning, stacklevel=2)
             return get_backend("numpy")
         backend = NumbaBackend()
-    elif name == "sparse":
-        from repro.kernels.sparse_backend import SparseBackend
-        backend = SparseBackend()
-    elif name == "dense":
-        from repro.kernels.sparse_backend import DenseBackend
-        backend = DenseBackend()
     else:
         from repro.kernels.numpy_backend import NumpyBackend
-        backend = NumpyBackend()
+        # sparse/dense pin the step-operator policy to their own name.
+        backend = NumpyBackend(name, "auto" if name == "numpy" else name)
     _instances[name] = backend
     return backend
 

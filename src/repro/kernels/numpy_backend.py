@@ -21,9 +21,18 @@ _lfilter = None
 
 
 class NumpyBackend(KernelBackend):
-    """Vectorised NumPy/SciPy implementation of the kernel contract."""
+    """Vectorised NumPy/SciPy implementation of the kernel contract.
 
-    name = "numpy"
+    The ``sparse`` and ``dense`` backends are instances of this class
+    that differ only in *name* and :attr:`~repro.kernels.base.\
+KernelBackend.operator_policy` (see ``docs/KERNELS.md``): the loop
+    bodies are shared, so their results are bit-identical to ``numpy``.
+    """
+
+    def __init__(self, name: str = "numpy",
+                 operator_policy: str = "auto") -> None:
+        self.name = name
+        self.operator_policy = operator_policy
 
     def shift_down(self, src: np.ndarray, dst: np.ndarray,
                    plan: ShiftPlan, clamp: bool) -> None:

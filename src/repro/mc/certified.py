@@ -35,10 +35,11 @@ from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError, UnsupportedFormulaError
 from repro.exec import BREAKERS, breaker_key
 from repro.logic import ast
-from repro.mc import until
+from repro.mc import prepass, until
 from repro.mc.budget import Budget
 from repro.mc.checker import FormulaLike, ModelChecker
 from repro.mc.result import Verdict, interval_verdict
+from repro.mc.transform import until_reduction
 from repro.obs import OBS
 from repro.obs import span as obs_span
 
@@ -257,6 +258,9 @@ class CertifiedChecker:
         result that says exactly what went wrong.  Formula-level
         problems (not a ``P`` formula, unsupported bounds) still raise,
         since no amount of degradation can fix those.
+
+        The query is reduced, gated per engine and lumped once; every
+        engine and refinement round reuses that work.
         """
         formula = ModelChecker._normalize(formula)
         prob, path = self._require_supported(formula)
@@ -267,10 +271,16 @@ class CertifiedChecker:
         failures: "list[EngineFailure]" = []
         best: Optional[Tuple[float, np.ndarray, np.ndarray, str]] = None
 
-        reduced, query = self._static_workload(phi, psi, path)
+        reduced = until_reduction(self.model, phi, psi)
+        vetoes = [self._static_veto(engine, reduced, path)
+                  for engine in self.chain]
+        if all(veto is not None for veto in vetoes):
+            # The gate runs before the lump: a fully vetoed chain never
+            # reaches the pre-pass.
+            return self._finish(formula, prob, best, vetoes, budget)
+        work = self.checker._lump(reduced, psi)
 
-        for engine in self.chain:
-            veto = self._static_veto(engine, reduced, query)
+        for engine, veto in zip(self.chain, vetoes):
             if veto is not None:
                 failures.append(veto)
                 continue  # never invoked; degrade without a round spent
@@ -303,11 +313,8 @@ class CertifiedChecker:
                 try:
                     with obs_span("certified_round", engine=current.name,
                                   round=budget.rounds_used):
-                        lower, upper = \
-                            until.time_reward_bounded_until_interval(
-                                self.model, phi, psi, path.time,
-                                path.reward, current,
-                                lump=self.checker.lump)
+                        lower, upper = until.joint_interval(
+                            work, path.time, path.reward, current)
                 except UnsupportedFormulaError:
                     raise
                 except NumericalError as exc:
@@ -354,32 +361,16 @@ class CertifiedChecker:
             raise UnsupportedFormulaError(
                 f"certified checking covers until path formulas, "
                 f"got {formula.path}")
+        until.require_interval_bounds(path.time, path.reward)
         return formula, path
 
-    def _static_workload(self, phi, psi, path: ast.Until):
-        """The reduced model and query profile the chain will face.
-
-        The compatibility verdicts are taken on the Theorem 1
-        *reduction* of the model: absorbing the ``psi`` and failure
-        states clears their impulse rows, so impulses that sit only on
-        absorbed transitions do not disqualify an engine.
-        """
-        from repro.analysis import QueryProfile
-        from repro.mc.transform import until_reduction
-        reduced = until_reduction(self.model, phi, psi)
-        query = QueryProfile.from_formula(
-            ast.Prob("<", 1.0, path))
-        return reduced, query
-
     @staticmethod
-    def _static_veto(engine: JointEngine, reduced,
-                     query) -> Optional[EngineFailure]:
-        """An :class:`EngineFailure` when the static analysis rules the
-        engine out for this workload, else ``None``."""
-        from repro.analysis import Severity, engine_compatibility
-        findings = [d for d in engine_compatibility(engine, reduced,
-                                                    query)
-                    if d.severity is Severity.ERROR]
+    def _static_veto(engine: JointEngine, reduced: MarkovRewardModel,
+                     path: ast.Until) -> Optional[EngineFailure]:
+        """An :class:`EngineFailure` when the static gate
+        (:func:`~repro.mc.prepass.gate`) rules the engine out for this
+        query, else ``None``."""
+        findings = prepass.gate(engine, reduced, path)
         if not findings:
             return None
         reason = "; ".join(f"[{d.code}] {d.message}" for d in findings)

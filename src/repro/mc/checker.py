@@ -11,14 +11,14 @@ procedures of :mod:`repro.mc.until`, :mod:`repro.mc.next_op` and
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Union
+from typing import Dict, FrozenSet, Optional, Set, Union
 
 import numpy as np
 
 from repro.algorithms.base import JointEngine, get_engine
 from repro.algorithms.parallel import parallel_joint_sweeps
 from repro.ctmc.mrm import MarkovRewardModel
-from repro.errors import FormulaError
+from repro.errors import FormulaError, PreflightError
 from repro.logic import ast
 from repro.logic.parser import parse_formula
 from repro.mc import next_op, prepass, reward_op, steady, until
@@ -103,13 +103,14 @@ prepass`): ``"auto"`` (default) minimises the Theorem-1-reduced model
         self.preflight = bool(preflight)
         self.lump = prepass.validate_mode(lump)
         self._cache: Dict[ast.StateFormula, FrozenSet[int]] = {}
+        self._last_lump: Optional[prepass.PrepassInfo] = None
 
     @property
-    def last_lump(self):
-        """Outcome of the most recent lumping pre-pass attempt
-        (:class:`~repro.mc.prepass.PrepassInfo`), or ``None`` when no
-        P3 check has run yet."""
-        return prepass.last_info()
+    def last_lump(self) -> Optional[prepass.PrepassInfo]:
+        """Outcome of this checker's most recent lumping pre-pass
+        attempt (:class:`~repro.mc.prepass.PrepassInfo`), or ``None``
+        when it has run no P3 query yet."""
+        return self._last_lump
 
     @property
     def engine_stats(self) -> Dict[str, int]:
@@ -222,11 +223,10 @@ EngineStats` as a plain dict: ``cache_hits``/``cache_misses`` against
         worker processes, durable resume; see :mod:`repro.exec`), with
         bit-identical values.
         """
-        phi = set(self.satisfaction_set(left))
-        psi = set(self.satisfaction_set(right))
-        return until.time_reward_bounded_until_sweep(
-            self.model, phi, psi, times, rewards, self.engine,
-            lump=self.lump, executor=executor, checkpoint=checkpoint)
+        until.require_grid_bounds(times, rewards)
+        return until.joint_sweep(self._work(left, right), times, rewards,
+                                 self.engine, executor=executor,
+                                 checkpoint=checkpoint)
 
     def until_probability_sweeps(self,
                                  pairs,
@@ -244,25 +244,12 @@ parallel_joint_sweeps`: each worker evaluates one reduced model's grid
         Results come back in *pairs* order and the workers' counters
         are merged into :attr:`engine_stats`.
         """
-        queries = []
-        lifts = []
-        for left, right in pairs:
-            phi = set(self.satisfaction_set(left))
-            psi = set(self.satisfaction_set(right))
-            reduced = until_reduction(self.model, phi, psi)
-            pre = prepass.prepare(reduced, psi, mode=self.lump)
-            if pre is not None:
-                queries.append((pre.quotient, times, rewards,
-                                pre.psi_blocks))
-                lifts.append(pre.block_of)
-            else:
-                queries.append((reduced, times, rewards, psi))
-                lifts.append(None)
-        grids = parallel_joint_sweeps(self.engine, queries,
-                                      max_workers=max_workers)
-        return [np.clip(np.asarray(grid)[..., lift] if lift is not None
-                        else grid, 0.0, 1.0)
-                for grid, lift in zip(grids, lifts)]
+        works = [self._work(left, right) for left, right in pairs]
+        grids = parallel_joint_sweeps(
+            self.engine,
+            [(work.model, times, rewards, work.target) for work in works],
+            max_workers=max_workers)
+        return [work.lift(grid) for work, grid in zip(works, grids)]
 
     def check_certified(self,
                         formula: FormulaLike,
@@ -317,23 +304,12 @@ ProcessShardExecutor`) instead of in-process threads; *checkpoint* (a
         configurations.
         """
         from dataclasses import replace
-        phi = set(self.satisfaction_set(left))
-        psi = set(self.satisfaction_set(right))
-        reduced = until_reduction(self.model, phi, psi)
-        pre = prepass.prepare(reduced, psi, mode=self.lump)
-        if pre is not None:
-            partial = self.engine.joint_probability_sweep_partial(
-                pre.quotient, times, rewards, pre.psi_blocks,
-                deadline=deadline, max_workers=max_workers,
-                executor=executor, checkpoint=checkpoint)
-            partial = replace(partial,
-                              grid=partial.grid[..., pre.block_of])
-        else:
-            partial = self.engine.joint_probability_sweep_partial(
-                reduced, times, rewards, psi, deadline=deadline,
-                max_workers=max_workers, executor=executor,
-                checkpoint=checkpoint)
-        return replace(partial, grid=np.clip(partial.grid, 0.0, 1.0))
+        work = self._work(left, right)
+        partial = self.engine.joint_probability_sweep_partial(
+            work.model, times, rewards, work.target, deadline=deadline,
+            max_workers=max_workers, executor=executor,
+            checkpoint=checkpoint)
+        return replace(partial, grid=work.lift(partial.grid))
 
     # ------------------------------------------------------------------
     # internals
@@ -411,29 +387,33 @@ ProcessShardExecutor`) instead of in-process threads; *checkpoint* (a
         if time.is_trivial:
             return until.reward_bounded_until(self.model, phi, psi,
                                               reward, epsilon=self.epsilon)
-        if self.preflight:
-            self._preflight_until(phi, psi, path)
-        return until.time_reward_bounded_until(self.model, phi, psi,
-                                               time, reward, self.engine,
-                                               lump=self.lump)
+        until.require_p3_bounds(time, reward)
+        return until.joint_vector(self._work(path.left, path.right, path),
+                                  time, reward, self.engine)
 
-    def _preflight_until(self, phi, psi, path: ast.Until) -> None:
-        """Static gate before the joint-distribution engine runs.
+    def _work(self, left: FormulaLike, right: FormulaLike,
+              path: Optional[ast.Until] = None) -> prepass.P3Work:
+        """The one P3 pipeline front: reduce once, gate *path* on the
+        reduced model (when pre-flight is on), then lump."""
+        phi = set(self.satisfaction_set(left))
+        psi = set(self.satisfaction_set(right))
+        reduced = until_reduction(self.model, phi, psi)
+        if path is not None and self.preflight:
+            self._preflight_until(reduced, path)
+        return self._lump(reduced, psi)
 
-        The compatibility verdict is taken on the *reduced* model of
-        Theorem 1, not the original: absorbing the ``psi`` and failure
-        states clears their impulse rows, so a model that carries
-        impulses only on absorbed transitions is legitimately fine for
-        an engine without impulse support.
-        """
-        from repro.analysis import QueryProfile, engine_compatibility
-        from repro.errors import PreflightError
+    def _lump(self, reduced: MarkovRewardModel,
+              psi: Set[int]) -> prepass.P3Work:
+        work = prepass.P3Work.of(reduced, psi, self.lump)
+        self._last_lump = work.info
+        return work
+
+    def _preflight_until(self, reduced: MarkovRewardModel,
+                         path: ast.Until) -> None:
+        """Static gate before the joint-distribution engine runs
+        (:func:`~repro.mc.prepass.gate` on the reduced model)."""
         with obs_span("preflight", engine=self.engine.name):
-            reduced = until_reduction(self.model, phi, psi)
-            query = QueryProfile.from_formula(ast.Prob("<", 1.0, path))
-            findings = [d for d in engine_compatibility(self.engine,
-                                                        reduced, query)
-                        if d.severity.label == "error"]
+            findings = prepass.gate(self.engine, reduced, path)
         if findings:
             details = "; ".join(
                 f"[{d.code}] {d.message}" for d in findings)

@@ -1,4 +1,11 @@
-"""Automatic lumping pre-pass for the P3 checking pipeline.
+"""The P3 checking pipeline: engine gate, lumping pre-pass and lift.
+
+Every time- and reward-bounded until query (class P3) runs one
+pipeline, whatever the entry point (``check``, certified intervals,
+``(t, r)`` sweeps): Theorem-1 reduction once, the static engine gate
+(:func:`gate`) on the reduced model, the lumping pre-pass, the
+engine, and the lift back to original states -- the last three carried
+by one :class:`P3Work` per query.
 
 The joint-distribution engines see the Theorem-1-reduced model and the
 target indicator ``1_{Sat(Psi)}`` -- nothing else.  Whenever that
@@ -16,9 +23,9 @@ into few-hundred-block computations.
 pipeline-specific partition seed (target membership) and the cost caps
 that keep a failed attempt cheap, records ``repro_lump_*`` metrics and
 a ``lump_prepass`` span, and remembers the outcome of the most recent
-attempt for ``repro check -v`` reporting
-(:func:`last_info`).  Callers fall back to the unlumped model whenever
-it returns ``None``.
+attempt on the calling thread (:func:`last_info`).  It returns ``None``
+whenever the unlumped model must be propagated; :meth:`P3Work.of`
+turns either outcome into the engine's input.
 
 The knob surface (``ModelChecker(lump=...)``, ``repro check
 --no-lump``):
@@ -35,14 +42,16 @@ The knob surface (``ModelChecker(lump=...)``, ``repro check
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Set, Union
+from typing import AbstractSet, FrozenSet, List, Optional, Set, Union
 
 import numpy as np
 
 from repro.ctmc.lumping import Lumping, try_lump
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import ModelError
+from repro.logic import ast
 from repro.obs import OBS
 from repro.obs import span as obs_span
 
@@ -98,17 +107,17 @@ class PrepassInfo:
     reason: str
 
 
-_last_info: Optional[PrepassInfo] = None
+_last = threading.local()
 
 
 def last_info() -> Optional[PrepassInfo]:
-    """Outcome of the most recent :func:`prepare` call, if any."""
-    return _last_info
+    """Outcome of the most recent :func:`prepare` call on this thread,
+    if any."""
+    return getattr(_last, "info", None)
 
 
 def _record(info: PrepassInfo) -> None:
-    global _last_info
-    _last_info = info
+    _last.info = info
     if OBS.enabled:
         if info.applied:
             OBS.metrics.counter("repro_lump_applied_total").inc()
@@ -164,3 +173,55 @@ def prepare(model: MarkovRewardModel,
     ) if psi else frozenset()
     _record(PrepassInfo(n, lumping.num_blocks, True, "applied"))
     return LumpPrepass(lumping=lumping, psi_blocks=psi_blocks)
+
+
+@dataclass(frozen=True)
+class P3Work:
+    """One P3 query's engine input and the way back to its answer.
+
+    ``reduced`` is the Theorem-1 model; ``model`` and ``target`` are
+    what the engine propagates -- the lumped quotient and its target
+    blocks, or ``reduced`` and ``Sat(Psi)`` when the pre-pass does not
+    apply; ``info`` is the pre-pass outcome.  Build it with
+    :meth:`of`, once per query, and read every engine result back
+    through :meth:`lift`.
+    """
+    reduced: MarkovRewardModel
+    model: MarkovRewardModel
+    target: AbstractSet[int]
+    block_of: Optional[np.ndarray]
+    info: PrepassInfo
+
+    @classmethod
+    def of(cls, reduced: MarkovRewardModel, psi: Set[int],
+           lump: LumpMode = "auto") -> "P3Work":
+        """Run the pre-pass on *reduced* (target *psi*) under *lump*."""
+        pre = prepare(reduced, psi, mode=lump)
+        info = last_info()
+        if pre is None:
+            return cls(reduced, reduced, psi, None, info)
+        return cls(reduced, pre.quotient, pre.psi_blocks, pre.block_of,
+                   info)
+
+    def lift(self, values) -> np.ndarray:
+        """Per-original-state probabilities from engine output over
+        :attr:`model` (last axis = states), clipped to ``[0, 1]``."""
+        values = np.asarray(values)
+        if self.block_of is not None:
+            values = values[..., self.block_of]
+        return np.clip(values, 0.0, 1.0)
+
+
+def gate(engine, reduced: MarkovRewardModel, path: ast.Until) -> List:
+    """Error-severity engine-compatibility findings for a P3 query.
+
+    The verdict is taken on the Theorem-1 *reduced* model, not the
+    original: absorbing the ``psi`` and failure states clears their
+    impulse rows, so a model that carries impulses only on absorbed
+    transitions is legitimately fine for an engine without impulse
+    support.  An empty list means *engine* may run.
+    """
+    from repro.analysis import QueryProfile, Severity, engine_compatibility
+    query = QueryProfile.from_formula(ast.Prob("<", 1.0, path))
+    return [d for d in engine_compatibility(engine, reduced, query)
+            if d.severity is Severity.ERROR]

@@ -22,7 +22,7 @@ checker) compares against the probability bound.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Set
+from typing import Sequence, Set
 
 import numpy as np
 
@@ -127,6 +127,38 @@ def reward_bounded_until(model: MarkovRewardModel,
     return np.clip(probabilities, 0.0, 1.0)
 
 
+def require_p3_bounds(time: Interval, reward: Interval) -> None:
+    """Raise unless the P3 intervals start at 0 (Section 6)."""
+    if time.lower != 0.0 or reward.lower != 0.0:
+        raise UnsupportedFormulaError(
+            f"intervals {time}/{reward} do not start at 0; no "
+            f"computational procedure is available (see Section 6)")
+
+
+def require_interval_bounds(time: Interval, reward: Interval) -> None:
+    """Raise unless certified intervals can enclose the P3 query."""
+    require_p3_bounds(time, reward)
+    if math.isinf(time.upper) or math.isinf(reward.upper):
+        raise UnsupportedFormulaError(
+            "certified intervals need finite time and reward bounds; "
+            "check unbounded formulas with the exact P0-P2 procedures")
+
+
+def require_grid_bounds(times: Sequence[float],
+                        rewards: Sequence[float]) -> None:
+    """Raise unless every bound of a ``(t, r)`` sweep grid is finite."""
+    for axis, bounds in (("time", times), ("reward", rewards)):
+        if any(math.isinf(bound) for bound in bounds):
+            raise UnsupportedFormulaError(
+                f"sweep grids need finite {axis} bounds; check an "
+                f"unbounded formula separately")
+
+
+def _work(model: MarkovRewardModel, phi: Set[int], psi: Set[int],
+          lump: prepass.LumpMode) -> prepass.P3Work:
+    return prepass.P3Work.of(until_reduction(model, phi, psi), psi, lump)
+
+
 def time_reward_bounded_until(model: MarkovRewardModel,
                               phi: Set[int],
                               psi: Set[int],
@@ -148,28 +180,22 @@ def time_reward_bounded_until(model: MarkovRewardModel,
     A single batched :meth:`JointEngine.joint_probability_vector` call
     covers **all** initial states in one propagation (no per-state
     loop), and its result is memoised in the shared joint-vector cache
-    keyed by the reduced model's content fingerprint -- repeating an
-    identical check is a cache hit even though ``until_reduction``
-    rebuilds the reduced model object each time.
+    keyed by the reduced model's content fingerprint, so repeating an
+    identical check is a cache hit.
     """
-    if time.lower != 0.0 or reward.lower != 0.0:
-        raise UnsupportedFormulaError(
-            f"intervals {time}/{reward} do not start at 0; no "
-            f"computational procedure is available (see Section 6)")
+    require_p3_bounds(time, reward)
     if math.isinf(time.upper):
         return reward_bounded_until(model, phi, psi, reward)
     if math.isinf(reward.upper):
         return time_bounded_until(model, phi, psi, time)
-    reduced = until_reduction(model, phi, psi)
-    pre = prepass.prepare(reduced, psi, mode=lump)
-    if pre is not None:
-        vector = engine.joint_probability_vector(
-            pre.quotient, time.upper, reward.upper, pre.psi_blocks)
-        vector = vector[pre.block_of]
-    else:
-        vector = engine.joint_probability_vector(
-            reduced, time.upper, reward.upper, psi)
-    return np.clip(vector, 0.0, 1.0)
+    return joint_vector(_work(model, phi, psi, lump), time, reward, engine)
+
+
+def joint_vector(work: prepass.P3Work, time: Interval, reward: Interval,
+                 engine: JointEngine) -> np.ndarray:
+    """:func:`time_reward_bounded_until` on a prepared query."""
+    return work.lift(engine.joint_probability_vector(
+        work.model, time.upper, reward.upper, work.target))
 
 
 def time_reward_bounded_until_interval(model: MarkovRewardModel,
@@ -191,24 +217,18 @@ joint_probability_interval`) is a sound enclosure of the until
     pre-pass (:mod:`repro.mc.prepass`) composes soundly: the quotient
     is exactly equivalent, so its enclosure lifts per block.
     """
-    if time.lower != 0.0 or reward.lower != 0.0:
-        raise UnsupportedFormulaError(
-            f"intervals {time}/{reward} do not start at 0; no "
-            f"computational procedure is available (see Section 6)")
-    if math.isinf(time.upper) or math.isinf(reward.upper):
-        raise UnsupportedFormulaError(
-            "certified intervals need finite time and reward bounds; "
-            "check unbounded formulas with the exact P0-P2 procedures")
-    reduced = until_reduction(model, phi, psi)
-    pre = prepass.prepare(reduced, psi, mode=lump)
-    if pre is not None:
-        lower, upper = engine.joint_probability_interval(
-            pre.quotient, time.upper, reward.upper, pre.psi_blocks)
-        lower, upper = lower[pre.block_of], upper[pre.block_of]
-    else:
-        lower, upper = engine.joint_probability_interval(
-            reduced, time.upper, reward.upper, psi)
-    return np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
+    require_interval_bounds(time, reward)
+    return joint_interval(_work(model, phi, psi, lump), time, reward,
+                          engine)
+
+
+def joint_interval(work: prepass.P3Work, time: Interval, reward: Interval,
+                   engine: JointEngine
+                   ) -> "tuple[np.ndarray, np.ndarray]":
+    """:func:`time_reward_bounded_until_interval` on a prepared query."""
+    lower, upper = engine.joint_probability_interval(
+        work.model, time.upper, reward.upper, work.target)
+    return work.lift(lower), work.lift(upper)
 
 
 def time_reward_bounded_until_sweep(model: MarkovRewardModel,
@@ -243,23 +263,21 @@ def time_reward_bounded_until_sweep(model: MarkovRewardModel,
     per-cell failure (resuming from the checkpoint retries only the
     missing cells).
     """
-    for t in times:
-        if math.isinf(t):
-            raise UnsupportedFormulaError(
-                "sweep grids need finite time bounds; check an "
-                "unbounded formula separately")
-    for r in rewards:
-        if math.isinf(r):
-            raise UnsupportedFormulaError(
-                "sweep grids need finite reward bounds; check an "
-                "unbounded formula separately")
-    reduced = until_reduction(model, phi, psi)
-    pre = prepass.prepare(reduced, psi, mode=lump)
-    work_model = reduced if pre is None else pre.quotient
-    work_target = psi if pre is None else pre.psi_blocks
+    require_grid_bounds(times, rewards)
+    return joint_sweep(_work(model, phi, psi, lump), times, rewards,
+                       engine, executor=executor, checkpoint=checkpoint)
+
+
+def joint_sweep(work: prepass.P3Work,
+                times: Sequence[float],
+                rewards: Sequence[float],
+                engine: JointEngine,
+                executor=None,
+                checkpoint=None) -> np.ndarray:
+    """:func:`time_reward_bounded_until_sweep` on a prepared query."""
     if executor is not None or checkpoint is not None:
         partial = engine.joint_probability_sweep_partial(
-            work_model, times, rewards, work_target,
+            work.model, times, rewards, work.target,
             executor=executor, checkpoint=checkpoint)
         if not partial.complete:
             from repro.errors import ParallelExecutionError, WorkerError
@@ -271,10 +289,8 @@ def time_reward_bounded_until_sweep(model: MarkovRewardModel,
                     for pos, (i, j) in enumerate(partial.unevaluated)]
             raise ParallelExecutionError(
                 failures, len(times) * len(rewards))
-        grid = np.asarray(partial.grid)
+        grid = partial.grid
     else:
-        grid = np.asarray(engine.joint_probability_sweep(
-            work_model, times, rewards, work_target))
-    if pre is not None:
-        grid = grid[..., pre.block_of]
-    return np.clip(grid, 0.0, 1.0)
+        grid = engine.joint_probability_sweep(
+            work.model, times, rewards, work.target)
+    return work.lift(grid)

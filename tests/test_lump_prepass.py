@@ -7,6 +7,9 @@ engine.  The default ``"auto"`` mode applies a found lumping at every
 model size, so under its state cap it is bit-identical to ``lump=True``.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,13 +19,15 @@ from repro import cli
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
                               SericolaEngine, clear_caches)
 from repro.ctmc import ModelBuilder, io
-from repro.errors import ModelError
+from repro.errors import ModelError, PreflightError
 from repro.logic.intervals import Interval
-from repro.mc import prepass, until
+from repro.mc import prepass, transform, until
 from repro.mc.checker import ModelChecker
 from repro.models import adhoc
 from repro.models.workloads import crowd_mrm
 from repro.obs import OBS
+
+MODELS = Path(__file__).resolve().parents[1] / "examples" / "models"
 
 #: Forced-lump agreement bound (quotient arithmetic reorders sums).
 FORCED_TOLERANCE = 1e-12
@@ -293,3 +298,115 @@ class TestCheckerSurface:
             "--formula", "P>=0.0 [ true U[0,1][0,2] crowded ]", "-v"])
         assert code == 0
         assert "lump: 24 states -> 5 blocks" in capsys.readouterr().err
+
+    def test_last_lump_is_per_checker(self):
+        """Each checker reports its own last pre-pass, not the most
+        recent one of any checker in the process."""
+        builder = ModelBuilder()
+        builder.add_state("a", labels=("a",), reward=0.0)
+        builder.add_state("b", labels=("b",), reward=1.0)
+        builder.add_transition("a", "b", 1.0)
+        builder.add_transition("b", "a", 2.0)
+        crowd = ModelChecker(crowd_mrm(6, 4))
+        pair = ModelChecker(builder.build())
+        crowd.check("P>=0.0 [ true U[0,1][0,2] crowded ]")
+        pair.check("P>=0.0 [ true U[0,1][0,2] b ]")
+        assert crowd.last_lump.applied
+        assert (crowd.last_lump.num_states,
+                crowd.last_lump.num_blocks) == (24, 5)
+        assert not pair.last_lump.applied
+        assert pair.last_lump.reason == "no_reduction"
+
+
+# ---------------------------------------------------------------------------
+# One pipeline per P3 query: reduce, gate, lump and lift once
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of Theorem-1 reductions and pre-pass attempts."""
+    counts = {"reduce": 0, "prepare": 0}
+    real_reduce, real_prepare = transform.until_reduction, prepass.prepare
+
+    def reduce(*args, **kwargs):
+        counts["reduce"] += 1
+        return real_reduce(*args, **kwargs)
+
+    def prepare(*args, **kwargs):
+        counts["prepare"] += 1
+        return real_prepare(*args, **kwargs)
+
+    # Patch every repro module that bound the reduction by name.
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro.")
+                and getattr(module, "until_reduction", None)
+                is real_reduce):
+            monkeypatch.setattr(module, "until_reduction", reduce)
+    monkeypatch.setattr(prepass, "prepare", prepare)
+    return counts
+
+
+class TestOnePipelinePerQuery:
+    TIMES = [12.0, 24.0]
+    REWARDS = [300.0, 600.0]
+    LEFT, RIGHT = "call_idle | doze", "call_initiated"
+
+    def test_check_reduces_once(self, calls):
+        for engine in (SericolaEngine(epsilon=1e-8),
+                       ErlangEngine(phases=64),
+                       DiscretizationEngine(step=1.0 / 32)):
+            checker = ModelChecker(adhoc.adhoc_model(), engine=engine)
+            calls.update(reduce=0, prepare=0)
+            checker.check(adhoc.Q3)
+            assert calls == {"reduce": 1, "prepare": 1}
+
+    def test_certified_reduces_and_lumps_once(self, calls):
+        clear_caches()
+        result = ModelChecker(adhoc.adhoc_model()).check_certified(
+            adhoc.Q3, chain=("erlang",), target_width=1e-3)
+        assert result.rounds_used >= 2
+        assert calls == {"reduce": 1, "prepare": 1}
+
+    def test_sweep_entry_points_reduce_once(self, calls):
+        checker = ModelChecker(adhoc.adhoc_model(),
+                               engine=ENGINES["erlang"]())
+        checker.until_probability_sweep(self.LEFT, self.RIGHT,
+                                        self.TIMES, self.REWARDS)
+        assert calls == {"reduce": 1, "prepare": 1}
+        checker.until_probability_sweep_partial(self.LEFT, self.RIGHT,
+                                                self.TIMES, self.REWARDS)
+        assert calls == {"reduce": 2, "prepare": 2}
+
+    def test_sweeps_reduce_once_per_pair(self, calls):
+        pairs = [(self.LEFT, self.RIGHT), ("true", self.RIGHT),
+                 ("doze", "call_idle")]
+        ModelChecker(adhoc.adhoc_model(),
+                     engine=ENGINES["erlang"]()).until_probability_sweeps(
+            pairs, self.TIMES, self.REWARDS, max_workers=1)
+        assert calls == {"reduce": 3, "prepare": 3}
+
+    def test_veto_precedes_lumping(self):
+        """A query the engine gate vetoes raises before any pre-pass:
+        no ``lump_prepass`` span, no ``repro_lump_*`` metric, and
+        ``last_lump`` keeps the previous query's outcome."""
+        model = io.load_mrm(str(MODELS / "impulse"))
+        checker = ModelChecker(model, engine=SericolaEngine())
+        # Absorbing both impulse sources clears every impulse: allowed.
+        checker.check("P>=0.0 [ up U[0,1][0,2] (degraded | down) ]")
+        before = checker.last_lump
+        assert before is not None
+        vetoed = "P>=0.5 [ (up | degraded) U[0,1][0,2] down ]"
+        with OBS.capture(reset_metrics=True):
+            with pytest.raises(PreflightError) as excinfo:
+                checker.check(vetoed)
+            certified = checker.check_certified(vetoed,
+                                                chain=("sericola",))
+            spans = [s.name for root in OBS.tracer.roots
+                     for s in root.walk()]
+            snapshot = OBS.metrics.snapshot()
+        assert [d.code for d in excinfo.value.diagnostics] == ["E001"]
+        assert [f.skipped_static for f in certified.failures] == [True]
+        assert "preflight" in spans and "lump_prepass" not in spans
+        assert not any(name.startswith("repro_lump_")
+                       for name in snapshot)
+        assert checker.last_lump is before
