@@ -43,6 +43,8 @@ import numpy as np
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
                               SericolaEngine, clear_caches)
 from repro.models import adhoc
+from repro.obs import OBS
+from repro.obs.export import engine_totals
 
 
 def _grid_bounds(points: int):
@@ -53,34 +55,53 @@ def _grid_bounds(points: int):
     return times, rewards
 
 
+def observed_counts(function) -> dict:
+    """The engine-counter ledger of one cold run of *function* under an
+    observability capture -- a re-run, so the timed runs stay
+    unobserved."""
+    clear_caches()
+    with OBS.capture():
+        function()
+    return engine_totals(OBS.metrics)
+
+
 def measure_engine(engine_factory, setting, times, rewards,
                    max_workers=None) -> dict:
     """Time the three evaluation strategies for one engine config.
 
-    *engine_factory* builds a fresh engine per strategy so counters and
-    caches never leak between measurements.  Returns one JSON row.
+    *engine_factory* builds a fresh engine per strategy so no engine
+    state leaks between measurements; the engine counters come from an
+    observed re-run of each timed strategy (:func:`observed_counts`).
+    Returns one JSON row.
     """
     model, goal, _initial, _t, _r = setting
     target = [goal]
 
-    clear_caches()
-    engine = engine_factory()
-    start = time.perf_counter()
-    loop = np.empty((len(times), len(rewards), model.num_states))
-    for i, t in enumerate(times):
-        for j, r in enumerate(rewards):
-            loop[i, j] = engine.joint_probability_vector(model, t, r,
-                                                         target)
-    per_point_seconds = time.perf_counter() - start
-    per_point_stats = engine.stats.as_dict()
+    def per_point():
+        loop = np.empty((len(times), len(rewards), model.num_states))
+        for i, t in enumerate(times):
+            for j, r in enumerate(rewards):
+                loop[i, j] = engine.joint_probability_vector(model, t, r,
+                                                             target)
+        return loop
+
+    def sweep():
+        return engine.joint_probability_sweep(model, times, rewards,
+                                              target)
 
     clear_caches()
     engine = engine_factory()
     start = time.perf_counter()
-    swept = engine.joint_probability_sweep(model, times, rewards,
-                                           target)
+    loop = per_point()
+    per_point_seconds = time.perf_counter() - start
+    per_point_stats = observed_counts(per_point)
+
+    clear_caches()
+    engine = engine_factory()
+    start = time.perf_counter()
+    swept = sweep()
     sweep_seconds = time.perf_counter() - start
-    sweep_stats = engine.stats.as_dict()
+    sweep_stats = observed_counts(sweep)
 
     clear_caches()
     engine = engine_factory()

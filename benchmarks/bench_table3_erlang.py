@@ -12,6 +12,7 @@ import pytest
 from repro.algorithms import ErlangEngine
 from repro.models import adhoc
 
+from bench_sweep import observed_counts
 from conftest import report
 
 
@@ -83,14 +84,17 @@ def bench_table3_bound_grid_sweep(benchmark, q3_setting):
                                               [goal])
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)
-    clear_caches()
     reference = ErlangEngine(phases=64)
-    for i, time_bound in enumerate(times):
-        for j, reward_bound in enumerate(rewards):
-            point = reference.joint_probability_vector(
-                model, time_bound, reward_bound, [goal])
-            assert np.max(np.abs(grid[i, j] - point)) <= 1e-10
+
+    def per_point():
+        for i, time_bound in enumerate(times):
+            for j, reward_bound in enumerate(rewards):
+                point = reference.joint_probability_vector(
+                    model, time_bound, reward_bound, [goal])
+                assert np.max(np.abs(grid[i, j] - point)) <= 1e-10
+
+    per_point_matvecs = observed_counts(per_point)["matvec_count"]
     report(benchmark, grid=f"{len(times)}x{len(rewards)}",
            value=round(float(grid[-1, -1, initial]), 8),
-           sweep_matvecs=engine.stats.matvec_count,
-           per_point_matvecs=reference.stats.matvec_count)
+           sweep_matvecs=observed_counts(run)["matvec_count"],
+           per_point_matvecs=per_point_matvecs)

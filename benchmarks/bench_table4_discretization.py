@@ -13,6 +13,7 @@ import pytest
 from repro.algorithms import DiscretizationEngine
 from repro.models import adhoc
 
+from bench_sweep import observed_counts
 from conftest import report
 
 _ROWS = adhoc.TABLE4_DISCRETIZATION
@@ -98,17 +99,21 @@ def bench_table4_bound_grid_sweep(benchmark, q3_setting):
                                               [goal])
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)
-    clear_caches()
     reference = DiscretizationEngine(step=1.0 / 32)
+
+    def per_point():
+        for i, time_bound in enumerate(times):
+            for j, reward_bound in enumerate(rewards):
+                point = reference.joint_probability_vector(
+                    model, time_bound, reward_bound, [goal])
+                assert np.max(np.abs(grid[i, j] - point)) <= 1e-10
+
+    clear_caches()
     start = time.perf_counter()
-    for i, time_bound in enumerate(times):
-        for j, reward_bound in enumerate(rewards):
-            point = reference.joint_probability_vector(
-                model, time_bound, reward_bound, [goal])
-            assert np.max(np.abs(grid[i, j] - point)) <= 1e-10
+    per_point()
     per_point_seconds = time.perf_counter() - start
     report(benchmark, grid=f"{len(times)}x{len(rewards)}",
            value=round(float(grid[-1, -1, initial]), 8),
            per_point_seconds=round(per_point_seconds, 3),
-           sweep_matvecs=engine.stats.matvec_count,
-           per_point_matvecs=reference.stats.matvec_count)
+           sweep_matvecs=observed_counts(run)["matvec_count"],
+           per_point_matvecs=observed_counts(per_point)["matvec_count"])

@@ -40,7 +40,7 @@ from repro.mc.checker import ModelChecker
 from repro.models import adhoc
 from repro.numerics.poisson import poisson_cache_info
 from repro.obs import OBS, REGISTRY
-from repro.obs.metrics import ENGINE_STAT_COUNTERS
+from repro.obs.export import engine_totals
 
 from bench_sweep import sweep_section
 
@@ -48,7 +48,7 @@ REFERENCE = adhoc.Q3_REFERENCE_VALUE
 
 #: Output format version.  2 = per-row engine counters and timing
 #: totals are read back from the ``repro.obs`` metrics registry (the
-#: primary ledger) instead of the ``EngineStats`` compatibility view,
+#: primary ledger) instead of per-engine counter objects,
 #: and the file carries this ``schema`` marker for
 #: ``benchmarks/compare.py``.  3 = table rows additionally record the
 #: propagation kernel backend (``kernel_backend``, see
@@ -100,9 +100,7 @@ def _captured(function):
 def _registry_row(engine_name: str) -> dict:
     """One run's engine counters and timing totals, from the registry."""
     snapshot = REGISTRY.snapshot()
-    label = f'{{engine="{engine_name}"}}'
-    row = {field: int(snapshot.get(metric, {}).get(label, 0))
-           for field, metric in ENGINE_STAT_COUNTERS.items()}
+    row = engine_totals(REGISTRY, engine_name)
     # Since schema 3 the matvec histogram carries a kernel label next
     # to the engine label, so match by substring and sum across any
     # backends the run touched.

@@ -28,9 +28,8 @@ independent queries -- distinct reduced models -- over threads.
 from repro.algorithms.base import (JointEngine, PartialSweep, WorkUnit,
                                    available_engines, get_engine,
                                    richardson_bracket)
-from repro.algorithms.cache import (EngineStats, cache_info, clear_caches,
-                                    joint_cache, matrix_cache,
-                                    value_nbytes)
+from repro.algorithms.cache import (cache_info, clear_caches, joint_cache,
+                                    matrix_cache, value_nbytes)
 from repro.algorithms.erlang import ErlangEngine, erlang_expanded_model
 from repro.algorithms.discretization import DiscretizationEngine
 from repro.algorithms.sericola import SericolaEngine
@@ -39,7 +38,7 @@ from repro.algorithms.parallel import parallel_joint_sweeps, threaded_map
 __all__ = [
     "JointEngine", "get_engine", "available_engines",
     "PartialSweep", "WorkUnit", "richardson_bracket",
-    "EngineStats", "cache_info", "clear_caches",
+    "cache_info", "clear_caches",
     "joint_cache", "matrix_cache", "value_nbytes",
     "ErlangEngine", "erlang_expanded_model",
     "DiscretizationEngine", "SericolaEngine",

@@ -33,14 +33,15 @@ entry point is a view of it:
   (:meth:`JointEngine._bracket_companion`), and
   :meth:`JointEngine.joint_probability_interval` is its ``1 x 1`` cell.
 
-Per-engine run counters (cache hits/misses, propagation steps, sparse
-products) are exposed as :attr:`JointEngine.stats`.
+The engines' work counters (cache hits/misses, propagation steps,
+sparse products, sweep points) go straight into the metrics registry as
+``repro_engine_*_total{engine=...}`` (:func:`repro.obs.count_engine`)
+while observability is on.
 """
 
 from __future__ import annotations
 
 import copy
-import threading
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
@@ -50,15 +51,10 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.algorithms.cache import EngineStats
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError, WorkerError
-from repro.obs import OBS, peak_rss_bytes, record_engine_stats
+from repro.obs import OBS, peak_rss_bytes
 from repro.obs import span as obs_span
-
-#: Per-thread nesting depth of :meth:`JointEngine._observed` blocks;
-#: stats deltas are published at depth 0 only (see its docstring).
-_OBS_DEPTH = threading.local()
 
 
 def richardson_bracket(coarse: np.ndarray, fine: np.ndarray,
@@ -238,15 +234,6 @@ class JointEngine(ABC):
                 f"discretisation or pseudo-Erlang engine for impulse "
                 f"rewards")
 
-    @property
-    def stats(self) -> EngineStats:
-        """Run counters of this engine instance (see
-        :class:`~repro.algorithms.cache.EngineStats`)."""
-        existing = getattr(self, "_stats", None)
-        if existing is None:
-            existing = self._stats = EngineStats()
-        return existing
-
     @contextmanager
     def _observed(self, name: str, histogram: Optional[str] = None,
                   **attributes) -> Iterator:
@@ -255,45 +242,22 @@ class JointEngine(ABC):
         With :mod:`repro.obs` disabled this degrades to yielding the
         inert no-op span (one flag check).  Enabled, it opens a tracer
         span named *name* carrying ``engine=`` plus *attributes*,
-        snapshots :attr:`stats` around the body, publishes the delta
-        to the metrics registry (``repro_engine_*_total``), and -- when
-        *histogram* is given -- records the wall duration there.
-
-        Stats are published by the *outermost* engine span of each
-        thread only: the interval brackets call a companion engine's
-        entry point and then ``merge`` its counters, so the outer delta
-        already contains the nested call's work -- publishing both
-        would double-count.  Sweep executors fold their worker clones
-        back into this engine before the outer span closes, so its
-        delta covers every unit.
+        samples the peak RSS when the body ends, and -- when
+        *histogram* is given -- records the wall duration there.  The
+        work counters are not its business: the code doing the work
+        counts it (:func:`repro.obs.count_engine`).
         """
         if not OBS.enabled:
             with obs_span(name) as null_span:
                 yield null_span
             return
-        depth = getattr(_OBS_DEPTH, "value", 0)
-        _OBS_DEPTH.value = depth + 1
-        # Labelled worker clones defer counter publication to the
-        # thread executor, which folds them back into the engine whose
-        # outer span publishes them -- self-publication here would
-        # depend on whether the pool ran the unit inline or on a fresh
-        # thread.
-        deferred = getattr(self, "_obs_worker_label", None) is not None
-        before = (self.stats.as_dict()
-                  if depth == 0 and not deferred else None)
         start = time.perf_counter()
         with OBS.tracer.span(name, engine=self.name,
                              **attributes) as span:
             try:
                 yield span
             finally:
-                _OBS_DEPTH.value = depth
                 elapsed = time.perf_counter() - start
-                if before is not None:
-                    after = self.stats.as_dict()
-                    delta = {key: after[key] - before[key]
-                             for key in after}
-                    record_engine_stats(OBS.metrics, self.name, delta)
                 rss = peak_rss_bytes()
                 if rss:
                     # Worker-labelled sample plus the derived roll-up
@@ -321,7 +285,8 @@ class JointEngine(ABC):
         every initial state in a single propagation.  It is the ``1 x
         1`` cell of :meth:`joint_probability_sweep`, so scalar and grid
         queries share one computation and one cache path; the
-        :attr:`stats` counters record hits and misses.
+        ``repro_engine_cache_*_total`` counters record hits and
+        misses.
         """
         with self._observed("joint_vector",
                             histogram="repro_engine_joint_vector_seconds",
@@ -516,8 +481,8 @@ class JointEngine(ABC):
         the engine's work units (:meth:`work_units`, run by the
         in-process :class:`~repro.exec.ThreadShardExecutor`) and then
         cached individually, so later scalar queries hit.
-        ``stats.sweep_points`` counts the grid cells served.  An engine
-        error propagates unchanged.
+        ``repro_engine_sweep_points_total`` counts the grid cells
+        served.  An engine error propagates unchanged.
         """
         from repro.exec.executor import ThreadShardExecutor
         return ThreadShardExecutor().sweep(self, model, times,
@@ -573,27 +538,24 @@ class JointEngine(ABC):
 
     def _worker_clone(self,
                       label: Optional[str] = None) -> "JointEngine":
-        """A shallow copy with a private :class:`EngineStats`.
+        """A shallow copy for one worker thread.
 
         The thread executor and :mod:`repro.algorithms.parallel` give
-        every worker its own clone so counter updates never race;
-        accuracy parameters (and hence cache tokens) are shared, so
-        clones interoperate with the result cache exactly like the
-        original.  *label* (e.g. ``"thread-3"``) tags the clone's
-        published engine-stats counters and RSS gauge with a
-        ``worker=`` label, mirroring the process executor's
-        ``process-N`` scheme.
+        every worker its own clone so its ``last_*`` diagnostics never
+        race; accuracy parameters (and hence cache tokens) are shared,
+        so clones interoperate with the result cache exactly like the
+        original.  *label* (e.g. ``"thread-3"``) tags the clone's RSS
+        gauge with a ``worker=`` label, mirroring the process
+        executor's ``process-N`` scheme.
         """
         clone = copy.copy(self)
-        clone._stats = EngineStats()
         clone._obs_worker_label = label
         return clone
 
     def _absorb(self, clone: "JointEngine") -> None:
         """Fold a finished worker clone (or bracket companion) back:
-        merge its counters and keep its ``last_*`` diagnostics (kernel,
-        truncation depth, expanded size)."""
-        self.stats.merge(clone.stats)
+        keep its ``last_*`` diagnostics (kernel, truncation depth,
+        expanded size)."""
         for name, value in vars(clone).items():
             if name.startswith("last_") and value is not None:
                 setattr(self, name, value)

@@ -24,9 +24,6 @@ a new object with a new fingerprint).  :func:`clear_caches` empties
 everything, which the benchmarks use to measure cold-cache timings.
 Every cache operation holds a per-cache lock, so the threaded fan-out
 (:mod:`repro.algorithms.parallel`) can share the caches safely.
-
-Per-engine run statistics (:class:`EngineStats`) live here as well so
-the numerics layer can update them without importing the engines.
 """
 
 from __future__ import annotations
@@ -34,108 +31,10 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-
-
-@dataclass
-class EngineStats:
-    """Mutable per-engine counters, exposed for benchmarks and tests.
-
-    Attributes
-    ----------
-    cache_hits, cache_misses:
-        Joint-vector queries answered from / missing
-        :data:`joint_cache`.
-    propagation_steps:
-        Discretisation steps or uniformisation series terms actually
-        iterated (cache hits add nothing).
-    matvec_count:
-        Number of sparse-matrix x dense-block products performed (one
-        product over a ``(n, b)`` block counts once, whatever ``b``).
-    sweep_points:
-        Grid points served through
-        :meth:`~repro.algorithms.base.JointEngine.\
-joint_probability_sweep` (a scalar query is one point; each point is
-        also accounted as a cache hit or miss).
-    cache_evictions:
-        Entries this engine's cache insertions pushed out of
-        :data:`joint_cache` (count or byte-size cap reached).  A
-        steadily growing value on a sweep workload means the grid no
-        longer fits the cache and repeated cells will recompute.
-
-    Thread safety: plain ``+=`` increments from the numerics hot loops
-    stay lock-free -- each in-flight computation owns a private stats
-    object (workers get clones), so increments are never contended.
-    The *cross-object* operations -- :meth:`merge`, :meth:`reset`,
-    :meth:`as_dict` -- are the points where one thread touches another
-    thread's object, and those hold a per-instance lock so a merge can
-    never interleave with a concurrent snapshot read.
-
-    With :mod:`repro.obs` enabled these counters are also published,
-    per engine call, into the process-wide metrics registry as
-    ``repro_engine_*_total{engine=...}`` -- the registry is the
-    primary ledger; this dataclass remains the per-engine
-    compatibility view.
-    """
-
-    cache_hits: int = 0
-    cache_misses: int = 0
-    propagation_steps: int = 0
-    matvec_count: int = 0
-    sweep_points: int = 0
-    cache_evictions: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
-
-    def reset(self) -> None:
-        """Zero every counter, atomically with respect to
-        :meth:`merge` and :meth:`as_dict` on the same object."""
-        with self._lock:
-            self.cache_hits = 0
-            self.cache_misses = 0
-            self.propagation_steps = 0
-            self.matvec_count = 0
-            self.sweep_points = 0
-            self.cache_evictions = 0
-
-    def merge(self, other: "EngineStats") -> None:
-        """Add another stats object's counters onto this one.
-
-        The threaded fan-out gives every worker a private stats object
-        and merges them (in deterministic task order) when all workers
-        have finished, so concurrent ``+=`` on shared counters never
-        happens.  The merge itself is atomic: *other* is snapshotted
-        under its own lock first (:meth:`as_dict`), then the sums are
-        applied under this object's lock, so a reader polling ``stats``
-        from another thread (a progress display, the obs publisher)
-        sees either none or all of a worker's contribution -- never a
-        half-merged state.  Taking the two locks sequentially rather
-        than nested keeps the operation deadlock-free whatever the
-        merge direction.
-        """
-        delta = other.as_dict()
-        with self._lock:
-            self.cache_hits += delta["cache_hits"]
-            self.cache_misses += delta["cache_misses"]
-            self.propagation_steps += delta["propagation_steps"]
-            self.matvec_count += delta["matvec_count"]
-            self.sweep_points += delta["sweep_points"]
-            self.cache_evictions += delta["cache_evictions"]
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters as a plain dict (JSON-friendly), snapshotted
-        atomically under the instance lock."""
-        with self._lock:
-            return {"cache_hits": self.cache_hits,
-                    "cache_misses": self.cache_misses,
-                    "propagation_steps": self.propagation_steps,
-                    "matvec_count": self.matvec_count,
-                    "sweep_points": self.sweep_points,
-                    "cache_evictions": self.cache_evictions}
 
 
 def value_nbytes(value: Any) -> int:
@@ -271,7 +170,7 @@ class LRUCache:
 #: ``(model fingerprint, engine token, t, r, target-mask bytes)``.
 #: Bounded both in entry count and total bytes: sweeps over large grids
 #: stay within a fixed memory budget, with LRU eviction reported via
-#: ``EngineStats.cache_evictions``.
+#: ``repro_engine_cache_evictions_total``.
 joint_cache = LRUCache(maxsize=4096, max_bytes=128 * 2 ** 20)
 
 #: Transformed sparse matrices (reward-step groups, expanded chains),

@@ -90,7 +90,7 @@ from repro.kernels import KernelBackend, note_selected, resolve_static
 from repro.kernels.base import (DiscretizationPropagator, ShiftPlan,
                                 StepOperator, build_shift_plan,
                                 make_operator)
-from repro.obs import OBS
+from repro.obs import OBS, count_engine
 from repro.obs import span as obs_span
 
 
@@ -243,8 +243,8 @@ class DiscretizationEngine(JointEngine):
         for j, reward in enumerate(rewards if positive_times else ()):
             if reward == 0.0:
                 values = zero_reward_bound_sweep(
-                    model, positive_times, indicator, stats=self.stats,
-                    kernel=backend)
+                    model, positive_times, indicator, kernel=backend,
+                    metrics_engine=self.name)
             else:
                 values = self._adjoint_column(
                     model, positive_times, float(reward), indicator,
@@ -307,8 +307,7 @@ class DiscretizationEngine(JointEngine):
                 weight = stepper.step()
                 if matvec_hist is not None:
                     matvec_hist.observe(time.perf_counter() - block_start)
-                self.stats.matvec_count += stepper.products_per_step
-                self.stats.propagation_steps += 1
+        self._count_steps(stepper, num_steps - 1)
         return out
 
     def final_density_batch(self,
@@ -356,9 +355,14 @@ class DiscretizationEngine(JointEngine):
                 density = stepper.step()
                 if matvec_hist is not None:
                     matvec_hist.observe(time.perf_counter() - block_start)
-                self.stats.matvec_count += stepper.products_per_step
-                self.stats.propagation_steps += 1
+        self._count_steps(stepper, num_steps - 1)
         return np.ascontiguousarray(density.transpose(1, 0, 2))
+
+    def _count_steps(self, stepper, steps: int) -> None:
+        """Count one finished run of *steps* propagation steps."""
+        steps = max(steps, 0)
+        count_engine(self.name, propagation_steps=steps,
+                     matvec_count=steps * stepper.products_per_step)
 
     # ------------------------------------------------------------------
     # scalar (single initial state) path -- the seed formulation

@@ -237,7 +237,8 @@ class ErlangEngine(JointEngine):
             if reward == 0.0:
                 grid[:, j, :] = zero_reward_bound_sweep(
                     model, times, indicator, epsilon=self.epsilon,
-                    stats=self.stats, kernel=self._backend_for(model))
+                    kernel=self._backend_for(model),
+                    metrics_engine=self.name)
                 continue
             expanded, barrier = erlang_expanded_model(model, float(reward),
                                                       self.phases)
@@ -250,8 +251,8 @@ class ErlangEngine(JointEngine):
             rows = transient_target_probabilities_sweep(
                 expanded, times,
                 self._expanded_indicator(expanded, indicator),
-                epsilon=self.epsilon, stats=self.stats,
-                kernel=backend, metrics_engine=self.name)
+                epsilon=self.epsilon, kernel=backend,
+                metrics_engine=self.name)
             grid[:, j, :] = np.clip(rows[:, 0:barrier:self.phases],
                                     0.0, 1.0)
         # t = 0 rows: Y_0 = 0 <= r whatever r.
@@ -379,8 +380,9 @@ def zero_reward_bound_sweep(model: MarkovRewardModel,
                             times: Sequence[float],
                             indicator: np.ndarray,
                             epsilon: float = 1e-12,
-                            stats=None,
-                            kernel: Kernel = None) -> np.ndarray:
+                            kernel: Kernel = None,
+                            metrics_engine: Optional[str] = None
+                            ) -> np.ndarray:
     """Exact ``Pr{Y_t <= 0, X_t in S'}`` for many time bounds at once.
 
     Transient analysis of the restricted chain of
@@ -388,13 +390,15 @@ def zero_reward_bound_sweep(model: MarkovRewardModel,
     every time bound (see
     :func:`~repro.numerics.uniformization.\
 transient_target_probabilities_sweep`); returns the ``(len(times),
-    |S|)`` array of per-initial-state values.
+    |S|)`` array of per-initial-state values.  *metrics_engine* counts
+    the series' steps against that engine.
     """
     times = [float(t) for t in times]
     restricted, masked = _zero_reward_restriction(model, indicator)
     rows = transient_target_probabilities_sweep(
         restricted, times, masked, epsilon=epsilon,
-        stats=stats, kernel=kernel)[:, :model.num_states]
+        kernel=kernel,
+        metrics_engine=metrics_engine)[:, :model.num_states]
     for i, t in enumerate(times):
         if t == 0.0:
             rows[i] = np.asarray(indicator, dtype=float)

@@ -15,14 +15,14 @@ Design rules, enforced here so callers do not have to think about
 them:
 
 * **Deterministic ordering** -- results come back in task order
-  whatever the completion order, and worker statistics are merged in
-  task order too, so repeated runs are bit-identical.
-* **Per-worker statistics** -- every task runs on a shallow *clone* of
-  the engine with a private :class:`~repro.algorithms.cache.\
-EngineStats`; the clones share the accuracy parameters (hence the
+  whatever the completion order, so repeated runs are bit-identical.
+* **Per-worker clones** -- every task runs on a shallow *clone* of
+  the engine; the clones share the accuracy parameters (hence the
   result cache entries, the caches are lock-protected) but never race
-  on counters.  After the join, the clones are folded back into the
-  engine (``JointEngine._absorb``).
+  on the ``last_*`` diagnostics.  After the join, the clones are
+  folded back into the engine (``JointEngine._absorb``).  Work
+  counters need no folding: every clone counts straight into the
+  metrics registry (:func:`repro.obs.count_engine`).
 * **Failure isolation** -- a raising worker does not poison the pool:
   its exception is wrapped in a :class:`~repro.errors.WorkerError`
   carrying the task index and label, not-yet-started tasks are
@@ -192,8 +192,6 @@ def parallel_joint_sweeps(engine,
     so the two reuse layers compose.
     """
     queries = list(queries)
-    # Unlabelled clones publish their counters from their own
-    # top-level sweep span, whichever thread runs them.
     clones = [engine._worker_clone() for _ in queries]
 
     def run(task):

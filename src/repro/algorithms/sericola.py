@@ -76,7 +76,7 @@ from repro.kernels.base import (SericolaPlan, SericolaSeries,
 from repro.numerics.poisson import poisson_weights, right_truncation_point
 from repro.numerics.uniformization import (
     Kernel, transient_target_probabilities, uniformized_operator)
-from repro.obs import OBS
+from repro.obs import OBS, count_engine
 from repro.obs import span as obs_span
 
 
@@ -209,7 +209,7 @@ class SericolaEngine(JointEngine):
                                           indicator)[0, 0]
         transient = transient_target_probabilities(
             model, t, indicator, epsilon=min(self.epsilon * 1e-3, 1e-14),
-            stats=self.stats, kernel=self._backend_for(model))
+            kernel=self._backend_for(model), metrics_engine=self.name)
         return np.clip(transient - joint, 0.0, 1.0)
 
     def joint_distribution_matrix(self,
@@ -383,7 +383,7 @@ class SericolaEngine(JointEngine):
             record_tail = record_psi.tail_from()
         tolerance = self.epsilon * 1e-2
         active = list(normal_points)
-        steps = 0
+        steps = matvecs = 0
         with obs_span("series_sweep", depth=depth_u,
                       points=len(normal_points) + len(trans)) as span:
             for n in range(1, depth_u + 1):
@@ -400,8 +400,7 @@ class SericolaEngine(JointEngine):
                             time.perf_counter() - block_start)
                     # Two operator applications per step: the u matvec
                     # and the one stacked-levels block product.
-                    self.stats.matvec_count += 2
-                    self.stats.propagation_steps += 1
+                    matvecs += 2
                     u = series.u
                     # w(n,k) = (1-x) w(n-1,k) + x w(n-1,k-1).
                     for x, mix in mixes.items():
@@ -422,8 +421,7 @@ class SericolaEngine(JointEngine):
                     # Past every series depth only the transient
                     # accumulations remain: advance u alone.
                     u = operator.matvec(u)
-                    self.stats.matvec_count += 1
-                    self.stats.propagation_steps += 1
+                    matvecs += 1
                 if record is not None:
                     record.record(n, record_psi.remaining_after(
                         n, record_tail))
@@ -431,6 +429,8 @@ class SericolaEngine(JointEngine):
                     if psi.left <= n <= psi.right:
                         grid[i, j] += psi.weights[n - psi.left] * u
             span.set(steps=steps)
+        count_engine(self.name, propagation_steps=steps,
+                     matvec_count=matvecs)
 
         for p in normal_points:
             grid[p["i"], p["j"]] = np.clip(p["joint"], 0.0, 1.0)

@@ -83,7 +83,7 @@ from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
 import numpy as np
 
 from repro.algorithms.base import PartialSweep, WorkUnit
-from repro.algorithms.cache import EngineStats, joint_cache
+from repro.algorithms.cache import joint_cache
 from repro.algorithms.parallel import (_record_deadline_missed,
                                        remaining, resolve_workers)
 from repro.errors import (NumericalError, RemoteTaskError,
@@ -92,7 +92,7 @@ from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.faultinject import FaultPlan
 from repro.exec.retry import BREAKERS, BreakerRegistry, RetryPolicy
 from repro.exec.worker import _checksum, worker_main
-from repro.obs import OBS, REGISTRY, record_engine_stats
+from repro.obs import OBS, REGISTRY, count_engine
 from repro.obs import span as obs_span
 from repro.obs.recorder import FlightRecorder, ResourceSampler
 from repro.obs.remote import merge_telemetry
@@ -128,6 +128,9 @@ class SweepGrid:
     serves cells from *checkpoint* (seeding the shared cache) and from
     the shared cache (one ``cache_hits`` each, every other cell one
     ``cache_misses``); :meth:`units` hands out the work for the rest.
+    The counters go to the engine-counter ledger
+    (:func:`repro.obs.count_engine`), as do the cache evictions of
+    every cell this grid stores.
     """
 
     def __init__(self, engine, model, times, rewards, target,
@@ -145,7 +148,6 @@ class SweepGrid:
         self.grid = np.full(shape, np.nan)
         self.completed = np.zeros(shape[:2], dtype=bool)
         self.failures: Dict[int, WorkerError] = {}
-        engine.stats.sweep_points += self.completed.size
         self.checkpoint: Optional[SweepCheckpoint] = None
         self._own_checkpoint = False
         self.resumed = 0
@@ -160,6 +162,7 @@ class SweepGrid:
             self.resumed = len(self.checkpoint.load_into(self.grid,
                                                          self.completed))
         from_cache = []
+        misses = 0
         for i, j in np.ndindex(*shape[:2]):
             key = self._key(i, j)
             if self.completed[i, j]:
@@ -170,12 +173,13 @@ class SweepGrid:
                 continue
             cached = joint_cache.get(key)
             if cached is None:
-                engine.stats.cache_misses += 1
+                misses += 1
                 continue
-            engine.stats.cache_hits += 1
             self.grid[i, j] = cached
             self.completed[i, j] = True
             from_cache.append(((i, j), self.grid[i, j]))
+        count_engine(engine.name, sweep_points=self.completed.size,
+                     cache_hits=len(from_cache), cache_misses=misses)
         if self.checkpoint is not None and from_cache:
             self.checkpoint.extend(from_cache)
 
@@ -188,7 +192,8 @@ class SweepGrid:
     def _cache(self, key: Tuple, vector: np.ndarray) -> None:
         frozen = np.array(vector, dtype=float)
         frozen.flags.writeable = False
-        self.engine.stats.cache_evictions += joint_cache.put(key, frozen)
+        count_engine(self.engine.name,
+                     cache_evictions=joint_cache.put(key, frozen))
 
     def label(self, i: int, j: int) -> str:
         return f"cell (t={self.times[i]}, r={self.rewards[j]})"
@@ -277,8 +282,8 @@ class ThreadShardExecutor:
     CPU, capped by the unit count) when the engine's
     :attr:`~repro.algorithms.base.JointEngine.parallel_units` says
     threads pay, else inline on the calling thread.  Threaded units run
-    on engine clones whose counters and ``last_*`` diagnostics are
-    folded back as each finishes.
+    on engine clones whose ``last_*`` diagnostics are folded back as
+    each finishes.
     """
 
     name = "thread"
@@ -613,7 +618,6 @@ class _Run:
         self.deadline = deadline
         self.sweep_id = sweep_id
         self.spec = engine.spec()
-        self.stats_before = engine.stats.as_dict()
         self.sweep = SweepGrid(engine, model, times, reward_bounds,
                                target, checkpoint)
         self.target_list = [int(s) for s in
@@ -640,7 +644,6 @@ class _Run:
         self.obs_enabled = bool(OBS.enabled)
         self.sweep_span: Optional[Any] = None
         self.sampler: Optional[ResourceSampler] = None
-        self._worker_stats: Dict[str, int] = {}
         self._started = time.monotonic()
         self._last_progress = 0.0
         if executor.recorder_dir is not None:
@@ -702,8 +705,6 @@ class _Run:
                 self._cleanup_recorders()
                 self.sweep.close()
             self._report_progress(time.monotonic(), force=True)
-            if self.obs_enabled:
-                self._publish_parent_stats(self.stats_before)
             result = self.sweep.result()
             span.set(unevaluated=len(result.unevaluated),
                      resumed=self.sweep.resumed,
@@ -712,25 +713,6 @@ class _Run:
             if self.aborted:
                 span.set(aborted=self.aborted)
             return result
-
-    def _publish_parent_stats(self, before: Dict[str, int]) -> None:
-        """Publish the parent's *own* engine-stats contribution.
-
-        Workers already shipped their per-unit deltas (merged with a
-        ``worker="process-N"`` label); what remains unlabelled is the
-        parent-local share -- the sweep-point count, cache hits and
-        misses, cache evictions from the merge side -- so the summed
-        counters match a thread-executor run of the same grid.
-        """
-        after = self.engine.stats.as_dict()
-        local = {}
-        for key, value in after.items():
-            delta = (value - before.get(key, 0)
-                     - self._worker_stats.get(key, 0))
-            if delta > 0:
-                local[key] = delta
-        if local:
-            record_engine_stats(OBS.metrics, self.engine.name, local)
 
     # -- observability plumbing ----------------------------------------
 
@@ -967,7 +949,7 @@ class _Run:
             self.breaker.record_failure()
 
     def _handle_result(self, worker: _Worker, message: Tuple) -> None:
-        _, seq, data, checksum, delta = message
+        _, seq, data, checksum = message
         task = worker.task
         if task is None or task.seq != seq:
             worker.last_span = None
@@ -985,13 +967,9 @@ class _Run:
         unit = self.units[task.key]
         block = np.frombuffer(data, dtype="<f8").reshape(
             len(unit.rows), len(unit.columns), self.model.num_states)
-        self.engine.stats.merge(EngineStats(**delta))
         self.sweep.complete(unit, block)
         self.breaker.record_success()
         if self.obs_enabled:
-            for key, value in delta.items():
-                self._worker_stats[key] = (
-                    self._worker_stats.get(key, 0) + value)
             OBS.metrics.histogram(
                 "repro_sweep_cell_seconds",
                 engine=self.engine.name).observe(elapsed)

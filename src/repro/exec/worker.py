@@ -22,9 +22,8 @@ Worker -> parent::
     ("need_model", fingerprint)            BLAKE2b handshake miss
     ("sweep_ok", sweep_id)                 sweep context installed
     ("heartbeat", monotonic_ts)            liveness (background thread)
-    ("result", seq, data, checksum, stats) unit block, raw float64
-                                           bytes + BLAKE2b checksum +
-                                           engine-stats delta
+    ("result", seq, data, checksum)        unit block, raw float64
+                                           bytes + BLAKE2b checksum
     ("error", seq, type, message, tb)      the engine raised
     ("telemetry", worker_id, payload)      observability delta (obs
                                            runs only): piggybacked
@@ -59,9 +58,8 @@ Design notes:
   worker applies it right before computing.  See
   :mod:`repro.exec.faultinject` for the kinds.
 * **Flight recorder** -- every task-level event (start with the
-  unit's cells, injected fault, completion with its stats delta,
-  engine error) is appended
-  to an fsynced per-worker JSONL sidecar
+  unit's cells, injected fault, completion with its wall time,
+  engine error) is appended to an fsynced per-worker JSONL sidecar
   (:class:`~repro.obs.recorder.FlightRecorder`) *before* the risky
   step runs, so after a crash or hang kill the parent can read what
   this worker was doing when it died.
@@ -70,7 +68,8 @@ Design notes:
   from a clean slate and ships a picklable delta of registry state,
   spans and convergence records after each task and once more on a
   clean stop (:func:`repro.obs.remote.export_telemetry`); the parent
-  merges and re-parents them.  Disabled, no telemetry message is ever
+  merges and re-parents them.  This is the only way a worker's engine
+  counters reach the parent.  Disabled, no telemetry message is ever
   sent -- the wire traffic is byte-identical to an unobserved run.
 """
 
@@ -207,7 +206,6 @@ def _run_task(context: _SweepContext, message: Tuple,
         time.sleep(sleep)
     _apply_pre_fault(fault, heartbeat)
     engine = context.engine
-    before = engine.stats.as_dict()
     try:
         indicator = engine._validate(context.model, 0.0, 0.0,
                                      context.target)
@@ -226,19 +224,15 @@ def _run_task(context: _SweepContext, message: Tuple,
         if obs_enabled:
             _send_telemetry(conn, send_lock, worker_id)
         return
-    after = engine.stats.as_dict()
-    delta = {key: after[key] - before[key] for key in after}
     if recorder is not None:
         recorder.record("task_done", seq=int(seq),
-                        seconds=round(time.monotonic() - started, 6),
-                        delta={key: value for key, value
-                               in delta.items() if value})
+                        seconds=round(time.monotonic() - started, 6))
     data = np.ascontiguousarray(block, dtype="<f8").tobytes()
     checksum = _checksum(data)
     if fault == "corrupt":
         data = _corrupt(data)
     with send_lock:
-        conn.send(("result", seq, data, checksum, delta))
+        conn.send(("result", seq, data, checksum))
     if obs_enabled:
         _send_telemetry(conn, send_lock, worker_id)
 

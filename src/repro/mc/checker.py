@@ -112,19 +112,6 @@ prepass`): ``"auto"`` (default) minimises the Theorem-1-reduced model
         when it has run no P3 query yet."""
         return self._last_lump
 
-    @property
-    def engine_stats(self) -> Dict[str, int]:
-        """Run counters of the joint-distribution engine.
-
-        Exposes the engine's :class:`~repro.algorithms.cache.\
-EngineStats` as a plain dict: ``cache_hits``/``cache_misses`` against
-        the shared joint-vector LRU (repeated identical until-checks
-        -- same model content, bounds and target -- are served from it
-        without re-propagating), plus ``propagation_steps`` and
-        ``matvec_count`` of the work actually performed.
-        """
-        return self.engine.stats.as_dict()
-
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
@@ -241,8 +228,7 @@ EngineStats` as a plain dict: ``cache_hits``/``cache_misses`` against
         are fanned out with :func:`~repro.algorithms.parallel.\\
 parallel_joint_sweeps`: each worker evaluates one reduced model's grid
         with the shared-prefix sweep, so the two reuse layers compose.
-        Results come back in *pairs* order and the workers' counters
-        are merged into :attr:`engine_stats`.
+        Results come back in *pairs* order.
         """
         works = [self._work(left, right) for left, right in pairs]
         grids = parallel_joint_sweeps(

@@ -30,7 +30,7 @@ from repro.errors import NumericalError
 from repro.kernels import KernelBackend, get_backend
 from repro.kernels.base import StepOperator, make_operator
 from repro.numerics.poisson import poisson_weights
-from repro.obs import OBS
+from repro.obs import OBS, count_engine
 from repro.obs import span as obs_span
 
 Kernel = Union[str, KernelBackend, None]
@@ -76,6 +76,14 @@ def _step_histogram(backend: KernelBackend,
                                  kernel=backend.name)
 
 
+def _count_series(metrics_engine: Optional[str], steps: int) -> None:
+    """Count a finished series of *steps* sparse products (one per
+    step) against *metrics_engine*, if any."""
+    if metrics_engine is not None:
+        count_engine(metrics_engine, propagation_steps=steps,
+                     matvec_count=steps)
+
+
 def _start_record(weights, **attributes):
     """Open a convergence record for a uniformisation loop (obs
     enabled only); returns ``(record, tail)`` or ``(None, None)``.
@@ -112,7 +120,6 @@ def transient_distribution(model: CTMC,
                            epsilon: float = 1e-12,
                            uniformization_rate: Optional[float] = None,
                            steady_state_detection: bool = True,
-                           stats=None,
                            kernel: Kernel = None,
                            metrics_engine: Optional[str] = None
                            ) -> np.ndarray:
@@ -137,11 +144,11 @@ def transient_distribution(model: CTMC,
     steady_state_detection:
         Stop the series early once the uniformised vector has converged
         (the remaining Poisson mass then multiplies a fixed vector).
-    stats:
-        Optional counter object with ``matvec_count`` and
-        ``propagation_steps`` attributes (e.g.
-        :class:`repro.algorithms.cache.EngineStats`); the series length
-        and the number of sparse products are added to it.
+    metrics_engine:
+        Engine the series is run for: with observability on, its steps
+        are timed into ``repro_matvec_block_seconds`` and counted into
+        ``repro_engine_propagation_steps_total`` and
+        ``repro_engine_matvec_total`` under ``engine=metrics_engine``.
     """
     if t < 0.0:
         raise NumericalError(f"time must be >= 0, got {t}")
@@ -176,9 +183,6 @@ def transient_distribution(model: CTMC,
             next_vector = operator.rmatvec(vector)
             if hist is not None:
                 hist.observe(time.perf_counter() - block_start)
-            if stats is not None:
-                stats.matvec_count += 1
-                stats.propagation_steps += 1
             if steady_state_detection and k >= weights.left:
                 if np.max(np.abs(next_vector - vector)) < tolerance:
                     # Steady state reached: the remaining Poisson mass
@@ -186,8 +190,10 @@ def transient_distribution(model: CTMC,
                     remaining = weights.weights[
                         k + 1 - weights.left:].sum()
                     result += remaining * next_vector
+                    _count_series(metrics_engine, k + 1)
                     return result
             vector = next_vector
+    _count_series(metrics_engine, weights.right)
     return result
 
 
@@ -196,7 +202,6 @@ def transient_target_probabilities(model: CTMC,
                                    indicator: Sequence[float],
                                    epsilon: float = 1e-12,
                                    uniformization_rate: Optional[float] = None,
-                                   stats=None,
                                    kernel: Kernel = None,
                                    metrics_engine: Optional[str] = None
                                    ) -> np.ndarray:
@@ -209,10 +214,8 @@ def transient_target_probabilities(model: CTMC,
     :func:`transient_distribution`.  Any real-valued vector is accepted,
     so this also evaluates ``E[f(X_t) | X_0 = i]`` for bounded ``f``.
 
-    *stats*, when given, is any object with ``matvec_count`` and
-    ``propagation_steps`` attributes (e.g.
-    :class:`repro.algorithms.cache.EngineStats`); the series length and
-    the number of sparse products are added to it.
+    *metrics_engine* attributes the series' steps in the metrics
+    registry, as for :func:`transient_distribution`.
     """
     if t < 0.0:
         raise NumericalError(f"time must be >= 0, got {t}")
@@ -247,9 +250,7 @@ def transient_target_probabilities(model: CTMC,
             vector = operator.matvec(vector)
             if hist is not None:
                 hist.observe(time.perf_counter() - block_start)
-            if stats is not None:
-                stats.matvec_count += 1
-                stats.propagation_steps += 1
+    _count_series(metrics_engine, weights.right)
     return result
 
 
@@ -259,7 +260,6 @@ def transient_target_probabilities_sweep(model: CTMC,
                                          epsilon: float = 1e-12,
                                          uniformization_rate:
                                          Optional[float] = None,
-                                         stats=None,
                                          kernel: Kernel = None,
                                          metrics_engine: Optional[str]
                                          = None) -> np.ndarray:
@@ -318,9 +318,7 @@ def transient_target_probabilities_sweep(model: CTMC,
             vector = operator.matvec(vector)
             if hist is not None:
                 hist.observe(time.perf_counter() - block_start)
-            if stats is not None:
-                stats.matvec_count += 1
-                stats.propagation_steps += 1
+    _count_series(metrics_engine, depth)
     return results
 
 
@@ -328,14 +326,16 @@ def transient_matrix(model: CTMC,
                      t: float,
                      epsilon: float = 1e-12,
                      uniformization_rate: Optional[float] = None,
-                     stats=None) -> np.ndarray:
+                     metrics_engine: Optional[str] = None) -> np.ndarray:
     """All-pairs transient probabilities ``Pi(t)[i, j] = Pr{X_t = j | X_0 = i}``.
 
     Computed in a **single** uniformisation pass over a dense identity
     block: the iterates ``P^k`` applied to ``I`` are accumulated with
     the Poisson weights, so every initial state advances through one
     sparse x dense product per series term instead of ``|S|``
-    independent vector runs.  Dense output of shape ``(n, n)``.
+    independent vector runs.  Dense output of shape ``(n, n)``;
+    *metrics_engine* counts the series' steps as for
+    :func:`transient_distribution`.
     """
     if t < 0.0:
         raise NumericalError(f"time must be >= 0, got {t}")
@@ -358,9 +358,7 @@ def transient_matrix(model: CTMC,
             if k == weights.right:
                 break
             block = operator.matmat(block)
-            if stats is not None:
-                stats.matvec_count += 1
-                stats.propagation_steps += 1
+    _count_series(metrics_engine, weights.right)
     return result.T
 
 
@@ -383,13 +381,14 @@ def expected_accumulated_reward(model,
                                 t: float,
                                 rewards: Optional[Sequence[float]] = None,
                                 epsilon: float = 1e-12,
-                                stats=None) -> float:
+                                metrics_engine: Optional[str] = None
+                                ) -> float:
     """Expected accumulated reward ``E[Y_t] = int_0^t E[rho(X_u)] du``.
 
     Uses the Poisson-tail formulation of the integral of the transient
-    distribution, so the cost is one uniformisation run.  *stats*, when
-    given, receives the series length and sparse-product count the way
-    :func:`transient_target_probabilities` does.
+    distribution, so the cost is one uniformisation run.
+    *metrics_engine* counts its steps as for
+    :func:`transient_distribution`.
     """
     if t < 0.0:
         raise NumericalError(f"time must be >= 0, got {t}")
@@ -424,9 +423,7 @@ def expected_accumulated_reward(model,
             total += tail * float(vector @ rho)
             if k < weights.right:
                 vector = operator.rmatvec(vector)
-                if stats is not None:
-                    stats.matvec_count += 1
-                    stats.propagation_steps += 1
+    _count_series(metrics_engine, weights.right)
     # Account for the (up to `left`) leading terms whose tail is 1 but
     # which the loop already covers, and normalise by the rate.
     return total / rate

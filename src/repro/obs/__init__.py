@@ -18,7 +18,7 @@ Two module-level objects carry all state:
     :class:`~repro.obs.convergence.ConvergenceRecorder` and a
     reference to ``REGISTRY``.  The flag gates everything *expensive*
     -- spans, per-iteration convergence samples, timing histograms,
-    engine-stats publishing -- so the disabled path costs one
+    the engine work counters -- so the disabled path costs one
     attribute load at each instrumentation point.
 
 Instrumented code uses the two helpers::
@@ -42,9 +42,8 @@ from typing import Any, Iterator, Optional
 
 from .convergence import ConvergenceRecorder, SeriesRecord
 from .httpd import MetricsServer, serve_metrics
-from .metrics import (DEFAULT_BUCKETS, ENGINE_STAT_COUNTERS, Counter,
-                      Gauge, Histogram, MetricsRegistry,
-                      peak_rss_bytes, record_engine_stats)
+from .metrics import (DEFAULT_BUCKETS, ENGINE_COUNTERS, Counter, Gauge,
+                      Histogram, MetricsRegistry, peak_rss_bytes)
 from .recorder import FlightRecorder, ResourceSampler
 from .remote import export_telemetry, merge_telemetry
 from .trace import _CURRENT, Span, Tracer
@@ -53,7 +52,7 @@ __all__ = [
     "OBS", "REGISTRY", "Observability", "span",
     "Tracer", "Span", "MetricsRegistry", "Counter", "Gauge",
     "Histogram", "ConvergenceRecorder", "SeriesRecord",
-    "DEFAULT_BUCKETS", "ENGINE_STAT_COUNTERS", "record_engine_stats",
+    "DEFAULT_BUCKETS", "ENGINE_COUNTERS", "count_engine",
     "peak_rss_bytes",
     "FlightRecorder", "ResourceSampler", "MetricsServer",
     "serve_metrics", "export_telemetry", "merge_telemetry",
@@ -142,3 +141,22 @@ def span(name: str, parent: Any = _CURRENT, **attributes: Any) -> Any:
     if OBS.enabled:
         return OBS.tracer.span(name, parent=parent, **attributes)
     return _NULL_SPAN
+
+
+def count_engine(engine: str, **amounts: float) -> None:
+    """Add *amounts* to the engine-counter ledger of *engine*.
+
+    Keys are :data:`~repro.obs.metrics.ENGINE_COUNTERS` fields
+    (``matvec_count=...``); each non-zero amount is added to its
+    ``repro_engine_*_total{engine=<engine>}`` counter.  The counters
+    count work performed -- including attempts an executor later
+    throws away -- and exist only while observability is on: disabled,
+    this is one flag check.  Hot loops count in local integers and
+    call this once per run.
+    """
+    if not OBS.enabled:
+        return
+    for field, amount in amounts.items():
+        if amount:
+            OBS.metrics.counter(ENGINE_COUNTERS[field],
+                                engine=engine).inc(amount)

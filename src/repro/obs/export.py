@@ -12,7 +12,9 @@ Three audiences, three formats:
   with per-phase wall/CPU time, cache hit ratios derived from the
   ``repro_engine_cache_*_total`` counters, and convergence summaries
   (Sericola truncation depth, uniformisation series length, final
-  residuals).
+  residuals);
+* benchmarks and tests read the engine-counter ledger as plain
+  integers (:func:`engine_totals`).
 
 :func:`span_shape` strips a tree down to names and nesting only --
 the CI golden test compares that shape across runs, which is why span
@@ -26,7 +28,7 @@ from typing import (IO, Any, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from .convergence import ConvergenceRecorder
-from .metrics import MetricsRegistry
+from .metrics import ENGINE_COUNTERS, MetricsRegistry
 from .trace import Span, Tracer
 
 # ----------------------------------------------------------------------
@@ -209,6 +211,26 @@ def cache_hit_ratios(registry: MetricsRegistry) -> Dict[str, Tuple[int, int]]:
                 misses += int(value)
             ratios[engine] = (hits, misses)
     return ratios
+
+
+def engine_totals(registry: MetricsRegistry,
+                  engine: Optional[str] = None) -> Dict[str, int]:
+    """The engine-counter ledger as plain integers.
+
+    Each :data:`~repro.obs.metrics.ENGINE_COUNTERS` family summed over
+    its label sets (worker labels included), keyed by counter field
+    (``matvec_count``, ``cache_hits``, ...); *engine* keeps only the
+    series labelled ``engine=<engine>``.
+    """
+    fields = {name: field for field, name in ENGINE_COUNTERS.items()}
+    totals = dict.fromkeys(ENGINE_COUNTERS, 0)
+    for metric in registry.collect():
+        field = fields.get(metric.name)
+        if field is not None and (
+                engine is None
+                or dict(metric.labels).get("engine") == engine):
+            totals[field] += int(metric.value)
+    return totals
 
 
 def _engine_from_label(label: str) -> str:

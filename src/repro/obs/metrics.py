@@ -1,9 +1,8 @@
 """Counters, gauges and log-scale histograms behind stable names.
 
 The registry is the library's single quantitative ledger: the engines
-publish their per-call :class:`~repro.algorithms.cache.EngineStats`
-deltas here (the dataclass stays as a thin per-engine compatibility
-view), the numerics layer adds timing histograms (matvec blocks,
+count their work here (:data:`ENGINE_COUNTERS`), the numerics layer
+adds timing histograms (matvec blocks,
 Fox--Glynn weight computation, per-grid-cell sweep latency), and the
 benchmark harness derives its ``BENCH_*.json`` rows from a registry
 snapshot instead of re-implementing timing.
@@ -404,9 +403,12 @@ class MetricsRegistry:
             return f"MetricsRegistry({len(self._metrics)} metrics)"
 
 
-#: Mapping from :class:`~repro.algorithms.cache.EngineStats` fields to
-#: the registry's stable counter names.
-ENGINE_STAT_COUNTERS: Dict[str, str] = {
+#: The engine-counter ledger: counter field -> registry counter name.
+#: The engines, the numerics helpers and the sweep executors add to
+#: these ``repro_engine_*_total{engine=...}`` counters directly (see
+#: :func:`repro.obs.count_engine`); they are the only store of the
+#: engines' work counters.
+ENGINE_COUNTERS: Dict[str, str] = {
     "cache_hits": "repro_engine_cache_hits_total",
     "cache_misses": "repro_engine_cache_misses_total",
     "propagation_steps": "repro_engine_propagation_steps_total",
@@ -414,23 +416,3 @@ ENGINE_STAT_COUNTERS: Dict[str, str] = {
     "sweep_points": "repro_engine_sweep_points_total",
     "cache_evictions": "repro_engine_cache_evictions_total",
 }
-
-
-def record_engine_stats(registry: MetricsRegistry, engine: str,
-                        delta: Dict[str, int],
-                        **labels: Any) -> None:
-    """Publish one call's :class:`EngineStats` delta into *registry*.
-
-    This is the absorption point that lets the registry supersede the
-    per-engine counters: every engine entry point snapshots its stats
-    before and after the computation and hands the difference here, so
-    ``repro_engine_*_total{engine=...}`` accumulate exactly what the
-    compatibility view counts.  Extra *labels* ride along -- the
-    threaded fan-out adds ``worker="thread-i"`` so its per-clone
-    deltas carry the same label scheme as merged process-worker
-    snapshots.
-    """
-    for field, name in ENGINE_STAT_COUNTERS.items():
-        amount = delta.get(field, 0)
-        if amount:
-            registry.counter(name, engine=engine, **labels).inc(amount)

@@ -5,7 +5,7 @@ only:
 
 * :class:`FlightRecorder` -- a per-worker activity log in the style of
   a cockpit flight recorder: every event (task start, injected fault,
-  task completion with its engine-stats delta, engine error) is
+  task completion with its wall time, engine error) is
   appended as one JSON line to a sidecar file and fsynced immediately,
   exactly like :class:`repro.exec.checkpoint.SweepCheckpoint` rows --
   so when the worker dies *without warning* (``os._exit``,

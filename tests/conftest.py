@@ -1,4 +1,5 @@
-"""Shared fixtures: small canonical models used across the test suite."""
+"""Shared fixtures: small canonical models used across the test suite,
+plus the engine-counter ledger reader."""
 
 from __future__ import annotations
 
@@ -7,6 +8,25 @@ import pytest
 
 from repro.ctmc import ModelBuilder
 from repro.models.adhoc import adhoc_model, reduced_q3_model
+from repro.obs import OBS
+from repro.obs.export import engine_totals
+
+
+def engine_counts(engine=None):
+    """The engine-counter ledger of the live registry: each
+    ``repro_engine_*_total`` family summed over its label sets, keyed by
+    counter field (``cache_hits``, ``matvec_count``, ...); *engine*
+    keeps only the series labelled ``engine=<engine>``.  The engines
+    publish these counters only while observability is on."""
+    return engine_totals(OBS.metrics, engine)
+
+
+@pytest.fixture
+def ledger():
+    """Observability on for the test, counters from zero; yields
+    :func:`engine_counts`."""
+    with OBS.capture():
+        yield engine_counts
 
 
 @pytest.fixture

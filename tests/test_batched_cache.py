@@ -92,18 +92,17 @@ class TestBatchedEquivalence:
 # ----------------------------------------------------------------------
 
 class TestJointVectorCache:
-    def test_second_identical_call_hits(self, flip_flop):
+    def test_second_identical_call_hits(self, flip_flop, ledger):
         clear_caches()
         engine = SericolaEngine()
-        engine.stats.reset()
         first = engine.joint_probability_vector(flip_flop, 1.0, 1.0, {1})
-        assert engine.stats.cache_misses == 1
-        assert engine.stats.cache_hits == 0
-        steps = engine.stats.propagation_steps
+        assert ledger()["cache_misses"] == 1
+        assert ledger()["cache_hits"] == 0
+        steps = ledger()["propagation_steps"]
         second = engine.joint_probability_vector(flip_flop, 1.0, 1.0, {1})
-        assert engine.stats.cache_hits == 1
+        assert ledger()["cache_hits"] == 1
         # no extra propagation work was done for the cached call
-        assert engine.stats.propagation_steps == steps
+        assert ledger()["propagation_steps"] == steps
         np.testing.assert_array_equal(first, second)
 
     def test_returned_vector_is_a_copy(self, flip_flop):
@@ -114,49 +113,47 @@ class TestJointVectorCache:
         second = engine.joint_probability_vector(flip_flop, 1.0, 1.0, {1})
         assert np.all(second >= 0.0)
 
-    def test_different_parameters_miss(self, flip_flop):
+    def test_different_parameters_miss(self, flip_flop, ledger):
         clear_caches()
         engine = ErlangEngine(phases=16)
-        engine.stats.reset()
         engine.joint_probability_vector(flip_flop, 1.0, 1.0, {1})
         engine.joint_probability_vector(flip_flop, 1.0, 2.0, {1})
         engine.joint_probability_vector(flip_flop, 2.0, 1.0, {1})
         engine.joint_probability_vector(flip_flop, 1.0, 1.0, {0})
-        assert engine.stats.cache_misses == 4
-        assert engine.stats.cache_hits == 0
+        assert ledger()["cache_misses"] == 4
+        assert ledger()["cache_hits"] == 0
         # a differently-parameterised engine must not share entries
         other = ErlangEngine(phases=32)
         other.joint_probability_vector(flip_flop, 1.0, 1.0, {1})
-        assert other.stats.cache_misses == 1
+        assert ledger()["cache_misses"] - 4 == 1
 
-    def test_content_identical_model_hits(self, flip_flop):
+    def test_content_identical_model_hits(self, flip_flop, ledger):
         """A rebuilt model with identical content is a cache hit."""
         clear_caches()
         engine = SericolaEngine()
-        engine.stats.reset()
         engine.joint_probability_vector(flip_flop, 1.0, 1.0, {1})
         clone = MarkovRewardModel(flip_flop.rate_matrix.copy(),
                                   rewards=flip_flop.rewards.copy())
         engine.joint_probability_vector(clone, 1.0, 1.0, {1})
-        assert engine.stats.cache_hits == 1
+        assert ledger()["cache_hits"] == 1
 
-    def test_checker_repeated_until_checks_hit(self, flip_flop):
+    def test_checker_repeated_until_checks_hit(self, flip_flop, ledger):
         clear_caches()
         checker = ModelChecker(flip_flop)
         formula = "P>=0.1 [ up U[0,2][0,1] down ]"
         checker.check(formula)
-        stats = checker.engine_stats
+        stats = ledger()
         assert stats["cache_misses"] >= 1
         assert stats["cache_hits"] == 0
         checker.clear_cache()          # drop the Sat-set memo ...
         checker.check(formula)         # ... so the engine is re-asked
-        stats = checker.engine_stats
+        stats = ledger()
         assert stats["cache_hits"] >= 1
         # a fresh checker over an equal model also hits: the key is the
         # reduced model's content fingerprint, not object identity
         fresh = ModelChecker(flip_flop)
         fresh.check(formula)
-        assert fresh.engine_stats["cache_hits"] >= 1
+        assert ledger()["cache_hits"] - stats["cache_hits"] >= 1
         assert joint_cache.info()["hits"] >= 2
 
 

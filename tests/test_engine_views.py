@@ -59,7 +59,7 @@ def test_vector_is_a_sweep_cell(request, engine_name, case):
 
 
 @pytest.mark.parametrize("engine_name,case", PARAMS)
-def test_interval_is_bound_or_bracket_of_cached_points(request,
+def test_interval_is_bound_or_bracket_of_cached_points(request, ledger,
                                                        engine_name, case):
     model, t, r, target, times, rewards = _query(request, case)
     clear_caches()
@@ -69,10 +69,10 @@ def test_interval_is_bound_or_bracket_of_cached_points(request,
     assert (widths is None) != (companion is None)
 
     point = engine.joint_probability_vector(model, t, r, target)
-    misses = engine.stats.cache_misses
+    misses = ledger()["cache_misses"]
     lower, upper = engine.joint_probability_interval(model, t, r, target)
     # The point is reused; only the companion's cell is computed.
-    assert engine.stats.cache_misses - misses == (
+    assert ledger()["cache_misses"] - misses == (
         0 if companion is None else 1)
 
     lower_grid, upper_grid = engine.joint_probability_interval_sweep(

@@ -1,0 +1,121 @@
+"""The engine-counter ledger, pinned.
+
+``repro_engine_*_total{engine=...}`` in the metrics registry is the
+only store of the engines' work counters.  These tests pin the summed
+totals of representative runs -- the paper's Q3 on each engine, a
+``(t, r)`` grid on the thread and process executors (with and without
+an injected fault), and a certified check -- so any change to where or
+how the engines count shows up as a changed number.  The counters count
+work performed: a unit attempt the process executor throws away (here
+a corrupted result) still counts.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import ModelChecker
+from repro.algorithms import (DiscretizationEngine, ErlangEngine,
+                              SericolaEngine, clear_caches)
+from repro.exec import ProcessShardExecutor
+from repro.models.adhoc import Q3
+from repro.obs import OBS, REGISTRY
+
+GRID_TIMES = [6.0, 12.0, 24.0]
+GRID_REWARDS = [200.0, 400.0, 600.0]
+LEFT, RIGHT = "call_idle | doze", "call_initiated"
+
+#: One fault-free 3x3 grid at d = 1/32: one adjoint run per reward
+#: column, 2301 sparse products in all.
+GRID_MATVECS = 2301
+
+#: The ledger's families, spelled out so the pins do not lean on the
+#: library's own reader.
+FAMILIES = {
+    "propagation_steps": "repro_engine_propagation_steps_total",
+    "matvec_count": "repro_engine_matvec_total",
+    "cache_hits": "repro_engine_cache_hits_total",
+    "cache_misses": "repro_engine_cache_misses_total",
+    "sweep_points": "repro_engine_sweep_points_total",
+}
+
+
+@pytest.fixture(autouse=True)
+def _cold():
+    clear_caches()
+    REGISTRY.reset()
+    yield
+    clear_caches()
+    REGISTRY.reset()
+
+
+def _counted(run):
+    """Totals over every label set of each family after *run*."""
+    with OBS.capture():
+        run()
+    snapshot = REGISTRY.snapshot()
+    return {field: int(sum(snapshot.get(name, {}).values()))
+            for field, name in FAMILIES.items()}
+
+
+@pytest.mark.parametrize("engine, steps, matvecs", [
+    (SericolaEngine(epsilon=1e-8), 594, 1188),
+    (ErlangEngine(phases=256), 2805, 2805),
+    (DiscretizationEngine(step=1.0 / 64), 1535, 1535),
+], ids=["sericola", "erlang", "discretization"])
+def test_q3_check(adhoc, engine, steps, matvecs):
+    counts = _counted(lambda: ModelChecker(adhoc, engine=engine).check(Q3))
+    assert counts["propagation_steps"] == steps
+    assert counts["matvec_count"] == matvecs
+    assert counts["cache_misses"] == 1
+    assert counts["sweep_points"] == 1
+    assert counts["cache_hits"] == 0
+
+
+def _grid(adhoc, executor):
+    checker = ModelChecker(adhoc,
+                           engine=DiscretizationEngine(step=1.0 / 32))
+
+    def run():
+        partial = checker.until_probability_sweep_partial(
+            LEFT, RIGHT, GRID_TIMES, GRID_REWARDS, executor=executor)
+        assert partial.complete
+
+    return _counted(run)
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_grid(adhoc, executor):
+    counts = _grid(adhoc, executor)
+    assert counts["matvec_count"] == GRID_MATVECS
+    assert counts["propagation_steps"] == GRID_MATVECS
+    assert counts["cache_misses"] == 9
+    assert counts["sweep_points"] == 9
+    assert counts["cache_hits"] == 0
+
+
+def test_grid_counts_discarded_attempt(adhoc):
+    """A corrupted result is thrown away and its unit re-run; both
+    attempts' work is counted: one more 767-step column."""
+    executor = ProcessShardExecutor(max_workers=2, faults="corrupt@0")
+    counts = _grid(adhoc, executor)
+    assert counts["matvec_count"] == GRID_MATVECS + 767 == 3068
+    assert counts["cache_misses"] == 9
+    assert counts["sweep_points"] == 9
+
+
+def test_certified_check(adhoc):
+    counts = _counted(lambda: ModelChecker(adhoc).check_certified(Q3))
+    assert counts["propagation_steps"] == 603
+    assert counts["matvec_count"] == 1206
+
+
+def test_obs_off_leaves_no_engine_family(adhoc):
+    assert not OBS.enabled
+    checker = ModelChecker(adhoc,
+                           engine=DiscretizationEngine(step=1.0 / 32))
+    checker.check(Q3)
+    checker.until_probability_sweep_partial(
+        LEFT, RIGHT, GRID_TIMES, GRID_REWARDS, executor="thread")
+    assert not any(name.startswith("repro_engine_")
+                   for name in REGISTRY.snapshot())

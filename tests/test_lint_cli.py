@@ -148,7 +148,7 @@ class TestAcceptanceScenario:
         assert "E001" in set(report.codes())
         assert report.has_errors
 
-    def test_certified_never_invokes_incompatible_engine(self):
+    def test_certified_never_invokes_incompatible_engine(self, ledger):
         model = model_io.load_mrm(str(MODELS / "impulse"))
         sericola = SericolaEngine()
         chain = (sericola, ErlangEngine(phases=64),
@@ -161,10 +161,10 @@ class TestAcceptanceScenario:
         assert "skipped (static)" in str(skipped[0])
         assert "E001" in skipped[0].reason
         # the engine was never invoked: all its counters stayed zero
-        stats = sericola.stats
-        assert (stats.cache_hits, stats.cache_misses,
-                stats.propagation_steps, stats.matvec_count,
-                stats.sweep_points) == (0, 0, 0, 0, 0)
+        stats = ledger("sericola")
+        assert (stats["cache_hits"], stats["cache_misses"],
+                stats["propagation_steps"], stats["matvec_count"],
+                stats["sweep_points"]) == (0, 0, 0, 0, 0)
 
     def test_preflight_false_forces_the_old_failure(self):
         from repro.errors import NumericalError

@@ -2,8 +2,8 @@
 
 Covers the tracer/metrics/convergence units, the JSON-lines
 round-trip, the worker-span attachment of the thread fan-out, the
-thread executor's deadline-missed counter, EngineStats atomicity --
-and the two bit-identity guarantees: observability on vs off never
+thread executor's deadline-missed counter, the engine-counter ledger
+-- and the two bit-identity guarantees: observability on vs off never
 changes engine outputs, and the disabled instrumentation path stays
 within noise on the Table-4 reference query.
 """
@@ -22,16 +22,15 @@ from hypothesis import strategies as st
 
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
                               SericolaEngine, clear_caches)
-from repro.algorithms.cache import EngineStats
 from repro.algorithms.parallel import remaining, threaded_map
 from repro.exec import ThreadShardExecutor
 from repro.mc.checker import ModelChecker
-from repro.obs import OBS, REGISTRY, span
+from repro.obs import OBS, REGISTRY, count_engine, span
 from repro.obs.convergence import ConvergenceRecorder
 from repro.obs.export import (build_tree, cache_hit_ratios, dump_jsonl,
                               parse_jsonl, record_shape,
                               render_profile, span_shape)
-from repro.obs.metrics import MetricsRegistry, record_engine_stats
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
 
@@ -178,15 +177,18 @@ class TestMetrics:
             registry.merge([{"name": "thing", "type": "sundial",
                              "labels": [], "value": 1.0}])
 
-    def test_record_engine_stats(self):
-        registry = MetricsRegistry()
-        record_engine_stats(registry, "sericola",
-                            {"cache_hits": 2, "matvec_count": 7})
-        snapshot = registry.snapshot()
+    def test_count_engine(self):
+        count_engine("sericola", cache_hits=2, matvec_count=7)
+        assert REGISTRY.snapshot() == {}  # observability off: no-op
+        with OBS.capture():
+            count_engine("sericola", cache_hits=2, matvec_count=7,
+                         cache_misses=0)
+        snapshot = REGISTRY.snapshot()
         label = '{engine="sericola"}'
         assert snapshot["repro_engine_cache_hits_total"][label] == 2
         assert snapshot["repro_engine_matvec_total"][label] == 7
-        assert cache_hit_ratios(registry) == {"sericola": (2, 0)}
+        assert "repro_engine_cache_misses_total" not in snapshot
+        assert cache_hit_ratios(REGISTRY) == {"sericola": (2, 0)}
 
 
 class TestConvergence:
@@ -249,7 +251,6 @@ class TestBitIdentical:
         grid_baseline = engine.joint_probability_sweep(
             flip_flop, [1.0, 2.0], [1.0, 3.0], [1])
         clear_caches()
-        engine.stats.reset()
         with OBS.capture():
             observed = engine.joint_probability_vector(
                 flip_flop, 2.0, 3.0, [1])
@@ -371,42 +372,6 @@ class TestParallelObservability:
     def test_worker_spans_absent_when_disabled(self):
         threaded_map(lambda item: item, [1, 2], max_workers=2)
         assert list(OBS.tracer.roots) == []
-
-
-# ----------------------------------------------------------------------
-# EngineStats atomicity (satellite of the registry absorption)
-
-
-class TestEngineStatsAtomicity:
-    def test_merge_is_atomic_under_concurrency(self):
-        total = EngineStats()
-        source = EngineStats()
-        source.cache_hits = 1
-        source.matvec_count = 2
-
-        def hammer():
-            for _ in range(500):
-                total.merge(source)
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert total.cache_hits == 8 * 500
-        assert total.matvec_count == 2 * 8 * 500
-
-    def test_self_merge(self):
-        stats = EngineStats()
-        stats.cache_hits = 3
-        stats.merge(stats)
-        assert stats.cache_hits == 6
-
-    def test_reset_under_lock(self):
-        stats = EngineStats()
-        stats.propagation_steps = 9
-        stats.reset()
-        assert stats.as_dict()["propagation_steps"] == 0
 
 
 # ----------------------------------------------------------------------

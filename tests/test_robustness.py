@@ -358,7 +358,8 @@ class TestPartialSweep:
                     assert (i, j) in partial.unevaluated
                     assert np.all(np.isnan(partial.grid[i, j]))
 
-    def test_completed_cells_survive_in_shared_cache(self, flip_flop):
+    def test_completed_cells_survive_in_shared_cache(self, flip_flop,
+                                                     ledger):
         clear_caches()
         engine = SlowSericola(epsilon=1e-8)
         deadline = time.monotonic() + 2.2 * SlowSericola.delay
@@ -369,10 +370,12 @@ class TestPartialSweep:
         # A retry without deadline completes the grid; the finished
         # cells are cache hits (no recomputation) and keep their values.
         fresh = SericolaEngine(epsilon=1e-8)
+        hits = ledger()["cache_hits"]
         resumed = fresh.joint_probability_sweep_partial(
             flip_flop, self.TIMES, self.REWARDS, [1])
         assert resumed.complete
-        assert fresh.stats.cache_hits >= int(partial.completed.sum())
+        assert ledger()["cache_hits"] - hits >= int(
+            partial.completed.sum())
         for i in range(len(self.TIMES)):
             for j in range(len(self.REWARDS)):
                 if partial.completed[i, j]:
@@ -584,7 +587,7 @@ class TestCacheEviction:
         assert cache.get("huge") is not None
         assert evicted == 0
 
-    def test_engine_counts_evictions(self, flip_flop):
+    def test_engine_counts_evictions(self, flip_flop, ledger):
         clear_caches()
         original = joint_cache.max_bytes
         joint_cache.max_bytes = 16
@@ -592,15 +595,22 @@ class TestCacheEviction:
             engine = SericolaEngine(epsilon=1e-8)
             for r in (0.5, 1.0, 1.5, 2.0):
                 engine.joint_probability_vector(flip_flop, 1.0, r, [1])
-            assert engine.stats.cache_evictions > 0
-            assert engine.stats.as_dict()["cache_evictions"] > 0
+            assert ledger("sericola")["cache_evictions"] > 0
         finally:
             joint_cache.max_bytes = original
             clear_caches()
 
-    def test_stats_merge_carries_evictions(self):
-        from repro.algorithms.cache import EngineStats
-        a, b = EngineStats(), EngineStats()
-        b.cache_evictions = 3
-        a.merge(b)
-        assert a.cache_evictions == 3
+    def test_stats_merge_carries_evictions(self, flip_flop, ledger):
+        """Evictions caused by worker clones reach the ledger."""
+        from repro.algorithms.parallel import parallel_joint_sweeps
+        clear_caches()
+        original = joint_cache.max_bytes
+        joint_cache.max_bytes = 16
+        try:
+            queries = [(flip_flop, [1.0], [r], [1]) for r in (0.5, 1.0)]
+            parallel_joint_sweeps(SericolaEngine(epsilon=1e-8), queries,
+                                  max_workers=2)
+            assert ledger("sericola")["cache_evictions"] > 0
+        finally:
+            joint_cache.max_bytes = original
+            clear_caches()

@@ -134,49 +134,49 @@ class TestSweepEquivalence:
 # ----------------------------------------------------------------------
 
 class TestSweepCache:
-    def test_scalar_prefills_sweep(self, three_level_chain):
+    def test_scalar_prefills_sweep(self, three_level_chain, ledger):
         engine = SericolaEngine(epsilon=1e-12)
         clear_caches()
         vector = engine.joint_probability_vector(three_level_chain,
                                                  1.0, 1.5, {2})
-        hits_before = engine.stats.cache_hits
+        hits_before = ledger()["cache_hits"]
         swept = engine.joint_probability_sweep(
             three_level_chain, [1.0, 2.0], [1.5], {2})
-        assert engine.stats.cache_hits == hits_before + 1
+        assert ledger()["cache_hits"] == hits_before + 1
         np.testing.assert_array_equal(swept[0, 0], vector)
 
-    def test_sweep_prefills_scalar(self, three_level_chain):
+    def test_sweep_prefills_scalar(self, three_level_chain, ledger):
         engine = SericolaEngine(epsilon=1e-12)
         clear_caches()
         swept = engine.joint_probability_sweep(
             three_level_chain, [1.0, 2.0], [0.5, 1.5], {2})
-        hits_before = engine.stats.cache_hits
+        hits_before = ledger()["cache_hits"]
         vector = engine.joint_probability_vector(three_level_chain,
                                                  2.0, 0.5, {2})
-        assert engine.stats.cache_hits == hits_before + 1
+        assert ledger()["cache_hits"] == hits_before + 1
         np.testing.assert_array_equal(vector, swept[1, 0])
 
-    def test_sweep_points_counter(self, flip_flop):
+    def test_sweep_points_counter(self, flip_flop, ledger):
         engine = DiscretizationEngine(step=1.0 / 8)
         clear_caches()
         engine.joint_probability_sweep(flip_flop, [1.0, 2.0],
                                        [1.0, 2.0, 4.0], {1})
-        assert engine.stats.sweep_points == 6
-        assert engine.stats.cache_misses == 6
+        assert ledger()["sweep_points"] == 6
+        assert ledger()["cache_misses"] == 6
         engine.joint_probability_sweep(flip_flop, [1.0, 2.0],
                                        [1.0, 2.0, 4.0], {1})
-        assert engine.stats.sweep_points == 12
-        assert engine.stats.cache_hits == 6
+        assert ledger()["sweep_points"] == 12
+        assert ledger()["cache_hits"] == 6
 
-    def test_partial_grid_only_computes_missing(self, flip_flop):
+    def test_partial_grid_only_computes_missing(self, flip_flop, ledger):
         engine = SericolaEngine(epsilon=1e-12)
         clear_caches()
         engine.joint_probability_sweep(flip_flop, [1.0], [1.0], {1})
-        misses_before = engine.stats.cache_misses
+        misses_before = ledger()["cache_misses"]
         engine.joint_probability_sweep(flip_flop, [1.0, 2.0],
                                        [1.0, 3.0], {1})
-        assert engine.stats.cache_misses == misses_before + 3
-        assert engine.stats.cache_hits >= 1
+        assert ledger()["cache_misses"] == misses_before + 3
+        assert ledger()["cache_hits"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +195,7 @@ class TestParallelFanOut:
         assert threaded_map(lambda x: x * x, items, max_workers=4) == \
             [x * x for x in items]
 
-    def test_parallel_sweeps_match_sequential(self):
+    def test_parallel_sweeps_match_sequential(self, ledger):
         models = [random_mrm(8, seed=s, reward_levels=(0.0, 1.0, 2.0))
                   for s in (1, 2, 3)]
         queries = [(m, [0.5, 1.0], [1.0, 2.0], {0, 1}) for m in models]
@@ -204,13 +204,16 @@ class TestParallelFanOut:
         sequential = [engine.joint_probability_sweep(*q)
                       for q in queries]
         clear_caches()
-        engine.stats.reset()
+        before = ledger()
         threaded = parallel_joint_sweeps(engine, queries, max_workers=3)
         for seq, thr in zip(sequential, threaded):
             np.testing.assert_array_equal(seq, thr)
-        # the clones' counters were merged back into the engine
-        assert engine.stats.sweep_points == 4 * len(queries)
-        assert engine.stats.cache_misses == 4 * len(queries)
+        # every clone's work reached the ledger
+        after = ledger()
+        assert after["sweep_points"] - before["sweep_points"] == (
+            4 * len(queries))
+        assert after["cache_misses"] - before["cache_misses"] == (
+            4 * len(queries))
 
     def test_erlang_threaded_columns_deterministic(self):
         model = random_mrm(8, seed=6, reward_levels=(0.0, 1.0, 2.0))
@@ -227,9 +230,10 @@ class TestParallelFanOut:
             grids.append(partial.grid)
         np.testing.assert_array_equal(grids[0], grids[1])
 
-    def test_thread_executor_stress_keeps_counters(self, flip_flop):
+    def test_thread_executor_stress_keeps_counters(self, flip_flop,
+                                                   ledger):
         """More unit threads than cores and a tiny switch interval: the
-        grid and the folded-back counters match the inline run."""
+        grid and the ledger's counters match the inline run."""
         import sys
         times, rewards = [0.5, 1.0], [0.25 * k for k in range(1, 13)]
         runs = []
@@ -239,9 +243,11 @@ class TestParallelFanOut:
             for workers in (1, 8):
                 clear_caches()
                 engine = DiscretizationEngine(step=1.0 / 16)
+                before = ledger()
                 partial = ThreadShardExecutor(max_workers=workers).run(
                     engine, flip_flop, times, rewards, {1})
-                runs.append((partial, engine.stats.as_dict()))
+                runs.append((partial, {key: value - before[key]
+                                       for key, value in ledger().items()}))
         finally:
             sys.setswitchinterval(interval)
         (inline, inline_stats), (threaded, threaded_stats) = runs
@@ -254,7 +260,6 @@ class TestParallelFanOut:
         engine = SericolaEngine(epsilon=1e-10)
         clone = engine._worker_clone()
         assert clone._cache_token() == engine._cache_token()
-        assert clone.stats is not engine.stats
 
 
 # ----------------------------------------------------------------------

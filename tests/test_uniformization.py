@@ -120,21 +120,23 @@ class TestBackwardTransient:
         chain = random_ctmc(4, 22)
         assert np.allclose(transient_matrix(chain, 0.0), np.eye(4))
 
-    def test_stats_plumbing(self):
-        from repro.algorithms.cache import EngineStats
+    def test_stats_plumbing(self, ledger):
         chain = random_ctmc(4, 23)
-        stats = EngineStats()
-        transient_distribution(chain, 1.3, stats=stats)
-        assert stats.matvec_count > 0
-        assert stats.propagation_steps == stats.matvec_count
-        before = stats.matvec_count
-        transient_matrix(chain, 1.3, stats=stats)
-        assert stats.matvec_count > before
+        transient_distribution(chain, 1.3, metrics_engine="test")
+        stats = ledger("test")
+        assert stats["matvec_count"] > 0
+        assert stats["propagation_steps"] == stats["matvec_count"]
+        before = stats["matvec_count"]
+        transient_matrix(chain, 1.3, metrics_engine="test")
+        assert ledger("test")["matvec_count"] > before
         model = MarkovRewardModel(chain.rate_matrix,
                                   rewards=[1.0, 0.0, 2.0, 0.5])
-        before = stats.matvec_count
-        expected_accumulated_reward(model, 1.3, stats=stats)
-        assert stats.matvec_count > before
+        before = ledger("test")["matvec_count"]
+        expected_accumulated_reward(model, 1.3, metrics_engine="test")
+        assert ledger("test")["matvec_count"] > before
+        # Without an engine to count against, nothing is counted.
+        transient_distribution(chain, 1.3)
+        assert ledger() == ledger("test")
 
 
 class TestExpectedRewards:
