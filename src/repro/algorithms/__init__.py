@@ -20,9 +20,8 @@ common interface (:class:`~repro.algorithms.base.JointEngine`):
 Each engine has one core, a whole ``(t, r)`` bound grid with a shared
 propagation prefix (:meth:`~repro.algorithms.base.JointEngine.\
 joint_probability_sweep`, run as :class:`~repro.algorithms.base.WorkUnit`
-blocks by :mod:`repro.exec`); scalar vectors and certified intervals are
-views of it.  :mod:`~repro.algorithms.parallel` fans genuinely
-independent queries -- distinct reduced models -- over threads.
+blocks by :mod:`repro.exec`, the one scheduler of every sweep); scalar
+vectors and certified intervals are views of it.
 """
 
 from repro.algorithms.base import (JointEngine, PartialSweep, WorkUnit,
@@ -33,7 +32,6 @@ from repro.algorithms.cache import (cache_info, clear_caches, joint_cache,
 from repro.algorithms.erlang import ErlangEngine, erlang_expanded_model
 from repro.algorithms.discretization import DiscretizationEngine
 from repro.algorithms.sericola import SericolaEngine
-from repro.algorithms.parallel import parallel_joint_sweeps, threaded_map
 
 __all__ = [
     "JointEngine", "get_engine", "available_engines",
@@ -42,5 +40,4 @@ __all__ = [
     "joint_cache", "matrix_cache", "value_nbytes",
     "ErlangEngine", "erlang_expanded_model",
     "DiscretizationEngine", "SericolaEngine",
-    "parallel_joint_sweeps", "threaded_map",
 ]

@@ -540,9 +540,9 @@ class JointEngine(ABC):
                       label: Optional[str] = None) -> "JointEngine":
         """A shallow copy for one worker thread.
 
-        The thread executor and :mod:`repro.algorithms.parallel` give
-        every worker its own clone so its ``last_*`` diagnostics never
-        race; accuracy parameters (and hence cache tokens) are shared,
+        The thread executor (:class:`~repro.exec.ThreadShardExecutor`)
+        gives every worker its own clone so its ``last_*`` diagnostics
+        never race; accuracy parameters (and hence cache tokens) are shared,
         so clones interoperate with the result cache exactly like the
         original.  *label* (e.g. ``"thread-3"``) tags the clone's RSS
         gauge with a ``worker=`` label, mirroring the process

@@ -22,8 +22,8 @@ Both caches store only derived, immutable data; entries are evicted in
 least-recently-used order, never invalidated (a mutated model would be
 a new object with a new fingerprint).  :func:`clear_caches` empties
 everything, which the benchmarks use to measure cold-cache timings.
-Every cache operation holds a per-cache lock, so the threaded fan-out
-(:mod:`repro.algorithms.parallel`) can share the caches safely.
+Every cache operation holds a per-cache lock, so the worker threads of
+:class:`~repro.exec.ThreadShardExecutor` can share the caches safely.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ class LRUCache:
     by the byte cap -- a single oversized value is admitted (and
     counted) rather than thrashing.
 
-    All operations hold an internal lock: the threaded fan-out of
-    :mod:`repro.algorithms.parallel` lets several workers consult and
-    fill the shared caches concurrently, and ``OrderedDict`` reordering
+    All operations hold an internal lock: the thread executor
+    (:class:`~repro.exec.ThreadShardExecutor`) lets several workers
+    consult and fill the shared caches concurrently, and ``OrderedDict`` reordering
     is not atomic under free threading.
 
     >>> cache = LRUCache(maxsize=2)

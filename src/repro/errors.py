@@ -63,25 +63,27 @@ class ConvergenceError(NumericalError):
 
 
 class WorkerError(NumericalError):
-    """One task of a threaded fan-out failed.
+    """One cell of a sweep failed for good.
 
-    Wraps the original exception together with the task's position in
-    the fan-out, so a failing grid cell or reward column can be
-    identified from the error alone.
+    Wraps the original exception together with the cell's position in
+    the grid, so a failing grid cell can be identified from the error
+    alone.  The executors of :mod:`repro.exec` record one per failed
+    cell in :attr:`~repro.algorithms.base.PartialSweep.failures`.
 
     Attributes
     ----------
     index:
-        0-based position of the task in the submitted sequence.
+        0-based position of the failing cell (the grid's row-major
+        index for executor failures).
     label:
-        Human-readable task description (e.g. ``"r=600.0"``), or
-        ``None`` when the caller provided no labels.
+        Human-readable cell description (e.g.
+        ``"cell (t=1.0, r=2.0)"``), or ``None``.
     cause:
         The exception the worker raised.
     flight_tail:
         The dying worker's last flight-recorder events (a tuple of
         plain dicts, see :class:`repro.obs.recorder.FlightRecorder`),
-        attached by the process executor; empty for thread-pool
+        attached by the process executor; empty for in-process
         failures and when no recorder ran.
     """
 
@@ -107,11 +109,12 @@ class WorkerError(NumericalError):
 
 
 class ParallelExecutionError(NumericalError):
-    """One or more tasks of a threaded fan-out failed.
+    """An executor-run sweep finished incomplete.
 
-    Raised once per fan-out after not-yet-started tasks have been
-    cancelled; :attr:`failures` carries one :class:`WorkerError` per
-    failing task (in task order), so callers see *every* failure, not
+    Raised once per sweep by :func:`repro.mc.until.joint_sweep` when a
+    sweep run on an explicit executor or checkpoint leaves cells
+    undone; :attr:`failures` carries one :class:`WorkerError` per
+    failing cell (in grid order), so callers see *every* failure, not
     just the first.
     """
 

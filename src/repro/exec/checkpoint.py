@@ -59,6 +59,8 @@ KIND = "repro-sweep-checkpoint"
 
 
 def _checksum(data: bytes) -> str:
+    """BLAKE2b-128 hex digest of *data*: checkpoint rows here, result
+    messages in :mod:`repro.exec.worker` and the executor."""
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 

@@ -67,6 +67,7 @@ PartialSweep` the threaded path does, through the same
 from __future__ import annotations
 
 import heapq
+import math
 import multiprocessing as mp
 import os
 import pickle
@@ -84,14 +85,12 @@ import numpy as np
 
 from repro.algorithms.base import PartialSweep, WorkUnit
 from repro.algorithms.cache import joint_cache
-from repro.algorithms.parallel import (_record_deadline_missed,
-                                       remaining, resolve_workers)
 from repro.errors import (NumericalError, RemoteTaskError,
                           WorkerCrashError, WorkerError)
-from repro.exec.checkpoint import SweepCheckpoint
+from repro.exec.checkpoint import SweepCheckpoint, _checksum
 from repro.exec.faultinject import FaultPlan
 from repro.exec.retry import BREAKERS, BreakerRegistry, RetryPolicy
-from repro.exec.worker import _checksum, worker_main
+from repro.exec.worker import worker_main
 from repro.obs import OBS, REGISTRY, count_engine
 from repro.obs import span as obs_span
 from repro.obs.recorder import FlightRecorder, ResourceSampler
@@ -104,6 +103,48 @@ START_METHOD_ENV = "REPRO_EXEC_START"
 #: How long a worker gets to exit after a ``("stop",)`` before it is
 #: terminated (and then killed) during shutdown.
 _SHUTDOWN_GRACE = 2.0
+
+#: Upper bound on the default worker count; sweep units are
+#: memory-bound sparse kernels, so more workers than this rarely help.
+_WORKER_CAP = 8
+
+
+def remaining(deadline: Optional[float]) -> float:
+    """Seconds left until *deadline* (an absolute ``time.monotonic()``
+    timestamp); ``math.inf`` when there is no deadline.
+
+    Every deadline comparison is ``remaining(deadline) <= 0.0`` and
+    every wait timeout is derived from the same value, so the slack
+    cannot drift between call sites.
+    """
+    if deadline is None:
+        return math.inf
+    return deadline - time.monotonic()
+
+
+def resolve_workers(max_workers: Optional[int], num_tasks: int) -> int:
+    """The effective worker count for *num_tasks* tasks.
+
+    ``None`` means ``min(cpu_count, 8, num_tasks)``; explicit values
+    are clipped to the task count (workers without work are never
+    started).
+    """
+    if num_tasks <= 0:
+        return 0
+    if max_workers is None:
+        available = os.cpu_count() or 1
+        return max(1, min(available, _WORKER_CAP, num_tasks))
+    return max(1, min(int(max_workers), num_tasks))
+
+
+def _record_deadline_missed(count: int) -> None:
+    """Count units abandoned because the sweep's deadline passed.
+
+    Recorded unconditionally (the registry is always on): a silent
+    timeout is precisely the situation observability must not lose.
+    """
+    if count > 0:
+        REGISTRY.counter("repro_deadline_missed_total").inc(count)
 
 
 def breaker_key(engine) -> str:
@@ -990,7 +1031,10 @@ class _Run:
         there is still time), or record the single cell's failure."""
         cells = self.sweep.fail(self.units[key], cause,
                                 getattr(cause, "flight_tail", ()))
-        if not cells or remaining(self.deadline) <= 0.0:
+        if not cells:
+            return
+        if remaining(self.deadline) <= 0.0:
+            _record_deadline_missed(len(cells))
             return
         REGISTRY.counter("repro_retry_total", reason="split").inc()
         self.executor.retries += 1
@@ -1006,7 +1050,9 @@ class _Run:
             self._give_up(key, cause)
             return
         if remaining(self.deadline) <= 0.0:
-            return  # no retry starts after the deadline
+            # No retry starts after the deadline: the unit is missed.
+            _record_deadline_missed(1)
+            return
         REGISTRY.counter("repro_retry_total", reason=reason).inc()
         self.executor.retries += 1
         delay = self.executor.retry.delay(key, count)

@@ -70,6 +70,8 @@ KINDS: Tuple[str, ...] = ("crash", "hang", "corrupt", "oom")
 
 
 def _unit_hash(*parts) -> float:
+    """A deterministic uniform-ish sample in ``[0, 1)`` from *parts*
+    (fault selection here, retry jitter in :mod:`repro.exec.retry`)."""
     digest = hashlib.blake2b(
         ":".join(str(part) for part in parts).encode("utf-8"),
         digest_size=8).digest()

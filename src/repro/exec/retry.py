@@ -25,22 +25,14 @@ registry (``repro_breaker_open_total{key=...}``).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 from repro.errors import NumericalError
+from repro.exec.faultinject import _unit_hash
 from repro.obs import REGISTRY
-
-
-def _unit_hash(*parts) -> float:
-    """A deterministic uniform-ish sample in ``[0, 1)`` from *parts*."""
-    digest = hashlib.blake2b(
-        ":".join(str(part) for part in parts).encode("utf-8"),
-        digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2.0 ** 64
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,6 @@ Design notes:
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import signal
@@ -86,6 +85,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.exec.checkpoint import _checksum
 from repro.obs import OBS, REGISTRY
 from repro.obs.recorder import FlightRecorder
 from repro.obs.remote import export_telemetry
@@ -93,10 +93,6 @@ from repro.obs.remote import export_telemetry
 #: Injected hangs sleep this long; the parent's heartbeat-staleness
 #: kill always fires first.
 HANG_SECONDS = 3600.0
-
-
-def _checksum(data: bytes) -> str:
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 class _Heartbeat(threading.Thread):

@@ -16,7 +16,6 @@ from typing import Dict, FrozenSet, Optional, Set, Union
 import numpy as np
 
 from repro.algorithms.base import JointEngine, get_engine
-from repro.algorithms.parallel import parallel_joint_sweeps
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import FormulaError, PreflightError
 from repro.logic import ast
@@ -215,27 +214,17 @@ prepass`): ``"auto"`` (default) minimises the Theorem-1-reduced model
                                  self.engine, executor=executor,
                                  checkpoint=checkpoint)
 
-    def until_probability_sweeps(self,
-                                 pairs,
-                                 times,
-                                 rewards,
-                                 max_workers: Optional[int] = None):
-        """One bound grid per ``(left, right)`` formula pair, threaded.
+    def until_probability_sweeps(self, pairs, times, rewards):
+        """One bound grid per ``(left, right)`` formula pair.
 
-        The satisfaction sets and reductions are computed serially on
-        the calling thread (the formula cache is not thread safe), then
-        the per-model grids -- genuinely independent computations --
-        are fanned out with :func:`~repro.algorithms.parallel.\\
-parallel_joint_sweeps`: each worker evaluates one reduced model's grid
-        with the shared-prefix sweep, so the two reuse layers compose.
-        Results come back in *pairs* order.
+        Each pair is reduced once and its grid runs through
+        :meth:`until_probability_sweep` -- the same thread executor,
+        and hence the same measured ``parallel_units`` policy, as any
+        single sweep.  Results come back in *pairs* order; an engine
+        error propagates unchanged.
         """
-        works = [self._work(left, right) for left, right in pairs]
-        grids = parallel_joint_sweeps(
-            self.engine,
-            [(work.model, times, rewards, work.target) for work in works],
-            max_workers=max_workers)
-        return [work.lift(grid) for work, grid in zip(works, grids)]
+        return [self.until_probability_sweep(left, right, times, rewards)
+                for left, right in pairs]
 
     def check_certified(self,
                         formula: FormulaLike,

@@ -16,7 +16,7 @@ timing histograms, labels for the engine dimension.  Histograms use
 bucket.
 
 Everything is standard library only; all mutation is lock-protected so
-the threaded fan-out can record concurrently.
+the thread executor's unit threads can record concurrently.
 """
 
 from __future__ import annotations

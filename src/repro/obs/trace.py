@@ -15,10 +15,10 @@ Spans are created through :meth:`Tracer.span`, a context manager::
 
 Nesting is tracked per thread (a thread-local stack), so concurrent
 queries trace independently.  Cross-thread attribution is explicit:
-the threaded fan-out of :mod:`repro.algorithms.parallel` captures the
-calling thread's current span before submitting work and opens
+the thread executor (:class:`repro.exec.ThreadShardExecutor`) captures
+the calling thread's current span before submitting work and opens
 worker-labelled child spans under it (``tracer.span(..., parent=p)``),
-so a sweep's grid columns appear as children of the sweep span, not as
+so a sweep's work units appear as children of the sweep span, not as
 detached roots.
 
 The tracer is deliberately dumb about output: finished root spans
@@ -150,8 +150,8 @@ class Tracer:
 
     def current(self) -> Optional[Span]:
         """The calling thread's innermost open span (``None`` outside
-        any span).  The threaded fan-out captures this *before*
-        submitting tasks so workers can attach to it explicitly."""
+        any span).  The thread executor captures this *before*
+        submitting units so workers can attach to it explicitly."""
         stack = self._stack()
         return stack[-1] if stack else None
 

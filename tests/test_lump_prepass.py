@@ -382,7 +382,7 @@ class TestOnePipelinePerQuery:
                  ("doze", "call_idle")]
         ModelChecker(adhoc.adhoc_model(),
                      engine=ENGINES["erlang"]()).until_probability_sweeps(
-            pairs, self.TIMES, self.REWARDS, max_workers=1)
+            pairs, self.TIMES, self.REWARDS)
         assert calls == {"reduce": 3, "prepare": 3}
 
     def test_veto_precedes_lumping(self):

@@ -1,8 +1,8 @@
 """Tests for the :mod:`repro.obs` observability layer.
 
 Covers the tracer/metrics/convergence units, the JSON-lines
-round-trip, the worker-span attachment of the thread fan-out, the
-thread executor's deadline-missed counter, the engine-counter ledger
+round-trip, the worker-span attachment of the thread executor, both
+executors' deadline-missed counter, the engine-counter ledger
 -- and the two bit-identity guarantees: observability on vs off never
 changes engine outputs, and the disabled instrumentation path stays
 within noise on the Table-4 reference query.
@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
                               SericolaEngine, clear_caches)
-from repro.algorithms.parallel import remaining, threaded_map
-from repro.exec import ThreadShardExecutor
+from repro.exec import ProcessShardExecutor, ThreadShardExecutor
+from repro.exec.executor import remaining
 from repro.mc.checker import ModelChecker
 from repro.obs import OBS, REGISTRY, count_engine, span
 from repro.obs.convergence import ConvergenceRecorder
@@ -321,7 +321,7 @@ class TestOverheadGuard:
 
 
 # ----------------------------------------------------------------------
-# parallel fan-out integration
+# executor integration
 
 
 class TestParallelObservability:
@@ -338,16 +338,28 @@ class TestParallelObservability:
             DiscretizationEngine(step=1.0 / 8), flip_flop, [1.0],
             [1.0, 2.0, 4.0], {1}, deadline=time.monotonic() - 1.0)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @staticmethod
+    def _faulted_process_sweep(flip_flop):
+        """The same three units on one worker process whose first
+        attempt returns a corrupt result 0.4 s in, after the 0.2 s
+        deadline: the unit can neither be retried nor finished."""
+        return ProcessShardExecutor(
+            max_workers=1, faults="corrupt@0;sleep=0.4").run(
+            DiscretizationEngine(step=1.0 / 8), flip_flop, [1.0],
+            [1.0, 2.0, 4.0], {1}, deadline=time.monotonic() + 0.2)
+
+    @pytest.mark.parametrize("workers", [1, 2, "process"])
     def test_deadline_missed_counter(self, workers, flip_flop):
         REGISTRY.reset()
         clear_caches()
-        partial = self._expired_sweep(flip_flop, workers)
-        assert partial.failures == ()
+        if workers == "process":
+            partial = self._faulted_process_sweep(flip_flop)
+        else:
+            partial = self._expired_sweep(flip_flop, workers)
         missed = REGISTRY.snapshot().get(
             "repro_deadline_missed_total", {}).get("", 0)
         done = int(partial.completed.any(axis=0).sum())
-        assert done + missed == 3
+        assert done + len(partial.failures) + missed == 3
         assert missed > 0 or done == 3  # at least recorded when skipped
 
     def test_sequential_deadline_counts_all_skipped(self, flip_flop):
@@ -357,20 +369,28 @@ class TestParallelObservability:
         missed = REGISTRY.snapshot()["repro_deadline_missed_total"][""]
         assert missed == 3
 
-    def test_worker_spans_attach_to_caller(self):
-        with OBS.capture():
-            with OBS.tracer.span("fanout"):
-                threaded_map(lambda item: item * 2, [1, 2, 3],
-                             max_workers=2,
-                             labels=["a", "b", "c"])
-        root, = OBS.tracer.roots
-        workers = [c for c in root.children if c.name == "worker"]
-        assert len(workers) == 3
-        assert {w.attributes["worker"] for w in workers} == {"a", "b",
-                                                             "c"}
+    @staticmethod
+    def _threaded_sweep(flip_flop):
+        """Three discretisation units on two unit threads."""
+        return ThreadShardExecutor(max_workers=2).sweep(
+            DiscretizationEngine(step=1.0 / 8), flip_flop, [1.0],
+            [1.0, 2.0, 4.0], {1})
 
-    def test_worker_spans_absent_when_disabled(self):
-        threaded_map(lambda item: item, [1, 2], max_workers=2)
+    def test_worker_spans_attach_to_caller(self, flip_flop):
+        clear_caches()
+        with OBS.capture():
+            with OBS.tracer.span("caller"):
+                self._threaded_sweep(flip_flop)
+        root, = OBS.tracer.roots
+        sweep, = [c for c in root.children if c.name == "joint_sweep"]
+        workers = [c for c in sweep.children if c.name == "worker"]
+        assert len(workers) == 3
+        assert {w.attributes["worker"] for w in workers} == {
+            "thread-0", "thread-1", "thread-2"}
+
+    def test_worker_spans_absent_when_disabled(self, flip_flop):
+        clear_caches()
+        self._threaded_sweep(flip_flop)
         assert list(OBS.tracer.roots) == []
 
 

@@ -12,16 +12,14 @@ import pytest
 
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
                               SericolaEngine, clear_caches, joint_cache,
-                              richardson_bracket, threaded_map,
-                              value_nbytes)
+                              richardson_bracket, value_nbytes)
 from repro.algorithms.base import JointEngine
 from repro.algorithms.cache import LRUCache
 from repro.ctmc import CTMC, ModelBuilder
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import (BudgetExhaustedError, ConvergenceError,
-                          ModelError, NumericalError,
-                          ParallelExecutionError, RewardError,
-                          UnsupportedFormulaError, WorkerError)
+                          ModelError, NumericalError, RewardError,
+                          UnsupportedFormulaError)
 from repro.mc import (Budget, CertifiedChecker, ModelChecker, Verdict,
                       interval_verdict)
 from repro.models import adhoc
@@ -269,44 +267,6 @@ class TestReferenceIntervals:
                 itertools.combinations(intervals, 2):
             assert np.all(np.maximum(lo1, lo2)
                           <= np.minimum(up1, up2) + 1e-12), (n1, n2)
-
-
-# ----------------------------------------------------------------------
-# satellite 2: worker failure isolation
-# ----------------------------------------------------------------------
-
-class TestWorkerFailureIsolation:
-    @staticmethod
-    def _flaky(item):
-        if item % 3 == 1:
-            raise ValueError(f"boom on {item}")
-        return item * 10
-
-    def test_threaded_map_wraps_failures_with_context(self):
-        # One worker per task, so nothing is cancelled and *both*
-        # failures are guaranteed to run and be collected.
-        with pytest.raises(ParallelExecutionError) as excinfo:
-            threaded_map(self._flaky, list(range(6)), max_workers=6,
-                         labels=[f"item-{i}" for i in range(6)])
-        error = excinfo.value
-        assert isinstance(error, NumericalError)
-        assert error.total == 6
-        indices = sorted(f.index for f in error.failures)
-        assert indices == [1, 4]
-        for failure in error.failures:
-            assert isinstance(failure, WorkerError)
-            assert f"item-{failure.index}" in str(failure)
-            assert "boom" in str(failure)
-            assert isinstance(failure.cause, ValueError)
-
-    def test_threaded_map_sequential_path_wraps_too(self):
-        with pytest.raises(ParallelExecutionError) as excinfo:
-            threaded_map(self._flaky, [1], max_workers=1)
-        assert excinfo.value.failures[0].index == 0
-
-    def test_threaded_map_success_unchanged(self):
-        assert threaded_map(lambda x: x + 1, [1, 2, 3],
-                            max_workers=2) == [2, 3, 4]
 
 
 # ----------------------------------------------------------------------
@@ -602,14 +562,16 @@ class TestCacheEviction:
 
     def test_stats_merge_carries_evictions(self, flip_flop, ledger):
         """Evictions caused by worker clones reach the ledger."""
-        from repro.algorithms.parallel import parallel_joint_sweeps
+        from repro.exec import ThreadShardExecutor
         clear_caches()
         original = joint_cache.max_bytes
         joint_cache.max_bytes = 16
         try:
-            queries = [(flip_flop, [1.0], [r], [1]) for r in (0.5, 1.0)]
-            parallel_joint_sweeps(SericolaEngine(epsilon=1e-8), queries,
-                                  max_workers=2)
+            engine = SericolaEngine(epsilon=1e-8)
+            # Sericola units run inline by default; force the clones.
+            engine.parallel_units = True
+            ThreadShardExecutor(max_workers=2).sweep(
+                engine, flip_flop, [1.0], [0.5, 1.0], [1])
             assert ledger("sericola")["cache_evictions"] > 0
         finally:
             joint_cache.max_bytes = original

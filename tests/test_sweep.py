@@ -1,4 +1,4 @@
-"""Sweep evaluation and threaded fan-out.
+"""Sweep evaluation and its executors.
 
 Covers the shared-prefix ``(t, r)`` grid layer on top of the engines:
 
@@ -10,13 +10,14 @@ Covers the shared-prefix ``(t, r)`` grid layer on top of the engines:
   grids containing the ``t == 0`` and ``r == 0`` edge rows;
 * sweep and scalar calls share the result cache per grid point, and
   ``stats.sweep_points`` accounts the grid cells served;
-* the threaded fan-out returns results in task order with merged
-  worker statistics, bit-identical to the sequential run;
+* the thread executor's unit threads count into the ledger and
+  return the inline run's grid bit for bit;
 * every executor -- inline, threads, worker processes, and processes
   with a checkpoint and injected faults -- returns the shared sweep's
   grid bit for bit, on every engine, with impulse rewards and on the
   ``t == 0`` / ``r == 0`` edges;
-* the model checker's grid API matches per-formula checks.
+* the model checker's grid API matches per-formula checks, and a
+  formula batch equals a loop of single-pair sweeps bit for bit.
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
-                              SericolaEngine, clear_caches, joint_cache,
-                              parallel_joint_sweeps, threaded_map)
-from repro.algorithms.parallel import resolve_workers
-from repro.errors import NumericalError
+                              SericolaEngine, clear_caches, joint_cache)
+from repro.errors import NumericalError, ParallelExecutionError
 from repro.exec import ProcessShardExecutor, ThreadShardExecutor
+from repro.exec.executor import resolve_workers
 from repro.mc.checker import ModelChecker
 from repro.models.adhoc import Q3_REWARD_BOUND, Q3_TIME_BOUND
 from repro.models.workloads import random_mrm
 from repro.numerics.uniformization import (
     transient_target_probabilities, transient_target_probabilities_sweep)
+from repro.obs import OBS
 
 
 def engines():
@@ -180,7 +181,7 @@ class TestSweepCache:
 
 
 # ----------------------------------------------------------------------
-# threaded fan-out
+# thread executor
 # ----------------------------------------------------------------------
 
 class TestParallelFanOut:
@@ -189,11 +190,6 @@ class TestParallelFanOut:
         assert resolve_workers(None, 3) <= 3
         assert resolve_workers(4, 2) == 2
         assert resolve_workers(1, 100) == 1
-
-    def test_threaded_map_keeps_order(self):
-        items = list(range(50))
-        assert threaded_map(lambda x: x * x, items, max_workers=4) == \
-            [x * x for x in items]
 
     def test_parallel_sweeps_match_sequential(self, ledger):
         models = [random_mrm(8, seed=s, reward_levels=(0.0, 1.0, 2.0))
@@ -204,8 +200,11 @@ class TestParallelFanOut:
         sequential = [engine.joint_probability_sweep(*q)
                       for q in queries]
         clear_caches()
+        # Sericola units run inline by default; force the pool.
+        engine.parallel_units = True
         before = ledger()
-        threaded = parallel_joint_sweeps(engine, queries, max_workers=3)
+        threaded = [ThreadShardExecutor(max_workers=3).sweep(engine, *q)
+                    for q in queries]
         for seq, thr in zip(sequential, threaded):
             np.testing.assert_array_equal(seq, thr)
         # every clone's work reached the ledger
@@ -344,19 +343,48 @@ class TestCheckerSweep:
                                            atol=1e-10)
 
     def test_multi_pair_fan_out(self, three_level_chain):
-        checker = ModelChecker(three_level_chain,
-                               engine=SericolaEngine(epsilon=1e-12))
+        """A formula batch is a loop of single-pair sweeps, in pair
+        order, bit for bit, on every engine."""
         times, rewards = [0.5, 1.5], [1.0, 3.0]
-        pairs = [("busy", "halt"), ("true", "halt")]
+        pairs = [("busy", "halt"), ("true", "halt"), ("true", "busy")]
+        for engine in engines():
+            checker = ModelChecker(three_level_chain, engine=engine)
+            clear_caches()
+            grids = checker.until_probability_sweeps(pairs, times,
+                                                     rewards)
+            assert len(grids) == len(pairs)
+            clear_caches()
+            for (left, right), grid in zip(pairs, grids):
+                direct = checker.until_probability_sweep(left, right,
+                                                         times, rewards)
+                assert np.array_equal(grid, direct), engine.name
+
+    def test_batch_follows_parallel_units(self, three_level_chain):
+        """Sericola units never pay for threads, so a batch of its
+        grids opens no ``worker`` span."""
+        checker = ModelChecker(three_level_chain,
+                               engine=SericolaEngine(epsilon=1e-10))
         clear_caches()
-        grids = checker.until_probability_sweeps(pairs, times, rewards,
-                                                 max_workers=2)
-        assert len(grids) == 2
+        with OBS.capture():
+            checker.until_probability_sweeps(
+                [("busy", "halt"), ("true", "halt")], [0.5, 1.5],
+                [1.0, 3.0])
+            names = {node.name for root in OBS.tracer.roots
+                     for node in root.walk()}
+        assert "joint_sweep" in names
+        assert "worker" not in names
+
+    def test_batch_raises_the_engine_error(self, adhoc):
+        """A grid the engine rejects raises the engine's own error, as
+        a single sweep does -- no fan-out wrapper."""
+        checker = ModelChecker(adhoc,
+                               engine=DiscretizationEngine(step=1.0 / 32))
         clear_caches()
-        for (left, right), grid in zip(pairs, grids):
-            direct = checker.until_probability_sweep(left, right,
-                                                     times, rewards)
-            np.testing.assert_allclose(grid, direct, atol=1e-12)
+        with pytest.raises(NumericalError) as excinfo:
+            checker.until_probability_sweeps(
+                [("true", "call_initiated")], [1.0], [2.0])
+        assert not isinstance(excinfo.value, ParallelExecutionError)
+        assert "max exit rate 255" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
