@@ -444,8 +444,8 @@ class JointEngine(ABC):
         through the shared result cache, so a later retry reuses all
         finished work.
 
-        *checkpoint* (a path or an open
-        :class:`~repro.exec.SweepCheckpoint`) makes progress durable:
+        *checkpoint* (the path of a :class:`~repro.exec.SweepCheckpoint`
+        file) makes progress durable:
         each finished unit's cells are flushed to the file in one
         write, cells already present are served without computing, and
         an interrupted run resumes from the file -- under any executor.

@@ -156,37 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "open breakers, RSS")
     check.set_defaults(handler=_cmd_check)
 
-    profile = sub.add_parser(
-        "profile",
-        help="run a formula with observability on and print only the "
-             "profile report")
-    profile.add_argument("--model", required=True,
-                         help="base path of the .tra/.lab/.rew files, "
-                              "or 'adhoc' for the case-study model")
-    profile.add_argument("--formula", required=True,
-                         help="CSRL state formula (or Q1/Q2/Q3 with "
-                              "--model adhoc)")
-    profile.add_argument("--engine", default="sericola",
-                         choices=available_engines(),
-                         help="engine for time+reward bounded until")
-    profile.add_argument("--kernel", default=None,
-                         choices=("numpy", "numba", "sparse", "dense"),
-                         help="propagation kernel backend (default: "
-                              "REPRO_KERNEL env var, else auto)")
-    profile.add_argument("--no-lump", action="store_true",
-                         help="disable the automatic lumping pre-pass")
-    profile.add_argument("--initial-state", type=int, default=0,
-                         help="0-based initial state index")
-    profile.add_argument("--epsilon", type=float, default=1e-9,
-                         help="numerical accuracy")
-    profile.add_argument("--trace-out", default=None, metavar="FILE",
-                         help="also write the JSON-lines span trace")
-    profile.add_argument("--shape", action="store_true",
-                         help="print the span-tree shape (names and "
-                              "nesting as JSON) instead of the human "
-                              "report -- the CI golden format")
-    profile.set_defaults(handler=_cmd_profile)
-
     case = sub.add_parser(
         "case-study",
         help="run the paper's ad hoc network case study (Section 5)")
@@ -263,10 +232,9 @@ def _resolve_formula(formula: str, model_path: str) -> str:
 
 def _make_engine(args):
     """The engine named by ``--engine``, on the ``--kernel`` backend."""
-    kernel = getattr(args, "kernel", None)
     if args.engine == "sericola":
-        return SericolaEngine(epsilon=args.epsilon, kernel=kernel)
-    return get_engine(args.engine, kernel=kernel)
+        return SericolaEngine(epsilon=args.epsilon, kernel=args.kernel)
+    return get_engine(args.engine, kernel=args.kernel)
 
 
 def _emit_capture(args) -> None:
@@ -274,11 +242,10 @@ def _emit_capture(args) -> None:
     from repro.obs import OBS
     from repro.obs.export import render_profile, write_jsonl
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            count = write_jsonl(OBS.tracer.spans(), handle)
+        count = write_jsonl(OBS.tracer.spans(), args.trace_out)
         print(f"trace: {count} spans written to {args.trace_out}",
               file=sys.stderr)
-    if getattr(args, "profile", False):
+    if args.profile:
         print()
         print(render_profile(OBS.tracer, OBS.metrics, OBS.convergence),
               end="")
@@ -506,37 +473,6 @@ def _print_flight_tail(failure, file=sys.stdout) -> None:
                           for key in sorted(event)
                           if key not in ("kind", "ts"))
         print(f"      {kind}: {detail}", file=file)
-
-
-def _cmd_profile(args) -> int:
-    """``repro profile``: run one check with observability on and
-    print the profile report (or the span-tree shape with --shape)."""
-    import json
-
-    from repro.obs import OBS
-    from repro.obs.export import (render_profile, span_shape,
-                                  write_jsonl)
-
-    model = _load_model(args.model, args.initial_state)
-    engine = _make_engine(args)
-    checker = ModelChecker(model, engine=engine, epsilon=args.epsilon,
-                           lump=False if args.no_lump else "auto")
-    formula = _resolve_formula(args.formula, args.model)
-    with OBS.capture():
-        result = checker.check(formula)
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            write_jsonl(OBS.tracer.spans(), handle)
-    if args.shape:
-        print(json.dumps(span_shape(list(OBS.tracer.roots)), indent=2))
-        return 0
-    print(f"{result}")
-    print(f"engine: {engine.name}  kernel: "
-          f"{getattr(engine, 'kernel', 'n/a')}")
-    print()
-    print(render_profile(OBS.tracer, OBS.metrics, OBS.convergence),
-          end="")
-    return 0
 
 
 def _cmd_case_study(args) -> int:

@@ -33,11 +33,11 @@ File format: one JSON object per line.
   crash mid-write, or duplicated are skipped/deduplicated on load; the
   affected cells are simply recomputed.
 
-Appends are lock-protected and flushed per call (``flush`` +
-``os.fsync``; :meth:`SweepCheckpoint.extend` writes a whole unit's
-rows at once), so concurrent worker threads may append and the rows
-are durable when the call returns.  The row format is per cell
-whatever the unit size, so files written one cell per fsync resume
+Rows are written through :class:`~repro.obs.recorder.RecordLog`
+(:meth:`SweepCheckpoint.extend` writes a whole unit's rows as one
+durable batch), so concurrent worker threads may append and the rows
+are on disk when the call returns.  The row format is per cell
+whatever the unit size, so files written one cell per batch resume
 unchanged.
 """
 
@@ -45,14 +45,14 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import os
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CheckpointError
+from repro.obs.recorder import RecordLog, read_records
 
 SCHEMA = 1
 KIND = "repro-sweep-checkpoint"
@@ -100,7 +100,7 @@ class SweepCheckpoint:
         self.header = header
         self._cells = cells
         self._lock = threading.Lock()
-        self._handle = open(path, "a", encoding="utf-8")
+        self._log = RecordLog(path)
 
     # ------------------------------------------------------------------
 
@@ -111,63 +111,47 @@ class SweepCheckpoint:
         """Open (resuming) or create the checkpoint for this sweep."""
         header = sweep_header(fingerprint, engine_token, times,
                               rewards, indicator)
-        cells: Dict[Tuple[int, int], np.ndarray] = {}
-        n = int(indicator.shape[0])
-        shape = (len(times), len(rewards))
-        if os.path.exists(path) and os.path.getsize(path) > 0:
-            cells = cls._load(path, header, shape, n)
-        else:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(header) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        return cls(path, header, cells)
+        fresh = not (os.path.exists(path) and os.path.getsize(path) > 0)
+        cells = {} if fresh else cls._load(
+            path, header, (len(times), len(rewards)),
+            int(indicator.shape[0]))
+        checkpoint = cls(path, header, cells)
+        if fresh:
+            checkpoint._log.append([header])
+        return checkpoint
 
     @staticmethod
     def _load(path: str, header: Dict, shape: Tuple[int, int],
               num_states: int) -> Dict[Tuple[int, int], np.ndarray]:
-        with open(path, "r", encoding="utf-8") as handle:
-            first = handle.readline()
-            try:
-                existing = json.loads(first)
-            except json.JSONDecodeError:
+        records = read_records(path)
+        if not records or records[0].get("kind") != KIND:
+            raise CheckpointError(f"{path} is not a sweep checkpoint")
+        existing = records[0]
+        for field in ("schema", "fingerprint", "engine", "times",
+                      "rewards", "target", "num_states"):
+            if existing.get(field) != header[field]:
                 raise CheckpointError(
-                    f"{path} is not a sweep checkpoint (unreadable "
-                    f"header line)") from None
-            if not (isinstance(existing, dict)
-                    and existing.get("kind") == KIND):
-                raise CheckpointError(
-                    f"{path} is not a sweep checkpoint")
-            for field in ("schema", "fingerprint", "engine", "times",
-                          "rewards", "target", "num_states"):
-                if existing.get(field) != header[field]:
-                    raise CheckpointError(
-                        f"checkpoint {path} was written for a "
-                        f"different sweep: field {field!r} is "
-                        f"{existing.get(field)!r}, this sweep needs "
-                        f"{header[field]!r}")
-            cells: Dict[Tuple[int, int], np.ndarray] = {}
-            for line in handle:
-                row = SweepCheckpoint._parse_row(line, shape,
-                                                 num_states)
-                if row is not None:
-                    cells[row[0]] = row[1]
-            return cells
+                    f"checkpoint {path} was written for a different "
+                    f"sweep: field {field!r} is "
+                    f"{existing.get(field)!r}, this sweep needs "
+                    f"{header[field]!r}")
+        cells: Dict[Tuple[int, int], np.ndarray] = {}
+        for record in records[1:]:
+            row = SweepCheckpoint._parse_row(record, shape, num_states)
+            if row is not None:
+                cells[row[0]] = row[1]
+        return cells
 
     @staticmethod
-    def _parse_row(line: str, shape: Tuple[int, int], num_states: int
+    def _parse_row(row: Dict[str, Any], shape: Tuple[int, int],
+                   num_states: int
                    ) -> Optional[Tuple[Tuple[int, int], np.ndarray]]:
         """One cell from a data row, or ``None`` when the row is
-        truncated, corrupt or out of range (the cell recomputes)."""
-        line = line.strip()
-        if not line:
-            return None
+        corrupt or out of range (the cell recomputes)."""
         try:
-            row = json.loads(line)
             i, j = (int(row["cell"][0]), int(row["cell"][1]))
             data = base64.b64decode(row["data"], validate=True)
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError,
-                IndexError):
+        except (KeyError, ValueError, TypeError, IndexError):
             return None
         if not (0 <= i < shape[0] and 0 <= j < shape[1]):
             return None
@@ -189,15 +173,15 @@ class SweepCheckpoint:
             return len(self._cells)
 
     def append(self, cell: Tuple[int, int], vector: np.ndarray) -> None:
-        """Record one completed cell, durably (flush + fsync)."""
+        """Record one completed cell, durably."""
         self.extend([(cell, vector)])
 
     def extend(self, cells: Iterable[Tuple[Tuple[int, int],
                                            np.ndarray]]) -> None:
         """Record completed ``(cell, vector)`` pairs -- a finished work
-        unit -- durably, with one write and one fsync; cells already
-        recorded are skipped."""
-        lines = []
+        unit -- as one durable batch; cells already recorded are
+        skipped."""
+        rows = []
         with self._lock:
             for cell, vector in cells:
                 i, j = int(cell[0]), int(cell[1])
@@ -206,15 +190,10 @@ class SweepCheckpoint:
                 data = np.ascontiguousarray(vector, dtype="<f8").tobytes()
                 self._cells[(i, j)] = np.asarray(vector,
                                                  dtype=float).copy()
-                lines.append(json.dumps(
-                    {"cell": [i, j],
-                     "data": base64.b64encode(data).decode("ascii"),
-                     "checksum": _checksum(data)}) + "\n")
-            if not lines:
-                return
-            self._handle.write("".join(lines))
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+                rows.append({"cell": [i, j],
+                             "data": base64.b64encode(data).decode("ascii"),
+                             "checksum": _checksum(data)})
+            self._log.append(rows)
 
     def load_into(self, grid: np.ndarray,
                   completed: np.ndarray) -> List[Tuple[int, int]]:
@@ -232,9 +211,7 @@ class SweepCheckpoint:
         return served
 
     def close(self) -> None:
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.close()
+        self._log.close()
 
     def __enter__(self) -> "SweepCheckpoint":
         return self

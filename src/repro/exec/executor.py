@@ -38,8 +38,8 @@ good is retried cell by cell so the fault costs only its own cell:
   sweep stops dispatching (remaining cells come back unevaluated) and
   the :class:`~repro.mc.certified.CertifiedChecker` fallback chain
   skips the engine until the cooldown expires.
-* **Checkpointed resume** -- with a checkpoint
-  (:class:`~repro.exec.checkpoint.SweepCheckpoint` or a path), every
+* **Checkpointed resume** -- with a checkpoint path (a
+  :class:`~repro.exec.checkpoint.SweepCheckpoint` file), every
   finished unit's cells are durably appended in one write the moment
   it arrives, cells already in the file are served without computing,
   and both are seeded into the shared joint-vector cache -- so an
@@ -175,7 +175,7 @@ class SweepGrid:
     """
 
     def __init__(self, engine, model, times, rewards, target,
-                 checkpoint: Union[None, str, SweepCheckpoint] = None):
+                 checkpoint: Optional[str] = None):
         self.engine = engine
         self.model = model
         self.times = [float(t) for t in times]
@@ -190,16 +190,11 @@ class SweepGrid:
         self.completed = np.zeros(shape[:2], dtype=bool)
         self.failures: Dict[int, WorkerError] = {}
         self.checkpoint: Optional[SweepCheckpoint] = None
-        self._own_checkpoint = False
         self.resumed = 0
         if checkpoint is not None:
-            if isinstance(checkpoint, SweepCheckpoint):
-                self.checkpoint = checkpoint
-            else:
-                self.checkpoint = SweepCheckpoint.open(
-                    str(checkpoint), model.fingerprint, self.token,
-                    self.times, self.rewards, self.indicator)
-                self._own_checkpoint = True
+            self.checkpoint = SweepCheckpoint.open(
+                os.fspath(checkpoint), model.fingerprint, self.token,
+                self.times, self.rewards, self.indicator)
             self.resumed = len(self.checkpoint.load_into(self.grid,
                                                          self.completed))
         from_cache = []
@@ -300,7 +295,7 @@ class SweepGrid:
                            for pos in sorted(self.failures)))
 
     def close(self) -> None:
-        if self._own_checkpoint and self.checkpoint is not None:
+        if self.checkpoint is not None:
             self.checkpoint.close()
 
 
@@ -334,8 +329,7 @@ class ThreadShardExecutor:
 
     def run(self, engine, model, times, reward_bounds, target,
             deadline: Optional[float] = None,
-            checkpoint: Union[None, str, SweepCheckpoint] = None
-            ) -> PartialSweep:
+            checkpoint: Optional[str] = None) -> PartialSweep:
         """The fault-isolating, deadline-bounded run behind
         :meth:`~repro.algorithms.base.JointEngine.\
 joint_probability_sweep_partial`."""
@@ -615,7 +609,7 @@ BREAKERS` the certified checker reads).
     def run(self, engine, model, times: Sequence[float],
             reward_bounds: Sequence[float], target: Iterable[int],
             deadline: Optional[float] = None,
-            checkpoint: Union[None, str, SweepCheckpoint] = None):
+            checkpoint: Optional[str] = None):
         """Evaluate the sweep grid; returns a
         :class:`~repro.algorithms.base.PartialSweep`.
 

@@ -24,34 +24,24 @@ the CI golden test compares that shape across runs, which is why span
 from __future__ import annotations
 
 import json
-from typing import (IO, Any, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .convergence import ConvergenceRecorder
 from .metrics import ENGINE_COUNTERS, MetricsRegistry
+from .recorder import RecordLog
 from .trace import Span, Tracer
 
 # ----------------------------------------------------------------------
 # JSON lines
 
 
-def write_jsonl(spans: Iterable[Span], handle: IO[str]) -> int:
-    """Write one flat JSON object per span; returns the line count."""
-    count = 0
-    for span in spans:
-        handle.write(json.dumps(span.to_dict(), sort_keys=True))
-        handle.write("\n")
-        count += 1
-    return count
-
-
-def dump_jsonl(tracer: Tracer) -> str:
-    """The tracer's finished spans as a JSON-lines string."""
-    import io
-
-    buffer = io.StringIO()
-    write_jsonl(tracer.spans(), buffer)
-    return buffer.getvalue()
+def write_jsonl(spans: Iterable[Span], path: str) -> int:
+    """Write one flat JSON object per span to a fresh file at *path*,
+    as one :class:`~repro.obs.recorder.RecordLog` batch; returns the
+    line count."""
+    with RecordLog(path, mode="w") as log:
+        return log.append(span.to_dict() for span in spans)
 
 
 def parse_jsonl(source: Union[str, Iterable[str]]) -> List[Dict[str, Any]]:
@@ -108,6 +98,18 @@ def build_tree(records: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
 # Shape (for golden comparisons)
 
 
+def _shape(name: str, children: Iterable[Dict[str, Any]]
+           ) -> Dict[str, Any]:
+    """One shape node: *children* sorted, then runs of equal ones
+    collapsed into one."""
+    collapsed: List[Dict[str, Any]] = []
+    for child in sorted(children,
+                        key=lambda s: json.dumps(s, sort_keys=True)):
+        if not collapsed or collapsed[-1] != child:
+            collapsed.append(child)
+    return {"name": name, "children": collapsed}
+
+
 def span_shape(spans: Sequence[Span]) -> List[Dict[str, Any]]:
     """Names and nesting only -- no ids, no timings, no attributes.
 
@@ -119,13 +121,7 @@ def span_shape(spans: Sequence[Span]) -> List[Dict[str, Any]]:
     """
 
     def shape(span: Span) -> Dict[str, Any]:
-        children = sorted((shape(c) for c in span.children),
-                          key=lambda s: json.dumps(s, sort_keys=True))
-        collapsed: List[Dict[str, Any]] = []
-        for child in children:
-            if not collapsed or collapsed[-1] != child:
-                collapsed.append(child)
-        return {"name": span.name, "children": collapsed}
+        return _shape(span.name, map(shape, span.children))
 
     return [shape(span) for span in spans]
 
@@ -140,13 +136,7 @@ def record_shape(roots: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """
 
     def shape(node: Dict[str, Any]) -> Dict[str, Any]:
-        children = sorted((shape(c) for c in node.get("children", ())),
-                          key=lambda s: json.dumps(s, sort_keys=True))
-        collapsed: List[Dict[str, Any]] = []
-        for child in children:
-            if not collapsed or collapsed[-1] != child:
-                collapsed.append(child)
-        return {"name": node["name"], "children": collapsed}
+        return _shape(node["name"], map(shape, node.get("children", ())))
 
     return [shape(node) for node in roots]
 

@@ -1,19 +1,24 @@
-"""Crash flight recorder and resource timelines.
+"""Durable JSON-lines records, crash flight recorder, resource timelines.
 
-Two diagnosis tools for the process executor, both standard library
-only:
+Standard library only:
 
+* :class:`RecordLog` -- the one durable-record writer: it appends a
+  batch of dicts as JSON lines under a lock with one write, one flush
+  and one ``os.fsync``, so the batch is on disk when the call returns.
+  Sweep checkpoints (:class:`repro.exec.checkpoint.SweepCheckpoint`),
+  flight-recorder sidecars and trace files
+  (:func:`repro.obs.export.write_jsonl`) all write through it.
+  :func:`read_records` is its tolerant reader: blank, truncated and
+  non-object lines (a process killed mid-write) are skipped, never
+  raised.
 * :class:`FlightRecorder` -- a per-worker activity log in the style of
   a cockpit flight recorder: every event (task start, injected fault,
-  task completion with its wall time, engine error) is
-  appended as one JSON line to a sidecar file and fsynced immediately,
-  exactly like :class:`repro.exec.checkpoint.SweepCheckpoint` rows --
-  so when the worker dies *without warning* (``os._exit``,
-  ``SIGKILL``, a hang kill) the parent reads the victim's last
-  recorded activity back with :meth:`FlightRecorder.read_tail` and
-  attaches it to the :class:`~repro.errors.WorkerError`.  A bounded
-  in-memory ring of the same events backs :meth:`tail` for the
-  in-process case.
+  task completion with its wall time, engine error) is one fsynced
+  record in a sidecar file, so when the worker dies *without warning*
+  (``os._exit``, ``SIGKILL``, a hang kill) the parent reads the
+  victim's last recorded activity back with
+  :meth:`FlightRecorder.read_tail` and attaches it to the
+  :class:`~repro.errors.WorkerError`.
 * :class:`ResourceSampler` -- a daemon thread sampling RSS and CPU
   time of a set of processes (``/proc/<pid>/stat`` where available)
   into bounded per-process time series: the gauge *history* behind the
@@ -21,9 +26,6 @@ only:
   ``repro_peak_rss_bytes`` gauge.  When given a registry, each sample
   also raises the per-worker ``repro_peak_rss_bytes{worker=...}``
   gauge.
-
-Corrupt or truncated sidecar lines (a worker killed mid-write) are
-skipped on read, never raised -- the tail is best-effort evidence.
 """
 
 from __future__ import annotations
@@ -33,96 +35,108 @@ import json
 import os
 import threading
 import time
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from .metrics import MetricsRegistry, peak_rss_bytes
 
-#: Default number of events kept in the ring / read back as the tail.
+#: Default number of events read back as a sidecar's tail.
 DEFAULT_TAIL_EVENTS = 32
 
 
-class FlightRecorder:
-    """Fsynced JSONL activity sidecar with an in-memory ring buffer.
+class RecordLog:
+    """An append-only JSON-lines file, durable per batch.
 
-    Each :meth:`record` call writes one ``{"ts": ..., "kind": ...,
-    ...}`` line and fsyncs it, so the file is complete up to the last
-    event *whatever* kills the process next.  The write cost is paid
-    per task-level event (a handful per sweep cell), not per engine
-    iteration, keeping it negligible next to the cell computation.
+    Each :meth:`append` writes its records (one ``json.dumps`` line
+    each, keys in insertion order) with one write, one flush and one
+    fsync under a lock, so concurrent threads may append and every
+    batch is complete on disk when the call returns.  *mode* ``"w"``
+    starts a fresh file instead of appending to an existing one.
     """
 
-    def __init__(self, path: str,
-                 limit: int = DEFAULT_TAIL_EVENTS):
+    def __init__(self, path: str, mode: str = "a"):
         self.path = str(path)
-        self.limit = int(limit)
-        self._ring: Deque[Dict[str, Any]] = collections.deque(
-            maxlen=self.limit)
         self._lock = threading.Lock()
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle = open(self.path, mode, encoding="utf-8")
 
-    def record(self, kind: str, **fields: Any) -> None:
-        """Append one event (and fsync it) -- never raises."""
-        event = {"ts": round(time.time(), 6), "kind": str(kind)}
-        event.update(fields)
-        with self._lock:
-            self._ring.append(event)
-            try:
-                self._handle.write(
-                    json.dumps(event, sort_keys=True) + "\n")
+    def append(self, records: Iterable[Dict[str, Any]]) -> int:
+        """Write *records* as one durable batch; returns their count."""
+        lines = [json.dumps(record) + "\n" for record in records]
+        if lines:
+            with self._lock:
+                self._handle.write("".join(lines))
                 self._handle.flush()
                 os.fsync(self._handle.fileno())
-            except (OSError, ValueError):  # pragma: no cover - disk
-                pass
-
-    def tail(self) -> Tuple[Dict[str, Any], ...]:
-        """The last events recorded through this instance."""
-        with self._lock:
-            return tuple(self._ring)
+        return len(lines)
 
     def close(self) -> None:
         with self._lock:
-            try:
-                self._handle.close()
-            except OSError:  # pragma: no cover
-                pass
+            self._handle.close()
 
-    def __enter__(self) -> "FlightRecorder":
+    def __enter__(self) -> "RecordLog":
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.close()
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.path!r})"
+
+
+def read_records(path: str) -> List[Dict[str, Any]]:
+    """The JSON-object lines of *path*, in file order.
+
+    Blank, truncated (a mid-write kill) and non-object lines are
+    skipped; a missing or unreadable file reads as empty.
+    """
+    try:
+        with open(path, "r", encoding="utf-8",
+                  errors="replace") as handle:
+            lines = handle.readlines()
+    except OSError:
+        return []
+    records: List[Dict[str, Any]] = []
+    for line in lines:
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records
+
+
+class FlightRecorder(RecordLog):
+    """A worker's activity sidecar: one fsynced record per event.
+
+    Each :meth:`record` call appends one ``{"ts": ..., "kind": ...,
+    ...}`` record, so the file is complete up to the last event
+    *whatever* kills the process next.  The write cost is paid per
+    task-level event (a handful per sweep cell), not per engine
+    iteration, keeping it negligible next to the cell computation.
+    """
+
+    def record(self, kind: str, **fields: Any) -> None:
+        """Append one event (and fsync it) -- never raises."""
+        event = {"ts": round(time.time(), 6), "kind": str(kind)}
+        event.update(fields)
+        try:
+            self.append([event])
+        except (OSError, ValueError):  # pragma: no cover - disk
+            pass
+
+    def close(self) -> None:
+        try:
+            super().close()
+        except OSError:  # pragma: no cover - disk
+            pass
+
     @staticmethod
     def read_tail(path: str, limit: int = DEFAULT_TAIL_EVENTS
                   ) -> Tuple[Dict[str, Any], ...]:
-        """The last *limit* valid events of a sidecar file.
-
-        Invalid lines (truncated by a mid-write kill) and unreadable
-        files yield fewer -- possibly zero -- events, never an error:
-        the caller is already handling a dead worker.
-        """
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return ()
-        events: List[Dict[str, Any]] = []
-        for line in reversed(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(event, dict):
-                events.append(event)
-                if len(events) >= limit:
-                    break
-        return tuple(reversed(events))
-
-    def __repr__(self) -> str:
-        return f"FlightRecorder({self.path!r}, limit={self.limit})"
+        """The last *limit* valid events of a sidecar file -- possibly
+        none, never an error: the caller is already handling a dead
+        worker."""
+        return tuple(read_records(path)[-limit:])
 
 
 def _read_proc_stat(pid: int) -> Optional[Tuple[int, float]]:

@@ -19,7 +19,7 @@ that rides home over the existing result pipe:
   (:meth:`~repro.obs.metrics.MetricsRegistry.merge`), re-parents the
   exported spans under the parent's live sweep span
   (:meth:`~repro.obs.trace.Tracer.adopt_segments`), and replays the
-  convergence series -- so ``repro profile --shape`` shows one
+  convergence series -- so ``repro check --profile`` shows one
   coherent tree and ``repro_engine_*_total`` are complete whether the
   sweep ran on threads or processes.
 

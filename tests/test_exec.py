@@ -9,6 +9,8 @@ crashes, hangs, kills) live in ``test_exec_chaos.py``.
 
 from __future__ import annotations
 
+import hashlib
+import math
 import pickle
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 
 from repro.algorithms import DiscretizationEngine
 from repro.algorithms.base import PartialSweep, get_engine
-from repro.algorithms.cache import clear_caches
+from repro.algorithms.cache import clear_caches, joint_cache
 from repro.errors import (CheckpointError, NumericalError,
                           ParallelExecutionError, RemoteTaskError,
                           WorkerCrashError, WorkerError)
@@ -370,6 +372,56 @@ class TestSweepCheckpoint:
         path.write_text("not json at all\n")
         with pytest.raises(CheckpointError):
             self._open(path)
+        # A cell row must never pass for the header: neither behind a
+        # torn header line nor as the file's first record.
+        source = tmp_path / "sweep.jsonl"
+        with self._open(source) as cp:
+            cp.append((0, 0), np.zeros(3))
+        header, row = source.read_text().splitlines()
+        for name, text in (("torn.jsonl", header[:len(header) // 2]
+                            + "\n" + row + "\n"),
+                           ("rows.jsonl", row + "\n" + row + "\n")):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(CheckpointError):
+                self._open(path)
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        """Resuming files written by earlier versions depends on these
+        exact bytes."""
+        path = tmp_path / "sweep.jsonl"
+        with SweepCheckpoint.open(str(path), "fp", ("eng", 1e-9),
+                                  [1.0, 2.0], [0.5, 0.7],
+                                  np.array([0.0, 0.0, 1.0])) as cp:
+            cp.extend([((0, 0), np.array([0.1, 1 / 3, math.pi])),
+                       ((1, 1), np.array([1e-300, 0.0, 2.0]))])
+            cp.append((0, 1), np.array([5.0, 6.0, 7.0]))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ea345abb4aa1ae86e92bc65dd7ad9f8b7014734530f3e88b1dc79ae519182ff8")
+
+    def test_open_checkpoint_is_refused(self, tmp_path):
+        """Only a path is accepted: an open checkpoint would skip the
+        identity check and serve another sweep's cells."""
+        from repro.models import adhoc
+        model = adhoc.adhoc_model()
+        target = model.labels_as_dict()["call_initiated"]
+        engine = get_engine("sericola", epsilon=1e-6)
+        indicator = np.zeros(model.num_states)
+        indicator[sorted(target)] = 1.0
+        with SweepCheckpoint.open(str(tmp_path / "other.jsonl"),
+                                  model.fingerprint,
+                                  engine._cache_token(), [1.0, 2.0],
+                                  [10.0], indicator) as other:
+            other.append((0, 0), np.full(model.num_states, 0.123))
+            other.append((1, 0), np.full(model.num_states, 0.456))
+            with pytest.raises(TypeError):
+                engine.joint_probability_sweep_partial(
+                    model, [5.0, 9.0], [300.0], target,
+                    checkpoint=other)
+        assert len(joint_cache) == 0
+        grid = engine.joint_probability_sweep(model, [5.0, 9.0],
+                                              [300.0], target)
+        assert not np.isin(grid, [0.123, 0.456]).any()
 
     def test_corrupt_and_truncated_rows_are_skipped(self, tmp_path):
         path = tmp_path / "sweep.jsonl"

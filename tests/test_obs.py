@@ -27,9 +27,9 @@ from repro.exec.executor import remaining
 from repro.mc.checker import ModelChecker
 from repro.obs import OBS, REGISTRY, count_engine, span
 from repro.obs.convergence import ConvergenceRecorder
-from repro.obs.export import (build_tree, cache_hit_ratios, dump_jsonl,
-                              parse_jsonl, record_shape,
-                              render_profile, span_shape)
+from repro.obs.export import (build_tree, cache_hit_ratios, parse_jsonl,
+                              record_shape, render_profile, span_shape,
+                              write_jsonl)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
@@ -209,13 +209,14 @@ class TestConvergence:
 
 
 class TestJsonlRoundTrip:
-    def test_shape_survives_disk(self, flip_flop):
+    def test_shape_survives_disk(self, flip_flop, tmp_path):
         clear_caches()
         with OBS.capture():
             checker = ModelChecker(flip_flop)
             checker.check("P>0.5 [ up U[0,1][0,3] down ]")
-        text = dump_jsonl(OBS.tracer)
-        records = parse_jsonl(text)
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(OBS.tracer.spans(), str(path))
+        records = parse_jsonl(path.read_text())
         assert records, "capture produced no spans"
         live_shape = span_shape(list(OBS.tracer.roots))
         disk_shape = record_shape(build_tree(records))

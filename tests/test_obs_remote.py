@@ -216,7 +216,7 @@ class TestTelemetryPayload:
 class TestFlightRecorder:
     def test_record_and_read_tail(self, tmp_path):
         path = str(tmp_path / "worker-0.jsonl")
-        with FlightRecorder(path, limit=3) as recorder:
+        with FlightRecorder(path) as recorder:
             for index in range(5):
                 recorder.record("task_start", cell=index)
         tail = FlightRecorder.read_tail(path, limit=3)
