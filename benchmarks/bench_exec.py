@@ -106,8 +106,7 @@ def exec_section(quick: bool, workers: int, tmp: Path) -> dict:
     grids["process"], process_seconds = _run(
         factory, model, target, times, rewards, executor=process())
 
-    chaos_executor = process(faults=CHAOS, heartbeat_interval=0.05,
-                             heartbeat_timeout=1.0)
+    chaos_executor = process(faults=CHAOS, heartbeat_timeout=1.0)
     grids["chaos"], chaos_seconds = _run(
         factory, model, target, times, rewards,
         executor=chaos_executor)

@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sweep execution substrate: 'thread' "
                             "(in-process, default) or 'process' "
                             "(crash-isolated worker processes with "
-                            "retries and per-task timeouts)")
+                            "retries and heartbeat hang detection)")
     check.add_argument("--checkpoint", default=None, metavar="FILE",
                        help="durable sweep checkpoint (JSONL): "
                             "each finished work unit's cells are "

@@ -251,29 +251,6 @@ with_rewards`, reductions, ...) returns a *new* instance, which gets a
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
-    @property
-    def rate_matrix_transposed(self) -> sp.csr_matrix:
-        """``R^T`` as CSR (cached; do not mutate).
-
-        The forward-propagation engines multiply by the transpose on
-        every step; converting once per model instead of once per call
-        is part of the engine-level caching layer.
-        """
-        cached = self._derived.get("RT")
-        if cached is None:
-            cached = self._rates.transpose().tocsr()
-            self._derived["RT"] = cached
-        return cached
-
-    @property
-    def rate_matrix_csc(self) -> sp.csc_matrix:
-        """The rate matrix in CSC layout (cached; do not mutate)."""
-        cached = self._derived.get("Rcsc")
-        if cached is None:
-            cached = self._rates.tocsc()
-            self._derived["Rcsc"] = cached
-        return cached
-
     def generator_matrix(self) -> sp.csr_matrix:
         """The infinitesimal generator ``Q = R - diag(E)`` (cached)."""
         cached = self._derived.get("Q")

@@ -143,14 +143,13 @@ class WorkerCrashError(NumericalError):
     reason:
         Why the worker was given up on: ``"crash"`` (process exited),
         ``"killed"`` (terminated by signal, e.g. an OOM kill),
-        ``"hang"`` (heartbeat went stale), ``"timeout"`` (per-task
-        wall-clock limit exceeded) or ``"corrupt"`` (result failed its
-        checksum).
+        ``"hang"`` (heartbeat went stale) or ``"corrupt"`` (result
+        failed its checksum).
     worker_id:
         Identifier of the worker process, or ``None``.
     exitcode:
         The process exit code (negative = killed by that signal), or
-        ``None`` when the process was still alive (hang/timeout).
+        ``None`` when the process was still alive (hang).
     flight_tail:
         The victim's last flight-recorder events (a tuple of plain
         dicts), read back from its fsynced sidecar by the parent;

@@ -23,10 +23,9 @@ good is retried cell by cell so the fault costs only its own cell:
   sentinel), its in-flight unit is retried on a respawned worker, and
   the restart is counted (``repro_worker_restart_total{reason=...}``).
 * **Hang detection** -- workers heartbeat on a background thread; a
-  busy worker whose heartbeat goes stale (or whose per-task wall-clock
-  timeout passes) is killed and replaced.
+  busy worker whose heartbeat goes stale is killed and replaced.
 * **Bounded retries** -- infrastructure failures (crash, kill, hang,
-  timeout, checksum-corrupt result) are retried with the
+  checksum-corrupt result) are retried with the
   :class:`~repro.exec.retry.RetryPolicy`'s exponential backoff and
   deterministic jitter; exceptions raised *by the engine* are
   deterministic and therefore not retried -- they surface as
@@ -70,7 +69,6 @@ import heapq
 import math
 import multiprocessing as mp
 import os
-import pickle
 import shutil
 import tempfile
 import time
@@ -96,13 +94,13 @@ from repro.obs import span as obs_span
 from repro.obs.recorder import FlightRecorder, ResourceSampler
 from repro.obs.remote import merge_telemetry
 
-#: Environment override for the multiprocessing start method
-#: (``fork`` where available, else ``spawn``).
-START_METHOD_ENV = "REPRO_EXEC_START"
-
 #: How long a worker gets to exit after a ``("stop",)`` before it is
 #: terminated (and then killed) during shutdown.
 _SHUTDOWN_GRACE = 2.0
+
+#: Minimum seconds between two ``progress`` callbacks of a run (the
+#: final snapshot always fires).
+_PROGRESS_INTERVAL = 0.5
 
 #: Upper bound on the default worker count; sweep units are
 #: memory-bound sparse kernels, so more workers than this rarely help.
@@ -451,19 +449,18 @@ class _Worker:
 
 
 class _Assignment(NamedTuple):
-    """One in-flight task: which unit, since when, until when."""
+    """One in-flight task: which unit, since when."""
 
     seq: int
     key: int
     started: float
-    deadline: Optional[float]
 
 
 class SweepProgress:
     """A point-in-time snapshot of a running process sweep.
 
-    Handed to the executor's ``progress`` callback (throttled to
-    ``progress_interval``); :meth:`render` formats the ``repro top``
+    Handed to the executor's ``progress`` callback (at most every
+    0.5 s, plus once at the end); :meth:`render` formats the ``repro top``
     style one-liner the CLI prints behind ``--progress``.
     """
 
@@ -520,14 +517,10 @@ class ProcessShardExecutor:
     max_workers:
         Worker process count; ``None`` resolves like the threaded
         executor (``min(cpu_count, 8, reward columns)``).
-    task_timeout:
-        Per-task wall-clock limit in seconds; an attempt exceeding it
-        has its worker killed and is retried.  ``None`` = no limit
-        (hangs are still caught by heartbeat staleness).
-    heartbeat_interval / heartbeat_timeout:
-        Workers beat every *interval* seconds; a busy worker silent
-        for *timeout* seconds (default ``max(10 * interval, 2.0)``) is
-        declared hung, killed and replaced.
+    heartbeat_timeout:
+        A busy worker silent for this many seconds (default 2.0) is
+        declared hung, killed and replaced; workers beat ten times per
+        timeout.  Must be positive and finite.
     retry:
         The :class:`~repro.exec.retry.RetryPolicy` for infrastructure
         failures (default policy: 3 retries, exponential backoff with
@@ -536,9 +529,6 @@ class ProcessShardExecutor:
         The :class:`~repro.exec.retry.BreakerRegistry` failures are
         recorded in (default: the shared :data:`~repro.exec.retry.\
 BREAKERS` the certified checker reads).
-    start_method:
-        ``multiprocessing`` start method (default: ``REPRO_EXEC_START``
-        env var, else ``fork`` where available, else ``spawn``).
     faults:
         Fault-injection spec string (:mod:`repro.exec.faultinject`)
         the scheduler applies to unit attempts; ``None`` reads
@@ -551,52 +541,44 @@ BREAKERS` the certified checker reads).
         when the run finishes -- tails are read *before* cleanup, so
         failures still carry them; an explicit path is kept for
         post-mortem inspection.
-    progress / progress_interval:
+    progress:
         Optional callback receiving a :class:`SweepProgress` snapshot
-        at most every *progress_interval* seconds (and once at the
-        end) while a run drives -- the CLI's ``--progress`` live line.
+        at most every 0.5 s (and once at the end) while a run drives
+        -- the CLI's ``--progress`` live line.
 
-    Workers are spawned per :meth:`run` call and always torn down
-    before it returns -- no worker outlives its sweep, and a worker
-    whose parent dies uncleanly (``kill -9``) notices the reparenting
-    through its heartbeat thread and exits on its own.
+    Workers are started per :meth:`run` call -- forked where the
+    platform offers ``fork``, else spawned -- with the sweep in their
+    arguments, and always torn down before it returns: no worker
+    outlives its sweep, and a worker whose parent dies uncleanly
+    (``kill -9``) notices the reparenting through its heartbeat thread
+    and exits on its own.
     """
 
     name = "process"
 
     def __init__(self, max_workers: Optional[int] = None,
-                 task_timeout: Optional[float] = None,
-                 heartbeat_interval: float = 0.2,
-                 heartbeat_timeout: Optional[float] = None,
+                 heartbeat_timeout: float = 2.0,
                  retry: Optional[RetryPolicy] = None,
                  breakers: Optional[BreakerRegistry] = None,
-                 start_method: Optional[str] = None,
                  faults: Optional[str] = None,
                  recorder_dir: Optional[str] = None,
                  progress: Optional[
-                     Callable[[SweepProgress], None]] = None,
-                 progress_interval: float = 0.5):
+                     Callable[[SweepProgress], None]] = None):
+        heartbeat_timeout = float(heartbeat_timeout)
+        if not 0.0 < heartbeat_timeout < math.inf:
+            raise NumericalError(
+                f"heartbeat_timeout must be positive and finite, got "
+                f"{heartbeat_timeout}")
         self.max_workers = max_workers
-        self.task_timeout = (None if task_timeout is None
-                             else float(task_timeout))
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.heartbeat_timeout = (
-            float(heartbeat_timeout) if heartbeat_timeout is not None
-            else max(10.0 * self.heartbeat_interval, 2.0))
+        self.heartbeat_timeout = heartbeat_timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.breakers = breakers if breakers is not None else BREAKERS
         self.faults = faults
         self.recorder_dir = recorder_dir
         self.progress = progress
-        self.progress_interval = float(progress_interval)
-        method = start_method or os.environ.get(START_METHOD_ENV)
-        if method is None:
-            method = ("fork" if "fork" in mp.get_all_start_methods()
-                      else "spawn")
-        self.start_method = method
-        self._context = mp.get_context(method)
+        self._context = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._closed = False
-        self._next_sweep_id = 0
         #: Lifetime counters (across runs) for tests and diagnostics.
         self.restarts = 0
         self.retries = 0
@@ -621,10 +603,8 @@ BREAKERS` the certified checker reads).
         """
         if self._closed:
             raise NumericalError("executor is closed")
-        self._next_sweep_id += 1
-        run = _Run(self, engine, model, times, reward_bounds, target,
-                   deadline, checkpoint, self._next_sweep_id)
-        return run.drive()
+        return _Run(self, engine, model, times, reward_bounds, target,
+                    deadline, checkpoint).drive()
 
     def close(self) -> None:
         """Mark the executor closed (workers are per-run; none linger)."""
@@ -638,25 +618,25 @@ BREAKERS` the certified checker reads).
 
     def __repr__(self) -> str:
         return (f"ProcessShardExecutor(max_workers={self.max_workers}, "
-                f"start_method={self.start_method!r})")
+                f"heartbeat_timeout={self.heartbeat_timeout})")
 
 
 class _Run:
     """State and scheduler loop of one :meth:`ProcessShardExecutor.run`."""
 
     def __init__(self, executor: ProcessShardExecutor, engine, model,
-                 times, reward_bounds, target, deadline, checkpoint,
-                 sweep_id: int):
+                 times, reward_bounds, target, deadline, checkpoint):
         self.executor = executor
         self.engine = engine
         self.model = model
         self.deadline = deadline
-        self.sweep_id = sweep_id
-        self.spec = engine.spec()
         self.sweep = SweepGrid(engine, model, times, reward_bounds,
                                target, checkpoint)
-        self.target_list = [int(s) for s in
-                            np.flatnonzero(self.sweep.indicator)]
+        #: What every worker of this run is started with (see
+        #: :func:`~repro.exec.worker.worker_main`).
+        self.worker_sweep = (
+            engine.spec(), model, self.sweep.times, self.sweep.rewards,
+            [int(s) for s in np.flatnonzero(self.sweep.indicator)])
         self.breaker = executor.breakers.breaker(breaker_key(engine))
         self.plan = (FaultPlan.parse(executor.faults)
                      if executor.faults is not None
@@ -672,7 +652,6 @@ class _Run:
         self.pending: List[Tuple[float, int, int]] = []  # heap
         self.attempts_failed: Dict[int, int] = {}
         self.aborted: Optional[str] = None
-        self._model_blob: Optional[bytes] = None
         # Observability state (tentpole wiring).  The enabled flag is
         # latched here so a mid-run toggle cannot desynchronise the
         # parent's merge side from what the workers were spawned with.
@@ -695,12 +674,6 @@ class _Run:
     def _label(self, key: int) -> str:
         times, rewards = self.sweep.bounds(self.units[key])
         return f"unit (t={times}, r={rewards})"
-
-    def model_blob(self) -> bytes:
-        if self._model_blob is None:
-            self._model_blob = pickle.dumps(
-                self.model, protocol=pickle.HIGHEST_PROTOCOL)
-        return self._model_blob
 
     def _schedule(self, unit: WorkUnit, ready: float) -> None:
         key = len(self.units)
@@ -833,7 +806,7 @@ class _Run:
         if callback is None:
             return
         if (not force and now - self._last_progress
-                < self.executor.progress_interval):
+                < _PROGRESS_INTERVAL):
             return
         self._last_progress = now
         try:
@@ -882,9 +855,7 @@ class _Run:
                 worker.dead = True
                 heapq.heappush(self.pending, (now, key, attempt))
                 continue
-            task_deadline = (None if self.executor.task_timeout is None
-                             else now + self.executor.task_timeout)
-            worker.task = _Assignment(seq, key, now, task_deadline)
+            worker.task = _Assignment(seq, key, now)
             worker.last_heartbeat = now
 
     def _fault_for(self, unit: WorkUnit) -> Optional[str]:
@@ -912,8 +883,6 @@ class _Run:
             if worker.task is not None:
                 wake.append(worker.last_heartbeat
                             + self.executor.heartbeat_timeout - now)
-                if worker.task.deadline is not None:
-                    wake.append(worker.task.deadline - now)
         left = remaining(self.deadline)
         if self.pending and left != float("inf"):
             wake.append(left)
@@ -953,15 +922,6 @@ class _Run:
     def _handle(self, worker: _Worker, message: Tuple) -> None:
         kind = message[0]
         if kind == "ready":
-            worker.last_heartbeat = time.monotonic()
-            worker.conn.send(
-                ("sweep", self.sweep_id, self.model.fingerprint,
-                 self.spec, self.sweep.times, self.sweep.rewards,
-                 self.target_list))
-        elif kind == "need_model":
-            worker.conn.send(("model", self.model.fingerprint,
-                              self.model_blob()))
-        elif kind == "sweep_ok":
             worker.acked = True
             worker.last_heartbeat = time.monotonic()
         elif kind == "heartbeat":
@@ -1082,14 +1042,9 @@ class _Run:
             self._worker_failed(worker, reason, exitcode)
 
     def _check_liveness(self, now: float) -> None:
-        """Kill busy workers that timed out or stopped heartbeating."""
+        """Kill busy workers that stopped heartbeating."""
         for worker in list(self.workers.values()):
-            task = worker.task
-            if task is None:
-                continue
-            if (task.deadline is not None and now > task.deadline):
-                self._kill(worker, "timeout")
-            elif (now - worker.last_heartbeat
+            if (worker.task is not None and now - worker.last_heartbeat
                     > self.executor.heartbeat_timeout):
                 self._kill(worker, "hang")
 
@@ -1127,10 +1082,10 @@ class _Run:
         process = context.Process(
             target=worker_main,
             args=(child_conn, worker_id,
-                  self.executor.heartbeat_interval,
-                  self.obs_enabled,
-                  self._recorder_path(worker_id)),
-            name=f"repro-exec-{self.sweep_id}-{worker_id}",
+                  self.executor.heartbeat_timeout / 10.0,
+                  self.obs_enabled, self._recorder_path(worker_id),
+                  self.worker_sweep),
+            name=f"repro-exec-{worker_id}",
             daemon=True)
         process.start()
         child_conn.close()

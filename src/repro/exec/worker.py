@@ -1,15 +1,13 @@
 """The worker-process side of the process shard executor.
 
 One worker is one OS process running :func:`worker_main` over a duplex
-pipe to the parent.  The protocol is deliberately tiny -- six message
-types each way -- and **content-addressed**: the parent never ships a
-model until the worker says it does not have it.
+pipe to the parent.  Workers live for one sweep: the parent hands each
+its sweep -- ``(engine_spec, model, times, rewards, target)`` -- in the
+``Process`` arguments, so the pipe carries only tasks and their
+answers.
 
 Parent -> worker::
 
-    ("sweep", sweep_id, fingerprint, engine_spec,
-              times, rewards, target)      start serving this sweep
-    ("model", fingerprint, blob)           pickled model payload
     ("task", seq, rows, columns, attempt,  evaluate one work unit (the
               fault, sleep)                cells rows x columns), after
                                            the injected fault / sleep
@@ -18,9 +16,7 @@ Parent -> worker::
 
 Worker -> parent::
 
-    ("ready", worker_id)                   alive, protocol begins
-    ("need_model", fingerprint)            BLAKE2b handshake miss
-    ("sweep_ok", sweep_id)                 sweep context installed
+    ("ready", worker_id)                   engine built, send tasks
     ("heartbeat", monotonic_ts)            liveness (background thread)
     ("result", seq, data, checksum)        unit block, raw float64
                                            bytes + BLAKE2b checksum
@@ -34,13 +30,12 @@ Worker -> parent::
 
 Design notes:
 
-* **Fingerprint handshake** -- the worker caches models by content
-  fingerprint across sweeps, so a long-lived worker pays the pickle
-  cost once per distinct model, and a respawned worker re-requests
-  automatically.  Engines are rebuilt from their
+* **Sweep at start** -- under ``fork`` the worker inherits the model;
+  under ``spawn`` multiprocessing serialises it once per worker.
+  Engines are rebuilt from their
   :meth:`~repro.algorithms.base.JointEngine.spec` (accuracy knobs +
-  kernel request), never pickled -- backends may hold unpicklable
-  jitted state.
+  kernel request), never shipped as instances -- backends may hold
+  jitted state that cannot be serialised.
 * **Heartbeats** -- a daemon thread beats every ``interval`` seconds
   whatever the compute thread is doing (the kernels release the GIL),
   so the parent can tell "still crunching" from "frozen".  The same
@@ -65,7 +60,7 @@ Design notes:
   this worker was doing when it died.
 * **Telemetry** -- when the parent captured observability
   (``obs_enabled``), the worker enables its own :data:`repro.obs.OBS`
-  from a clean slate and ships a picklable delta of registry state,
+  from a clean slate and ships a plain-data delta of registry state,
   spans and convergence records after each task and once more on a
   clean stop (:func:`repro.obs.remote.export_telemetry`); the parent
   merges and re-parents them.  This is the only way a worker's engine
@@ -76,7 +71,6 @@ Design notes:
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import threading
 import time
@@ -135,19 +129,17 @@ class _Heartbeat(threading.Thread):
 
 
 class _SweepContext:
-    """The installed sweep: model, rebuilt engine, grid axes, target."""
+    """This worker's sweep: model, rebuilt engine, grid axes, target."""
 
-    def __init__(self, sweep_id: int, fingerprint: str,
-                 engine_spec: Dict[str, Any], times, rewards, target):
+    def __init__(self, engine_spec: Dict[str, Any], model, times,
+                 rewards, target):
         from repro.algorithms.base import get_engine
-        self.sweep_id = sweep_id
-        self.fingerprint = fingerprint
+        self.model = model
         self.times = list(times)
         self.rewards = list(rewards)
         self.target = list(target)
         options = dict(engine_spec.get("options", {}))
         self.engine = get_engine(engine_spec["engine"], **options)
-        self.model = None  # installed once the payload arrives
 
 
 def _apply_pre_fault(fault: Optional[str],
@@ -234,9 +226,10 @@ def _run_task(context: _SweepContext, message: Tuple,
 
 
 def worker_main(conn, worker_id: int, heartbeat_interval: float,
-                obs_enabled: bool = False,
-                recorder_path: Optional[str] = None) -> None:
-    """Entry point of one worker process (see the module docstring)."""
+                obs_enabled: bool, recorder_path: Optional[str],
+                sweep: Tuple) -> None:
+    """Entry point of one worker process (see the module docstring);
+    *sweep* is ``(engine_spec, model, times, rewards, target)``."""
     if obs_enabled:
         # Start from a clean slate: under the fork start method this
         # process inherited the parent's registry and spans, which the
@@ -251,9 +244,8 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float,
     send_lock = threading.Lock()
     heartbeat = _Heartbeat(conn, send_lock, heartbeat_interval)
     heartbeat.start()
-    models: Dict[str, Any] = {}
-    context: Optional[_SweepContext] = None
     try:
+        context = _SweepContext(*sweep)
         with send_lock:
             conn.send(("ready", worker_id))
         while True:
@@ -261,43 +253,16 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float,
                 message = conn.recv()
             except (EOFError, OSError):
                 break  # parent is gone
-            kind = message[0]
-            if kind == "stop":
+            if message[0] == "stop":
                 if obs_enabled:
                     # Final drain: whatever accumulated since the last
                     # task (idle spans, stragglers) goes home before
                     # the pipe closes.
                     _send_telemetry(conn, send_lock, worker_id)
                 break
-            elif kind == "sweep":
-                context = _SweepContext(*message[1:])
-                model = models.get(context.fingerprint)
-                if model is None:
-                    with send_lock:
-                        conn.send(("need_model", context.fingerprint))
-                else:
-                    context.model = model
-                    with send_lock:
-                        conn.send(("sweep_ok", context.sweep_id))
-            elif kind == "model":
-                _, fingerprint, blob = message
-                models[fingerprint] = pickle.loads(blob)
-                if (context is not None
-                        and context.fingerprint == fingerprint):
-                    context.model = models[fingerprint]
-                    with send_lock:
-                        conn.send(("sweep_ok", context.sweep_id))
-            elif kind == "task":
-                if context is None or context.model is None:
-                    with send_lock:
-                        conn.send(("error", message[1], "ProtocolError",
-                                   "task before sweep context", ""))
-                    continue
-                _run_task(context, message, heartbeat, conn,
-                          send_lock, recorder=recorder,
-                          worker_id=worker_id,
-                          obs_enabled=obs_enabled)
-            # Unknown kinds are ignored: forward protocol compatibility.
+            _run_task(context, message, heartbeat, conn, send_lock,
+                      recorder=recorder, worker_id=worker_id,
+                      obs_enabled=obs_enabled)
     finally:
         heartbeat.stop()
         if recorder is not None:

@@ -66,8 +66,7 @@ def main(argv=None) -> int:
     engine = get_engine("sericola")
     executor = ProcessShardExecutor(
         max_workers=args.max_workers,
-        heartbeat_interval=0.05, heartbeat_timeout=1.0,
-        faults=args.faults)
+        heartbeat_timeout=1.0, faults=args.faults)
     try:
         partial = engine.joint_probability_sweep_partial(
             model, TIMES, REWARDS, TARGET, executor=executor,

@@ -585,6 +585,32 @@ class TestProcessExecutor:
         assert len(partial.unevaluated) == \
             len(self.TIMES) * len(self.REWARDS)
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
+    def test_heartbeat_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(NumericalError, match="heartbeat_timeout"):
+            ProcessShardExecutor(heartbeat_timeout=timeout)
+
+    def test_spawned_workers_match_the_shared_sweep(self, monkeypatch):
+        """Where ``fork`` is unavailable workers are spawned, so the
+        sweep reaches them pickled in their ``Process`` arguments."""
+        import multiprocessing
+
+        from tests.exec_sweep_driver import (REWARDS, TARGET, TIMES,
+                                             build_model)
+        engine = get_engine("sericola")
+        reference = engine.joint_probability_sweep(
+            build_model(), TIMES, REWARDS, TARGET)
+        clear_caches()
+        with monkeypatch.context() as patch:
+            patch.setattr(multiprocessing, "get_all_start_methods",
+                          lambda: ["spawn"])
+            executor = ProcessShardExecutor(max_workers=2)
+        assert executor._context.get_start_method() == "spawn"
+        partial = engine.joint_probability_sweep_partial(
+            build_model(), TIMES, REWARDS, TARGET, executor=executor)
+        assert partial.complete
+        assert partial.grid.tobytes() == reference.tobytes()
+
 
 def test_checker_sweep_executor_pass_through(flip_flop):
     """The mc layer reaches the executor: grids agree bit for bit."""

@@ -60,8 +60,7 @@ def reference():
 def _run_chaos(faults: str, checkpoint=None):
     engine = get_engine("sericola")
     executor = ProcessShardExecutor(
-        max_workers=2, heartbeat_interval=0.05,
-        heartbeat_timeout=0.5, faults=faults)
+        max_workers=2, heartbeat_timeout=0.5, faults=faults)
     partial = engine.joint_probability_sweep_partial(
         build_model(), TIMES, REWARDS, TARGET, executor=executor,
         checkpoint=checkpoint)
@@ -133,8 +132,8 @@ def test_crash_restarts_exactly_the_unit_holding_the_cell(tmp_path):
     clear_caches()
     recorder_dir = tmp_path / "flight"
     executor = ProcessShardExecutor(
-        max_workers=2, heartbeat_interval=0.05, heartbeat_timeout=0.5,
-        faults="crash@4", recorder_dir=str(recorder_dir))
+        max_workers=2, heartbeat_timeout=0.5, faults="crash@4",
+        recorder_dir=str(recorder_dir))
     partial = get_engine("erlang", phases=16).joint_probability_sweep_partial(
         build_model(), times, rewards, TARGET, executor=executor)
     assert partial.complete
@@ -159,8 +158,7 @@ def _run_give_up(faults: str, recorder_dir=None):
     from repro.exec.retry import BreakerRegistry
     engine = get_engine("sericola")
     executor = ProcessShardExecutor(
-        max_workers=2, heartbeat_interval=0.05,
-        heartbeat_timeout=0.5, faults=faults,
+        max_workers=2, heartbeat_timeout=0.5, faults=faults,
         retry=RetryPolicy(max_retries=2, base_delay=0.01),
         breakers=BreakerRegistry(failure_threshold=100),
         recorder_dir=recorder_dir)

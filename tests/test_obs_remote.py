@@ -456,8 +456,7 @@ class TestProcessAggregation:
         clear_caches()
         snapshots = []
         executor = ProcessShardExecutor(
-            max_workers=2, progress=snapshots.append,
-            progress_interval=0.0)
+            max_workers=2, progress=snapshots.append)
         partial = _engine().joint_probability_sweep_partial(
             model, GRID_TIMES, GRID_REWARDS, GRID_TARGET,
             executor=executor)
