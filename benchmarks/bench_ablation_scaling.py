@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
-                              SericolaEngine)
+                              SericolaEngine, erlang_expanded_model)
 from repro.mc.transform import (amalgamated_until_reduction,
                                 until_reduction)
 from repro.models import adhoc
@@ -75,7 +75,8 @@ def bench_erlang_phase_scaling(benchmark, q3_setting, phases):
                                                [goal])[initial]
 
     benchmark(run)
-    report(benchmark, expanded_states=engine.last_expanded_size,
+    expanded, _ = erlang_expanded_model(model, r, phases)
+    report(benchmark, expanded_states=expanded.num_states,
            uniformization_rate=round(
                model.max_exit_rate + phases * model.max_reward / r, 2))
 

@@ -9,7 +9,7 @@ halves per doubling of k.
 
 import pytest
 
-from repro.algorithms import ErlangEngine
+from repro.algorithms import ErlangEngine, erlang_expanded_model
 from repro.models import adhoc
 
 from bench_sweep import observed_counts
@@ -37,7 +37,8 @@ def bench_table3_row(benchmark, q3_setting, q3_exact, phases,
            value=round(float(value), 8), paper_value=paper_value,
            rel_error_pct=round(float(error_pct), 3),
            paper_rel_error_pct=paper_error,
-           expanded_states=engine.last_expanded_size)
+           expanded_states=erlang_expanded_model(
+               model, r, phases)[0].num_states)
 
 
 def bench_table3_error_halving(benchmark, q3_setting, q3_exact):

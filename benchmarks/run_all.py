@@ -35,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
-                              SericolaEngine, cache_info, clear_caches)
+                              SericolaEngine, cache_info, clear_caches,
+                              erlang_expanded_model)
 from repro.mc.checker import ModelChecker
 from repro.models import adhoc
 from repro.numerics.poisson import poisson_cache_info
@@ -181,12 +182,13 @@ def bench_table3(setting, phase_counts) -> list:
         vector, seconds = _captured(
             lambda: engine.joint_probability_vector(model, t, r, [goal]))
         registry = _registry_row(engine.name)
+        expanded_states = erlang_expanded_model(model, r,
+                                                phases)[0].num_states
         rows.append(_row(vector[initial], seconds, phases=phases,
-                         expanded_states=engine.last_expanded_size,
+                         expanded_states=expanded_states,
                          kernel_backend=engine.last_kernel or engine.kernel,
                          states_per_second=_states_rate(
-                             engine.last_expanded_size or model.num_states,
-                             registry, seconds),
+                             expanded_states, registry, seconds),
                          **registry))
         print(f"  erlang k={phases:4d}: {rows[-1]['value']:.8f} "
               f"({seconds:.3f}s)")

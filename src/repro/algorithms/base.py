@@ -6,9 +6,11 @@ Every engine computes, for an MRM with accumulated reward ``Y_t``, the
     Pr{ Y_t <= r, X_t in target | X_0 = s }        for every state s,
 
 the quantity that Theorem 2 of the paper reduces time- and
-reward-bounded until checking to.  Engines are stateless value objects
-holding their accuracy parameters, so one engine instance can be reused
-across models and queries.
+reward-bounded until checking to.  Engines are value objects holding
+their accuracy parameters: a run writes back only the ``last_*``
+read-outs (:attr:`JointEngine.last_kernel`, Sericola's
+``last_diagnostics``), so one engine instance serves every model, query
+and thread of a sweep.  What a run decided also goes on its span.
 
 Each engine has **one** computational core,
 :meth:`JointEngine._compute_joint_sweep`: the per-initial-state values
@@ -41,7 +43,6 @@ while observability is on.
 
 from __future__ import annotations
 
-import copy
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
@@ -53,7 +54,7 @@ import numpy as np
 
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError, WorkerError
-from repro.obs import OBS, peak_rss_bytes
+from repro.obs import OBS, annotate, peak_rss_bytes
 from repro.obs import span as obs_span
 
 
@@ -180,11 +181,13 @@ class JointEngine(ABC):
     #: (measurements in ``docs/EXECUTION.md``).
     parallel_units: bool = True
 
-    #: Name of the kernel backend the most recent computation resolved
-    #: to.  Engines whose ``kernel`` knob is the ``"auto"`` sentinel
-    #: pick a backend per model (:func:`repro.kernels.select_for_model`)
-    #: at their entry points; this records the outcome for diagnostics
-    #: (``repro check -v``, benchmark rows).
+    #: Name of the kernel backend the most recent in-process
+    #: computation resolved to.  Engines whose ``kernel`` knob is the
+    #: ``"auto"`` sentinel pick a backend per model
+    #: (:func:`repro.kernels.select_for_model`) at their entry points;
+    #: this read-out serves ``repro check -v`` and benchmark rows.
+    #: Units run by worker processes never set it: their decisions
+    #: arrive as the ``kernel=`` attribute of their spans.
     last_kernel: Optional[str] = None
 
     def _backend_for(self, model: MarkovRewardModel):
@@ -197,6 +200,10 @@ class JointEngine(ABC):
         deterministic function of the model's dimensions, so cache
         entries stored under the engine's ``"auto"`` token never mix
         backends for the same model fingerprint.
+
+        This is the one place a kernel choice is recorded: in
+        :attr:`last_kernel`, in the ``repro_kernel_selected`` gauge and
+        as ``kernel=`` on the current span.
         """
         backend = getattr(self, "_backend", None)
         if backend is None:
@@ -204,6 +211,10 @@ class JointEngine(ABC):
             backend = select_for_model(model.num_states,
                                        model.num_transitions)
         self.last_kernel = backend.name
+        if OBS.enabled:
+            OBS.metrics.gauge("repro_kernel_selected", engine=self.name,
+                              kernel=backend.name).set(1.0)
+            annotate(kernel=backend.name)
         return backend
 
     @classmethod
@@ -260,13 +271,11 @@ class JointEngine(ABC):
                 elapsed = time.perf_counter() - start
                 rss = peak_rss_bytes()
                 if rss:
-                    # Worker-labelled sample plus the derived roll-up
+                    # This process's sample plus the derived roll-up
                     # (the BENCH rows and thread/process parity both
                     # read the ``_max`` roll-up; see repro.obs.remote).
-                    OBS.metrics.gauge(
-                        "repro_peak_rss_bytes",
-                        worker=getattr(self, "_obs_worker_label",
-                                       None) or "main").update_max(rss)
+                    OBS.metrics.gauge("repro_peak_rss_bytes",
+                                      worker="main").update_max(rss)
                     OBS.metrics.gauge(
                         "repro_peak_rss_bytes_max").update_max(rss)
                 if histogram is not None:
@@ -356,7 +365,6 @@ class JointEngine(ABC):
                         np.minimum(point + above, 1.0))
             fine = companion.joint_probability_sweep(
                 model, times, reward_bounds, target)
-            self._absorb(companion)
             return richardson_bracket(point, fine)
 
     def _a_priori_widths(self) -> Optional[Tuple[float, float]]:
@@ -535,30 +543,6 @@ class JointEngine(ABC):
         write the result cache, and each cell must equal the same
         cell computed in a ``1 x 1`` grid bit for bit.
         """
-
-    def _worker_clone(self,
-                      label: Optional[str] = None) -> "JointEngine":
-        """A shallow copy for one worker thread.
-
-        The thread executor (:class:`~repro.exec.ThreadShardExecutor`)
-        gives every worker its own clone so its ``last_*`` diagnostics
-        never race; accuracy parameters (and hence cache tokens) are shared,
-        so clones interoperate with the result cache exactly like the
-        original.  *label* (e.g. ``"thread-3"``) tags the clone's RSS
-        gauge with a ``worker=`` label, mirroring the process
-        executor's ``process-N`` scheme.
-        """
-        clone = copy.copy(self)
-        clone._obs_worker_label = label
-        return clone
-
-    def _absorb(self, clone: "JointEngine") -> None:
-        """Fold a finished worker clone (or bracket companion) back:
-        keep its ``last_*`` diagnostics (kernel, truncation depth,
-        expanded size)."""
-        for name, value in vars(clone).items():
-            if name.startswith("last_") and value is not None:
-                setattr(self, name, value)
 
     def joint_probability(self,
                           model: MarkovRewardModel,

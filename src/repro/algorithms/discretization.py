@@ -86,7 +86,7 @@ from repro.algorithms.erlang import (zero_reward_bound_sweep,
                                      zero_reward_bound_vector)
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError, RewardError
-from repro.kernels import KernelBackend, note_selected, resolve_static
+from repro.kernels import KernelBackend, resolve_static
 from repro.kernels.base import (DiscretizationPropagator, ShiftPlan,
                                 StepOperator, build_shift_plan,
                                 make_operator)
@@ -285,7 +285,6 @@ class DiscretizationEngine(JointEngine):
 
         stepper = self._propagator(model, num_cells, weight,
                                    forward=False, backend=backend)
-        note_selected(self.name, backend.name)
         out = np.empty((len(times), n))
         matvec_hist = (OBS.metrics.histogram("repro_matvec_block_seconds",
                                              engine=self.name,
@@ -342,7 +341,6 @@ class DiscretizationEngine(JointEngine):
         stepper = self._propagator(model, num_cells, density,
                                    forward=True, batch=batch,
                                    backend=backend)
-        note_selected(self.name, backend.name)
         matvec_hist = (OBS.metrics.histogram("repro_matvec_block_seconds",
                                              engine=self.name,
                                              kernel=backend.name)

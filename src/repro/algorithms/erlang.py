@@ -50,7 +50,8 @@ from repro.algorithms.cache import matrix_cache
 from repro.ctmc.ctmc import CTMC
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError
-from repro.kernels import KernelBackend, note_selected, resolve_static
+from repro.kernels import KernelBackend, resolve_static
+from repro.obs import annotate
 from repro.obs import span as obs_span
 from repro.numerics.uniformization import (
     Kernel, transient_distribution, transient_target_probabilities_sweep)
@@ -193,7 +194,6 @@ class ErlangEngine(JointEngine):
             raise NumericalError(f"need at least one phase, got {phases}")
         self.phases = int(phases)
         self.epsilon = float(epsilon)
-        self.last_expanded_size: Optional[int] = None
         self._kernel_request = kernel
         self._backend: Optional[KernelBackend] = resolve_static(kernel)
         self.kernel = ("auto" if self._backend is None
@@ -242,12 +242,11 @@ class ErlangEngine(JointEngine):
                 continue
             expanded, barrier = erlang_expanded_model(model, float(reward),
                                                       self.phases)
-            self.last_expanded_size = expanded.num_states
+            annotate(expanded_states=expanded.num_states)
             # Auto-selection keys on the *expanded* chain -- that is
             # the chain being propagated, and its dimensions are a
             # function of (model, r, phases), all in the cache key.
             backend = self._backend_for(expanded)
-            note_selected(self.name, backend.name)
             rows = transient_target_probabilities_sweep(
                 expanded, times,
                 self._expanded_indicator(expanded, indicator),

@@ -70,7 +70,7 @@ from repro.algorithms.base import (EngineCapabilities, JointEngine,
 from repro.algorithms.cache import matrix_cache
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError
-from repro.kernels import KernelBackend, note_selected, resolve_static
+from repro.kernels import KernelBackend, resolve_static
 from repro.kernels.base import (SericolaPlan, SericolaSeries,
                                 build_sericola_plan)
 from repro.numerics.poisson import poisson_weights, right_truncation_point
@@ -346,7 +346,6 @@ class SericolaEngine(JointEngine):
             return grid
         operator = uniformized_operator(model, rate,
                                         policy=backend.operator_policy)
-        note_selected(self.name, backend.name)
         depth_t = max((psi.right for _, _, psi in trans), default=0)
         depth_u = max([depth_t] + [p["depth"] for p in normal_points])
 

@@ -315,9 +315,9 @@ class ThreadShardExecutor:
     Units go to a thread pool of ``max_workers`` (``None``: one per
     CPU, capped by the unit count) when the engine's
     :attr:`~repro.algorithms.base.JointEngine.parallel_units` says
-    threads pay, else inline on the calling thread.  Threaded units run
-    on engine clones whose ``last_*`` diagnostics are folded back as
-    each finishes.
+    threads pay, else inline on the calling thread.  Every unit runs on
+    the caller's one engine: engines write no per-call state but their
+    ``last_*`` read-outs.
     """
 
     name = "thread"
@@ -369,15 +369,15 @@ JointEngine.joint_probability_sweep`: the first engine error
         queue = deque(sweep.units(workers))
         parent = OBS.tracer.current() if OBS.enabled else None
 
-        def compute(unit: WorkUnit, runner, label: str) -> np.ndarray:
+        def compute(unit: WorkUnit, label: str) -> np.ndarray:
             start = time.perf_counter()
             # Pool threads do not inherit the caller's span: attach.
-            scope = (nullcontext() if runner is engine or parent is None
+            scope = (nullcontext() if workers == 1 or parent is None
                      else OBS.tracer.span("worker", parent=parent,
                                           worker=label))
             try:
                 with scope:
-                    return runner.sweep_unit(sweep.model,
+                    return engine.sweep_unit(sweep.model,
                                              *sweep.bounds(unit),
                                              sweep.indicator)
             finally:
@@ -387,7 +387,7 @@ JointEngine.joint_probability_sweep`: the first engine error
                         engine=engine.name).observe(
                             time.perf_counter() - start)
 
-        running: Dict[Future, Tuple[WorkUnit, object]] = {}
+        running: Dict[Future, WorkUnit] = {}
         started = 0
         with (ThreadPoolExecutor(workers) if workers > 1
               else nullcontext(_InlinePool())) as pool:
@@ -395,19 +395,14 @@ JointEngine.joint_probability_sweep`: the first engine error
                 while (queue and len(running) < workers
                        and remaining(deadline) > 0.0):
                     unit = queue.popleft()
-                    label = f"thread-{started}"
+                    running[pool.submit(compute, unit,
+                                        f"thread-{started}")] = unit
                     started += 1
-                    runner = (engine if workers == 1
-                              else engine._worker_clone(label=label))
-                    running[pool.submit(compute, unit, runner,
-                                        label)] = (unit, runner)
                 if not running:
                     break  # the deadline passed; the queue stays undone
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in done:
-                    unit, runner = running.pop(future)
-                    if runner is not engine:
-                        engine._absorb(runner)
+                    unit = running.pop(future)
                     error = future.exception()
                     if error is None:
                         sweep.complete(unit, future.result())

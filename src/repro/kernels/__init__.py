@@ -184,14 +184,6 @@ def select_for_model(num_states: int, num_transitions: int
     return get_backend("numba" if numba_available() else "numpy")
 
 
-def note_selected(engine: str, backend: str) -> None:
-    """Record the backend an engine run selected (obs gauge)."""
-    from repro.obs import OBS
-    if OBS.enabled:
-        OBS.metrics.gauge("repro_kernel_selected",
-                          engine=engine, kernel=backend).set(1.0)
-
-
 __all__ = [
     "ENV_VAR",
     "SPARSE_AUTO_MAX_DENSITY",
@@ -210,7 +202,6 @@ __all__ = [
     "default_backend_name",
     "get_backend",
     "make_operator",
-    "note_selected",
     "numba_available",
     "reset_backend_cache",
     "resolve_static",

@@ -19,13 +19,13 @@ answer read through ``block_of``.  The pre-pass is therefore *exact*
 -- and it is the lever that turns replica-symmetric 10^5-state models
 into few-hundred-block computations.
 
-:func:`prepare` wraps :func:`repro.ctmc.lumping.try_lump` with the
+:func:`attempt` wraps :func:`repro.ctmc.lumping.try_lump` with the
 pipeline-specific partition seed (target membership) and the cost caps
 that keep a failed attempt cheap, records ``repro_lump_*`` metrics and
-a ``lump_prepass`` span, and remembers the outcome of the most recent
-attempt on the calling thread (:func:`last_info`).  It returns ``None``
-whenever the unlumped model must be propagated; :meth:`P3Work.of`
-turns either outcome into the engine's input.
+a ``lump_prepass`` span, and returns the quotient (``None`` whenever
+the unlumped model must be propagated) together with the outcome
+(:class:`PrepassInfo`); :meth:`P3Work.of` turns both into the engine's
+input.  :func:`prepare` is its quotient-only view.
 
 The knob surface (``ModelChecker(lump=...)``, ``repro check
 --no-lump``):
@@ -42,9 +42,9 @@ The knob surface (``ModelChecker(lump=...)``, ``repro check
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import AbstractSet, FrozenSet, List, Optional, Set, Union
+from typing import (AbstractSet, FrozenSet, List, Optional, Set, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -100,24 +100,18 @@ class LumpPrepass:
 
 @dataclass(frozen=True)
 class PrepassInfo:
-    """Outcome of the most recent pre-pass attempt (``check -v``)."""
+    """Outcome of one pre-pass attempt (``check -v``)."""
     num_states: int
     num_blocks: Optional[int]
     applied: bool
     reason: str
 
 
-_last = threading.local()
+Attempt = Tuple[Optional[LumpPrepass], PrepassInfo]
 
 
-def last_info() -> Optional[PrepassInfo]:
-    """Outcome of the most recent :func:`prepare` call on this thread,
-    if any."""
-    return getattr(_last, "info", None)
-
-
-def _record(info: PrepassInfo) -> None:
-    _last.info = info
+def _record(info: PrepassInfo,
+            pre: Optional[LumpPrepass] = None) -> Attempt:
     if OBS.enabled:
         if info.applied:
             OBS.metrics.counter("repro_lump_applied_total").inc()
@@ -128,31 +122,30 @@ def _record(info: PrepassInfo) -> None:
         else:
             OBS.metrics.counter("repro_lump_skipped_total",
                                 reason=info.reason).inc()
+    return pre, info
 
 
-def prepare(model: MarkovRewardModel,
+def attempt(model: MarkovRewardModel,
             psi: Set[int],
-            mode: LumpMode = "auto") -> Optional[LumpPrepass]:
+            mode: LumpMode = "auto") -> Attempt:
     """Attempt to lump the (Theorem-1-reduced) *model* for checking.
 
     *psi* is the target set the engine will be pointed at; its
     membership seeds the initial partition so the quotient target is
-    well defined.  Returns ``None`` -- leaving the caller on the
-    original model -- when lumping is disabled, capped out, unsound
-    (impulse rewards) or yields no reduction.
+    well defined.  Returns ``(prepass, info)``: *prepass* is ``None``
+    -- leaving the caller on the original model -- when lumping is
+    disabled, capped out, unsound (impulse rewards) or yields no
+    reduction, and *info* says which.
     """
     mode = validate_mode(mode)
-    if mode is False:
-        _record(PrepassInfo(model.num_states, None, False, "disabled"))
-        return None
     n = model.num_states
+    if mode is False:
+        return _record(PrepassInfo(n, None, False, "disabled"))
     max_states = LUMP_MAX_STATES if mode == "auto" else None
     if max_states is not None and n > max_states:
-        _record(PrepassInfo(n, None, False, "too_large"))
-        return None
+        return _record(PrepassInfo(n, None, False, "too_large"))
     if model.has_impulse_rewards:
-        _record(PrepassInfo(n, None, False, "impulse_rewards"))
-        return None
+        return _record(PrepassInfo(n, None, False, "impulse_rewards"))
     seed = np.zeros(n, dtype=np.int64)
     if psi:
         seed[np.fromiter(psi, dtype=np.int64, count=len(psi))] = 1
@@ -166,13 +159,19 @@ def prepare(model: MarkovRewardModel,
         span.set(blocks=(lumping.num_blocks if lumping is not None
                          else n))
     if lumping is None:
-        _record(PrepassInfo(n, None, False, "no_reduction"))
-        return None
+        return _record(PrepassInfo(n, None, False, "no_reduction"))
     psi_blocks = frozenset(
         int(b) for b in np.unique(lumping.block_of[list(psi)])
     ) if psi else frozenset()
-    _record(PrepassInfo(n, lumping.num_blocks, True, "applied"))
-    return LumpPrepass(lumping=lumping, psi_blocks=psi_blocks)
+    return _record(PrepassInfo(n, lumping.num_blocks, True, "applied"),
+                   LumpPrepass(lumping=lumping, psi_blocks=psi_blocks))
+
+
+def prepare(model: MarkovRewardModel,
+            psi: Set[int],
+            mode: LumpMode = "auto") -> Optional[LumpPrepass]:
+    """The quotient of :func:`attempt`, or ``None``."""
+    return attempt(model, psi, mode)[0]
 
 
 @dataclass(frozen=True)
@@ -196,8 +195,7 @@ class P3Work:
     def of(cls, reduced: MarkovRewardModel, psi: Set[int],
            lump: LumpMode = "auto") -> "P3Work":
         """Run the pre-pass on *reduced* (target *psi*) under *lump*."""
-        pre = prepare(reduced, psi, mode=lump)
-        info = last_info()
+        pre, info = attempt(reduced, psi, mode=lump)
         if pre is None:
             return cls(reduced, reduced, psi, None, info)
         return cls(reduced, pre.quotient, pre.psi_blocks, pre.block_of,

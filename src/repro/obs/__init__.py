@@ -49,7 +49,7 @@ from .remote import export_telemetry, merge_telemetry
 from .trace import _CURRENT, Span, Tracer
 
 __all__ = [
-    "OBS", "REGISTRY", "Observability", "span",
+    "OBS", "REGISTRY", "Observability", "span", "annotate",
     "Tracer", "Span", "MetricsRegistry", "Counter", "Gauge",
     "Histogram", "ConvergenceRecorder", "SeriesRecord",
     "DEFAULT_BUCKETS", "ENGINE_COUNTERS", "count_engine",
@@ -141,6 +141,16 @@ def span(name: str, parent: Any = _CURRENT, **attributes: Any) -> Any:
     if OBS.enabled:
         return OBS.tracer.span(name, parent=parent, **attributes)
     return _NULL_SPAN
+
+
+def annotate(**attributes: Any) -> None:
+    """Set *attributes* on the calling thread's current span -- how a
+    layer reports a decision (kernel, expanded size) to whoever traces
+    it.  A no-op while disabled or outside any span."""
+    if OBS.enabled:
+        current = OBS.tracer.current()
+        if current is not None:
+            current.set(**attributes)
 
 
 def count_engine(engine: str, **amounts: float) -> None:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import clear_caches
 from repro.algorithms.erlang import (ErlangEngine, erlang_expanded_model,
                                      zero_reward_bound_vector)
 from repro.ctmc import ModelBuilder
 from repro.errors import NumericalError
+from repro.obs import OBS
 
 MU = 0.7
 
@@ -100,9 +102,16 @@ class TestApproximation:
         assert joint[0] == pytest.approx(1.0 - np.exp(-2.0), abs=1e-10)
 
     def test_expanded_size_recorded(self, two_state_absorbing):
-        engine = ErlangEngine(phases=8)
-        engine.joint_probability_vector(two_state_absorbing, 1.0, 1.0, [1])
-        assert engine.last_expanded_size == 17
+        clear_caches()
+        with OBS.capture():
+            ErlangEngine(phases=8).joint_probability_vector(
+                two_state_absorbing, 1.0, 1.0, [1])
+            sizes = [span.attributes.get("expanded_states")
+                     for root in OBS.tracer.roots for span in root.walk()
+                     if span.name == "sweep_unit"]
+        assert sizes == [17]
+        expanded, _ = erlang_expanded_model(two_state_absorbing, 1.0, 8)
+        assert expanded.num_states == 17
 
     def test_invalid_phases(self):
         with pytest.raises(NumericalError):

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
@@ -26,7 +26,7 @@ from repro.algorithms import (DiscretizationEngine, ErlangEngine,
                               SericolaEngine, clear_caches)
 from repro.algorithms.cache import matrix_cache
 from repro.ctmc import ModelBuilder
-from repro.errors import ModelError, NumericalError
+from repro.errors import NumericalError
 from repro.kernels import (build_shift_plan, get_backend,
                            numba_available, reset_backend_cache)
 from repro.models import workloads
@@ -296,16 +296,20 @@ def _random_impulse_mrm(num_states: int, seed: int):
     builder = ModelBuilder()
     for s in range(num_states):
         builder.add_state(f"s{s}", reward=float(rng.integers(0, 3)))
+    impulses = {}
     for s in range(num_states):
         targets = rng.permutation(num_states)
         for dst in targets[:2]:
             if int(dst) != s:
-                builder.add_transition(
-                    s, int(dst), float(rng.uniform(0.2, 2.0)),
-                    impulse=float(rng.integers(0, 2)))
+                rate = float(rng.uniform(0.2, 2.0))
+                impulse = impulses[s, int(dst)] = float(rng.integers(0, 2))
+                builder.add_transition(s, int(dst), rate, impulse=impulse)
+    # The ring edge merges with a random edge over the same pair, so it
+    # reuses that edge's impulse (merged transitions must agree).
     for s in range(num_states):
-        builder.add_transition(s, (s + 1) % num_states,
-                               float(rng.uniform(0.2, 2.0)))
+        dst = (s + 1) % num_states
+        builder.add_transition(s, dst, float(rng.uniform(0.2, 2.0)),
+                               impulse=impulses.get((s, dst), 0.0))
     return builder.build(initial_state=0)
 
 
@@ -317,12 +321,7 @@ class TestSparseBackendAgreement:
     @given(num_states=st.integers(min_value=2, max_value=7),
            seed=st.integers(min_value=0, max_value=10_000))
     def test_discretization_with_impulses(self, num_states, seed):
-        try:
-            model = _random_impulse_mrm(num_states, seed)
-        except ModelError:
-            # The random generator may close the ring over a transition
-            # it already drew with a different impulse; skip the draw.
-            assume(False)
+        model = _random_impulse_mrm(num_states, seed)
         # A step that divides t = 1.0 and keeps every stay probability
         # positive, however fast the drawn exit rates are.
         step = 1.0 / max(4, int(np.ceil(model.max_exit_rate / 0.9)))

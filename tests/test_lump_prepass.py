@@ -60,6 +60,22 @@ def _assert_close(lumped, unlumped, name):
     assert error <= FORCED_TOLERANCE, f"{name}: |diff| = {error}"
 
 
+@pytest.fixture
+def infos(monkeypatch):
+    """Every :class:`PrepassInfo` the pipeline's pre-pass attempts
+    return, in call order (the spy wraps :func:`prepass.attempt`)."""
+    seen = []
+    real_attempt = prepass.attempt
+
+    def attempt(*args, **kwargs):
+        pre, info = real_attempt(*args, **kwargs)
+        seen.append(info)
+        return pre, info
+
+    monkeypatch.setattr(prepass, "attempt", attempt)
+    return seen
+
+
 # ---------------------------------------------------------------------------
 # Exactness: forced lumping vs the unlumped pipeline
 
@@ -71,34 +87,38 @@ class TestForcedLumpAgreement:
 
     # Each test loops over ENGINES: one test id covers all three.
 
-    def test_vector_agrees(self, crowd):
+    def test_vector_agrees(self, crowd, infos):
         phi, psi = _crowd_sets(crowd)
         for name, make in ENGINES.items():
             clear_caches()
             unlumped = until.time_reward_bounded_until(
                 crowd, phi, psi, TIME, REWARD, make(), lump=False)
+            assert infos[-1].reason == "disabled"
+            infos.clear()
             clear_caches()
             lumped = until.time_reward_bounded_until(
                 crowd, phi, psi, TIME, REWARD, make(), lump=True)
-            info = prepass.last_info()
-            assert info is not None and info.applied
+            info = infos[-1]
+            assert info.applied
             assert info.num_blocks < info.num_states
             _assert_close(lumped, unlumped, name)
 
-    def test_interval_agrees(self, crowd):
+    def test_interval_agrees(self, crowd, infos):
         phi, psi = _crowd_sets(crowd)
         for name, make in ENGINES.items():
             clear_caches()
             lo0, hi0 = until.time_reward_bounded_until_interval(
                 crowd, phi, psi, TIME, REWARD, make(), lump=False)
+            assert infos[-1].reason == "disabled"
+            infos.clear()
             clear_caches()
             lo1, hi1 = until.time_reward_bounded_until_interval(
                 crowd, phi, psi, TIME, REWARD, make(), lump=True)
-            assert prepass.last_info().applied
+            assert infos[-1].applied
             _assert_close(lo1, lo0, name)
             _assert_close(hi1, hi0, name)
 
-    def test_sweep_agrees(self, crowd):
+    def test_sweep_agrees(self, crowd, infos):
         phi, psi = _crowd_sets(crowd)
         times = [0.5, 1.0]
         rewards = [1.0, 2.0]
@@ -106,10 +126,12 @@ class TestForcedLumpAgreement:
             clear_caches()
             grid0 = until.time_reward_bounded_until_sweep(
                 crowd, phi, psi, times, rewards, make(), lump=False)
+            assert infos[-1].reason == "disabled"
+            infos.clear()
             clear_caches()
             grid1 = until.time_reward_bounded_until_sweep(
                 crowd, phi, psi, times, rewards, make(), lump=True)
-            assert prepass.last_info().applied
+            assert infos[-1].applied
             assert grid1.shape == (2, 2, crowd.num_states)
             _assert_close(grid1, grid0, name)
 
@@ -141,27 +163,29 @@ class TestForcedLumpAgreement:
 
 
 class TestAutoModeBitIdentity:
-    def test_auto_equals_forced_lump(self):
+    def test_auto_equals_forced_lump(self, infos):
         crowd = crowd_mrm(12, 30)  # 360 states
         phi, psi = _crowd_sets(crowd)
         clear_caches()
         forced = until.time_reward_bounded_until(
             crowd, phi, psi, TIME, REWARD, _engine(), lump=True)
+        assert infos[-1].applied
+        infos.clear()
         clear_caches()
         auto = until.time_reward_bounded_until(
             crowd, phi, psi, TIME, REWARD, _engine(), lump="auto")
-        info = prepass.last_info()
+        info = infos[-1]
         assert info.applied and info.reason == "applied"
         assert info.num_blocks < info.num_states
         np.testing.assert_array_equal(auto, forced)
 
-    def test_large_model_applies(self):
+    def test_large_model_applies(self, infos):
         crowd = crowd_mrm(40, 20)  # 800 states
         phi, psi = _crowd_sets(crowd)
         clear_caches()
         auto = until.time_reward_bounded_until(
             crowd, phi, psi, TIME, REWARD, _engine(), lump="auto")
-        info = prepass.last_info()
+        info = infos[-1]
         assert info.applied and info.reason == "applied"
         clear_caches()
         unlumped = until.time_reward_bounded_until(
@@ -222,20 +246,20 @@ class TestPrepare:
         builder.add_transition("a", "b", 1.0, impulse=2.0)
         builder.add_transition("b", "a", 1.0)
         model = builder.build()
-        assert prepass.prepare(model, {1}, mode=True) is None
-        assert prepass.last_info().reason == "impulse_rewards"
+        pre, info = prepass.attempt(model, {1}, mode=True)
+        assert pre is None and info.reason == "impulse_rewards"
 
     def test_disabled(self):
         crowd = crowd_mrm(4, 4)
-        assert prepass.prepare(crowd, {0}, mode=False) is None
-        assert prepass.last_info().reason == "disabled"
+        pre, info = prepass.attempt(crowd, {0}, mode=False)
+        assert pre is None and info.reason == "disabled"
 
     def test_too_large_cap(self, monkeypatch):
         monkeypatch.setattr(prepass, "LUMP_MAX_STATES", 8)
         crowd = crowd_mrm(4, 4)
         site0 = set(range(4))  # a whole site: respects the symmetry
-        assert prepass.prepare(crowd, site0, mode="auto") is None
-        assert prepass.last_info().reason == "too_large"
+        pre, info = prepass.attempt(crowd, site0, mode="auto")
+        assert pre is None and info.reason == "too_large"
         # Forced mode ignores the auto cap.
         assert prepass.prepare(crowd, site0, mode=True) is not None
 
@@ -246,8 +270,8 @@ class TestPrepare:
         builder.add_transition("a", "b", 1.0)
         builder.add_transition("b", "a", 2.0)
         model = builder.build()
-        assert prepass.prepare(model, {1}, mode=True) is None
-        assert prepass.last_info().reason == "no_reduction"
+        pre, info = prepass.attempt(model, {1}, mode=True)
+        assert pre is None and info.reason == "no_reduction"
 
     def test_validate_mode_rejects_garbage(self):
         with pytest.raises(ModelError):
@@ -326,15 +350,15 @@ class TestCheckerSurface:
 def calls(monkeypatch):
     """Counts of Theorem-1 reductions and pre-pass attempts."""
     counts = {"reduce": 0, "prepare": 0}
-    real_reduce, real_prepare = transform.until_reduction, prepass.prepare
+    real_reduce, real_attempt = transform.until_reduction, prepass.attempt
 
     def reduce(*args, **kwargs):
         counts["reduce"] += 1
         return real_reduce(*args, **kwargs)
 
-    def prepare(*args, **kwargs):
+    def attempt(*args, **kwargs):
         counts["prepare"] += 1
-        return real_prepare(*args, **kwargs)
+        return real_attempt(*args, **kwargs)
 
     # Patch every repro module that bound the reduction by name.
     for name, module in list(sys.modules.items()):
@@ -342,7 +366,7 @@ def calls(monkeypatch):
                 and getattr(module, "until_reduction", None)
                 is real_reduce):
             monkeypatch.setattr(module, "until_reduction", reduce)
-    monkeypatch.setattr(prepass, "prepare", prepare)
+    monkeypatch.setattr(prepass, "attempt", attempt)
     return counts
 
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
 from repro.algorithms import ErlangEngine, SericolaEngine
@@ -297,6 +297,12 @@ class TestImpulseProperties:
                             reward_levels=(0.0, 1.0)),
            t=st.floats(min_value=0.25, max_value=1.5),
            impulse=st.integers(min_value=1, max_value=3))
+    # Every path collects reward t from its states plus 3 per jump, so
+    # the earlier bound r = 6.375 = 2 * 3 + t sat on an atom (pseudo-
+    # Erlang 0.7436 against discretisation 0.8039 from state 0).
+    @example(model=MarkovRewardModel(np.array([[0.0, 1.0], [3.0, 0.0]]),
+                                     rewards=[1.0, 1.0]),
+             t=0.375, impulse=3)
     @settings(max_examples=10, deadline=None)
     def test_discretization_vs_erlang_with_impulses(self, model, t,
                                                     impulse):
@@ -313,18 +319,25 @@ class TestImpulseProperties:
         aligned = max(step, round(t / step) * step)
         # The engines agree only at continuity points of the
         # accumulated-reward CDF: the pseudo-Erlang expansion converges
-        # in distribution, so an atom exactly at the bound (e.g. an
-        # absorbing chain whose every path collects the same impulses)
-        # splits its mass across the bound however many phases are
-        # used.  The 0.375 offset moves r off the achievable-reward
-        # atoms (integer impulse multiples plus the rate term) while
-        # staying on the discretisation grid (24/64).  Even off the
-        # atoms the phase approximation converges only at O(1/k) with
-        # a model-dependent constant; 2048 phases has been observed to
-        # leave a gap just over the 0.05 tolerance (0.051 on a 2-state
-        # chain at t=0.375), 4096 halves it to safely within.
-        r = ((impulse + model.max_reward) * max(1.0, aligned) * 1.5
-             + 0.375)
+        # in distribution, so an atom at the bound splits its mass
+        # across the bound however many phases are used.  With rates
+        # in {0, 1} the atoms are k * impulse + {0, aligned}: paths
+        # that stay in reward-0 or in reward-1 states.  r sits on the
+        # discretisation grid, stepped in eighths until it is at least
+        # 1/8 from every atom.  Even off the atoms the phase
+        # approximation converges only at O(1/k) with a model-dependent
+        # constant; 2048 phases has been observed to leave a gap just
+        # over the 0.05 tolerance (0.051 on a 2-state chain at
+        # t=0.375), 4096 halves it to safely within.
+        def near_atom(r):
+            return any(abs(r - k * impulse - offset) < 0.125
+                       for k in range(int(r // impulse) + 2)
+                       for offset in (0.0, aligned))
+
+        r = round(((impulse + model.max_reward) * max(1.0, aligned) * 1.5
+                   + 0.375) / step) * step
+        while near_atom(r):
+            r += 0.125
         erlang = ErlangEngine(phases=4096).joint_probability_vector(
             spiked, aligned, r, {0})
         engine = DiscretizationEngine(step=step)

@@ -207,7 +207,7 @@ class TestParallelFanOut:
                     for q in queries]
         for seq, thr in zip(sequential, threaded):
             np.testing.assert_array_equal(seq, thr)
-        # every clone's work reached the ledger
+        # every unit thread's work reached the ledger
         after = ledger()
         assert after["sweep_points"] - before["sweep_points"] == (
             4 * len(queries))
@@ -255,10 +255,59 @@ class TestParallelFanOut:
         assert threaded_stats == inline_stats
         assert threaded_stats["sweep_points"] == len(times) * len(rewards)
 
-    def test_worker_clone_shares_cache_token(self):
-        engine = SericolaEngine(epsilon=1e-10)
-        clone = engine._worker_clone()
-        assert clone._cache_token() == engine._cache_token()
+    def test_threads_share_the_callers_engine(self, flip_flop,
+                                              monkeypatch):
+        """Every unit of a threaded sweep runs on the caller's one
+        engine object; the grid equals the inline run bit for bit."""
+        calls = []
+        real = DiscretizationEngine._compute_joint_sweep
+
+        def spy(self, *args):
+            calls.append(id(self))
+            return real(self, *args)
+
+        monkeypatch.setattr(DiscretizationEngine, "_compute_joint_sweep",
+                            spy)
+        grids = []
+        for workers in (1, 2):
+            clear_caches()
+            calls.clear()
+            engine = DiscretizationEngine(step=1.0 / 16)
+            grids.append(ThreadShardExecutor(max_workers=workers).sweep(
+                engine, flip_flop, [0.5, 1.0], [1.0, 2.0, 4.0], {1}))
+            assert calls == [id(engine)] * 3
+        assert grids[1].tobytes() == grids[0].tobytes()
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_unit_spans_carry_the_kernel(self, flip_flop, executor):
+        """The kernel decision travels on each ``sweep_unit`` span --
+        from worker processes too, whose engines are not the caller's."""
+        clear_caches()
+        engine = DiscretizationEngine(step=1.0 / 16)
+        with OBS.capture():
+            partial = engine.joint_probability_sweep_partial(
+                flip_flop, [0.5, 1.0], [1.0, 2.0], {1},
+                executor=executor, max_workers=2)
+            units = [span for root in OBS.tracer.roots
+                     for span in root.walk() if span.name == "sweep_unit"]
+        assert partial.complete
+        expected = DiscretizationEngine(step=1.0 / 16)._backend_for(
+            flip_flop).name
+        assert [unit.attributes.get("kernel") for unit in units] == [
+            expected] * 2
+        if executor == "process":
+            assert engine.last_kernel is None
+
+    def test_erlang_unit_spans_carry_expanded_size(self, flip_flop):
+        clear_caches()
+        with OBS.capture():
+            ErlangEngine(phases=8).joint_probability_sweep(
+                flip_flop, [0.5, 1.0], [1.0, 2.0], {1})
+            units = [span for root in OBS.tracer.roots
+                     for span in root.walk() if span.name == "sweep_unit"]
+        assert [unit.attributes.get("expanded_states")
+                for unit in units] == [2 * 8 + 1] * 2
+        assert all(unit.attributes.get("kernel") for unit in units)
 
 
 # ----------------------------------------------------------------------
