@@ -372,14 +372,6 @@ class SericolaEngine(JointEngine):
             if psi.left == 0:
                 grid[i, j] += psi.weights[0] * u
 
-        record = None
-        if OBS.enabled and normal_points:
-            deepest = max(normal_points, key=lambda p: p["depth"])
-            record = OBS.convergence.start_series(
-                "sericola_series", depth_u, engine=self.name,
-                rate=rate, points=len(normal_points), sweep=True)
-            record_psi = deepest["psi"]
-            record_tail = record_psi.tail_from()
         tolerance = self.epsilon * 1e-2
         active = list(normal_points)
         steps = matvecs = 0
@@ -421,13 +413,15 @@ class SericolaEngine(JointEngine):
                     # accumulations remain: advance u alone.
                     u = operator.matvec(u)
                     matvecs += 1
-                if record is not None:
-                    record.record(n, record_psi.remaining_after(
-                        n, record_tail))
                 for i, j, psi in trans:
                     if psi.left <= n <= psi.right:
                         grid[i, j] += psi.weights[n - psi.left] * u
-            span.set(steps=steps)
+            span.set(steps=steps, rate=rate)
+            if OBS.enabled and normal_points:
+                # The a-priori error bound: the Poisson mass the
+                # deepest series point left beyond the last step.
+                deepest = max(normal_points, key=lambda p: p["depth"])
+                span.set(residual=deepest["psi"].remaining_after(steps))
         count_engine(self.name, propagation_steps=steps,
                      matvec_count=matvecs)
 

@@ -137,8 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "scale to the machine)")
     check.add_argument("--profile", action="store_true",
                        help="capture spans/metrics during the check "
-                            "and print the profile report (span tree, "
-                            "cache hit ratios, timings, convergence)")
+                            "and print the profile report (span tree "
+                            "with kernels, series depths and "
+                            "residuals; cache hit ratios; timings)")
     check.add_argument("--trace-out", default=None, metavar="FILE",
                        help="write the captured span trace as JSON "
                             "lines to FILE (implies capturing)")
@@ -247,7 +248,7 @@ def _emit_capture(args) -> None:
               file=sys.stderr)
     if args.profile:
         print()
-        print(render_profile(OBS.tracer, OBS.metrics, OBS.convergence),
+        print(render_profile(OBS.tracer, OBS.metrics),
               end="")
 
 
@@ -262,7 +263,7 @@ def _cmd_check(args) -> int:
     formula = _resolve_formula(args.formula, args.model)
     server = None
     if args.metrics_port is not None:
-        from repro.obs import serve_metrics
+        from repro.obs.httpd import serve_metrics
         server = serve_metrics(port=args.metrics_port)
         print(f"metrics: serving {server.url}", file=sys.stderr)
     try:

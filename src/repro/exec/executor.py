@@ -763,7 +763,6 @@ class _Run:
         worker.last_span = None
         merge_telemetry(payload, OBS.metrics, tracer=OBS.tracer,
                         parent_span=parent,
-                        convergence=OBS.convergence,
                         worker=f"process-{worker.id}")
 
     def _progress_snapshot(self, now: float) -> SweepProgress:

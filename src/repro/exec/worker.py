@@ -60,10 +60,11 @@ Design notes:
   this worker was doing when it died.
 * **Telemetry** -- when the parent captured observability
   (``obs_enabled``), the worker enables its own :data:`repro.obs.OBS`
-  from a clean slate and ships a plain-data delta of registry state,
-  spans and convergence records after each task and once more on a
-  clean stop (:func:`repro.obs.remote.export_telemetry`); the parent
-  merges and re-parents them.  This is the only way a worker's engine
+  from a clean slate and ships a plain-data delta of registry state
+  and spans (the series spans carry their depths and residuals) after
+  each task and once more on a clean stop
+  (:func:`repro.obs.remote.export_telemetry`); the parent merges and
+  re-parents them.  This is the only way a worker's engine
   counters reach the parent.  Disabled, no telemetry message is ever
   sent -- the wire traffic is byte-identical to an unobserved run.
 """
@@ -165,7 +166,7 @@ def _corrupt(data: bytes) -> bytes:
 def _send_telemetry(conn, send_lock: threading.Lock,
                     worker_id: int) -> None:
     """Ship (and reset) this worker's observability delta."""
-    payload = export_telemetry(REGISTRY, OBS.tracer, OBS.convergence)
+    payload = export_telemetry(REGISTRY, OBS.tracer)
     try:
         with send_lock:
             conn.send(("telemetry", worker_id, payload))

@@ -20,7 +20,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -95,25 +95,18 @@ class PoissonWeights:
         """
         return np.cumsum(self.weights[::-1])[::-1]
 
-    def remaining_after(self, n: int,
-                        tail: Optional[np.ndarray] = None) -> float:
+    def remaining_after(self, n: int) -> float:
         """Normalised mass beyond term *n*: ``sum_{k > n} weights[k]``.
 
         This is the truncation error still outstanding after iteration
         *n* of a uniformisation series whose inner terms are bounded by
-        one -- the residual the convergence telemetry
-        (:mod:`repro.obs.convergence`) records per iteration.  Loops
-        should pass the precomputed :meth:`tail_from` array as *tail*
-        to keep the call O(1).
+        one -- the ``residual`` a series span carries once its loop
+        ends.
         """
         index = n + 1 - self.left
         if index <= 0:
             return 1.0
-        if tail is None:
-            tail = self.tail_from()
-        if index >= len(tail):
-            return 0.0
-        return float(tail[index])
+        return float(self.weights[index:].sum())
 
 
 def poisson_weights(rate: float, epsilon: float = 1e-12) -> PoissonWeights:

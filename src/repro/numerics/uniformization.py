@@ -84,18 +84,12 @@ def _count_series(metrics_engine: Optional[str], steps: int) -> None:
                      matvec_count=steps)
 
 
-def _start_record(weights, **attributes):
-    """Open a convergence record for a uniformisation loop (obs
-    enabled only); returns ``(record, tail)`` or ``(None, None)``.
-
-    The recorded residual is the remaining Poisson mass after each
-    iteration -- the a-priori truncation error still outstanding."""
-    if not OBS.enabled:
-        return None, None
-    record = OBS.convergence.start_series(
-        "uniformisation_series", weights.right,
-        rate=weights.rate, **attributes)
-    return record, weights.tail_from()
+def _end_series(span, weights, steps: int) -> None:
+    """Set what a finished uniformisation loop reached on its *span*:
+    the *steps* (products) it ran and the Poisson mass left beyond
+    them -- the truncation error not covered by computed terms."""
+    if OBS.enabled:
+        span.set(steps=steps, residual=weights.remaining_after(steps))
 
 # Maximum-norm threshold under which two successive uniformised vectors
 # are considered equal for steady-state detection.
@@ -168,14 +162,11 @@ def transient_distribution(model: CTMC,
     result = np.zeros_like(vector)
     tolerance = (epsilon * _STEADY_STATE_TOLERANCE_FACTOR
                  / max(1.0, float(len(weights))))
-    record, tail = _start_record(weights, variant="forward")
     with obs_span("uniformisation_series", depth=weights.right,
-                  kind="forward"):
+                  kind="forward", rate=rate) as span:
         for k in range(weights.right + 1):
             if k >= weights.left:
                 result += weights.weights[k - weights.left] * vector
-            if record is not None:
-                record.record(k, weights.remaining_after(k, tail))
             if k == weights.right:
                 break
             if hist is not None:
@@ -190,9 +181,11 @@ def transient_distribution(model: CTMC,
                     remaining = weights.weights[
                         k + 1 - weights.left:].sum()
                     result += remaining * next_vector
+                    _end_series(span, weights, k + 1)
                     _count_series(metrics_engine, k + 1)
                     return result
             vector = next_vector
+        _end_series(span, weights, weights.right)
     _count_series(metrics_engine, weights.right)
     return result
 
@@ -235,14 +228,11 @@ def transient_target_probabilities(model: CTMC,
     hist = _step_histogram(backend, metrics_engine)
     weights = poisson_weights(rate * t, epsilon=epsilon)
     result = np.zeros_like(vector)
-    record, tail = _start_record(weights, variant="backward")
     with obs_span("uniformisation_series", depth=weights.right,
-                  kind="backward"):
+                  kind="backward", rate=rate) as span:
         for k in range(weights.right + 1):
             if k >= weights.left:
                 result += weights.weights[k - weights.left] * vector
-            if record is not None:
-                record.record(k, weights.remaining_after(k, tail))
             if k == weights.right:
                 break
             if hist is not None:
@@ -250,6 +240,7 @@ def transient_target_probabilities(model: CTMC,
             vector = operator.matvec(vector)
             if hist is not None:
                 hist.observe(time.perf_counter() - block_start)
+        _end_series(span, weights, weights.right)
     _count_series(metrics_engine, weights.right)
     return result
 
@@ -297,14 +288,16 @@ def transient_target_probabilities_sweep(model: CTMC,
             weight_rows.append(None)
         else:
             weight_rows.append(poisson_weights(rate * t, epsilon=epsilon))
-    depth = max((w.right for w in weight_rows if w is not None),
-                default=0)
+    deepest = max((w for w in weight_rows if w is not None),
+                  key=lambda w: w.right, default=None)
+    depth = deepest.right if deepest is not None else 0
     backend = get_backend(kernel)
     operator = uniformized_operator(model, rate,
                                     policy=backend.operator_policy)
     hist = _step_histogram(backend, metrics_engine)
     with obs_span("uniformisation_series", depth=depth,
-                  kind="backward_sweep", points=len(times)):
+                  kind="backward_sweep", points=len(times),
+                  rate=rate) as span:
         for k in range(depth + 1):
             for i, weights in enumerate(weight_rows):
                 if weights is not None \
@@ -318,6 +311,8 @@ def transient_target_probabilities_sweep(model: CTMC,
             vector = operator.matvec(vector)
             if hist is not None:
                 hist.observe(time.perf_counter() - block_start)
+        if deepest is not None:
+            _end_series(span, deepest, depth)
     _count_series(metrics_engine, depth)
     return results
 
@@ -351,13 +346,14 @@ def transient_matrix(model: CTMC,
     block = np.eye(n)
     result = np.zeros((n, n))
     with obs_span("uniformisation_series", depth=weights.right,
-                  kind="matrix"):
+                  kind="matrix", rate=rate) as span:
         for k in range(weights.right + 1):
             if k >= weights.left:
                 result += weights.weights[k - weights.left] * block
             if k == weights.right:
                 break
             block = operator.matmat(block)
+        _end_series(span, weights, weights.right)
     _count_series(metrics_engine, weights.right)
     return result.T
 
@@ -413,7 +409,7 @@ def expected_accumulated_reward(model,
     # Coefficient of alpha P^k is tail(k+1) / lambda; for k < left the
     # tail is 1.
     with obs_span("uniformisation_series", depth=weights.right,
-                  kind="accumulated_reward"):
+                  kind="accumulated_reward", rate=rate) as span:
         for k in range(weights.right + 1):
             if k + 1 <= weights.left:
                 tail = 1.0
@@ -423,6 +419,7 @@ def expected_accumulated_reward(model,
             total += tail * float(vector @ rho)
             if k < weights.right:
                 vector = operator.rmatvec(vector)
+        _end_series(span, weights, weights.right)
     _count_series(metrics_engine, weights.right)
     # Account for the (up to `left`) leading terms whose tail is 1 but
     # which the loop already covers, and normalise by the rate.

@@ -14,12 +14,14 @@ Two module-level objects carry all state:
 
 ``OBS``
     The :class:`Observability` switchboard: an :attr:`enabled` flag,
-    a :class:`~repro.obs.trace.Tracer`, a
-    :class:`~repro.obs.convergence.ConvergenceRecorder` and a
-    reference to ``REGISTRY``.  The flag gates everything *expensive*
-    -- spans, per-iteration convergence samples, timing histograms,
-    the engine work counters -- so the disabled path costs one
-    attribute load at each instrumentation point.
+    a :class:`~repro.obs.trace.Tracer` and a reference to
+    ``REGISTRY``.  The flag gates everything *expensive* -- spans,
+    timing histograms, the engine work counters -- so the disabled
+    path costs one attribute load at each instrumentation point.
+
+Those are the two stores: what a run decided or reached (a kernel, a
+series' depth and leftover Poisson mass) is an attribute of the span
+that did the work, and what it counted is a metric.
 
 Instrumented code uses the two helpers::
 
@@ -32,6 +34,9 @@ Instrumented code uses the two helpers::
 :func:`span` returns a real tracer span when enabled and a shared
 no-op context otherwise, so call sites stay branch-free.  Whole-run
 capture (CLI ``--profile``, tests) uses :meth:`Observability.capture`.
+The live ``/metrics`` endpoint lives in :mod:`repro.obs.httpd` and is
+imported from there, so a plain ``import repro.obs`` does not load
+``http.server``.
 """
 
 from __future__ import annotations
@@ -40,8 +45,6 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
-from .convergence import ConvergenceRecorder, SeriesRecord
-from .httpd import MetricsServer, serve_metrics
 from .metrics import (DEFAULT_BUCKETS, ENGINE_COUNTERS, Counter, Gauge,
                       Histogram, MetricsRegistry, peak_rss_bytes)
 from .recorder import FlightRecorder, ResourceSampler
@@ -51,11 +54,9 @@ from .trace import _CURRENT, Span, Tracer
 __all__ = [
     "OBS", "REGISTRY", "Observability", "span", "annotate",
     "Tracer", "Span", "MetricsRegistry", "Counter", "Gauge",
-    "Histogram", "ConvergenceRecorder", "SeriesRecord",
-    "DEFAULT_BUCKETS", "ENGINE_COUNTERS", "count_engine",
-    "peak_rss_bytes",
-    "FlightRecorder", "ResourceSampler", "MetricsServer",
-    "serve_metrics", "export_telemetry", "merge_telemetry",
+    "Histogram", "DEFAULT_BUCKETS", "ENGINE_COUNTERS", "count_engine",
+    "peak_rss_bytes", "FlightRecorder", "ResourceSampler",
+    "export_telemetry", "merge_telemetry",
 ]
 
 #: Process-wide metrics registry -- always on (see module docstring).
@@ -81,13 +82,12 @@ _NULL_SPAN = _NullSpan()
 
 
 class Observability:
-    """The switchboard: one flag, one tracer, one recorder, the registry."""
+    """The switchboard: one flag, one tracer, the registry."""
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         #: Master switch read (unlocked) on every hot path.
         self.enabled = False
         self.tracer = Tracer()
-        self.convergence = ConvergenceRecorder()
         self.metrics = registry if registry is not None else REGISTRY
         self._lock = threading.Lock()
 
@@ -100,17 +100,16 @@ class Observability:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop recorded spans and convergence series (metrics stay --
-        the registry has its own :meth:`~MetricsRegistry.reset`)."""
+        """Drop recorded spans (metrics stay -- the registry has its
+        own :meth:`~MetricsRegistry.reset`)."""
         self.tracer.clear()
-        self.convergence.clear()
 
     @contextmanager
     def capture(self, reset_metrics: bool = True) -> Iterator["Observability"]:
         """Enable observability for a block, starting from a clean slate.
 
         Used by the CLI ``--profile`` path and the tests: clears the
-        tracer and recorder (and, by default, the metrics registry),
+        tracer (and, by default, the metrics registry),
         flips :attr:`enabled` on, and restores the previous flag on
         exit -- the captured spans/metrics stay readable afterwards.
         Serialised by a lock so two captures cannot interleave.

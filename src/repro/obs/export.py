@@ -10,9 +10,9 @@ Three audiences, three formats:
   :meth:`~repro.obs.metrics.MetricsRegistry.render_prometheus`);
 * humans read the **profile** (:func:`render_profile`): the span tree
   with per-phase wall/CPU time, cache hit ratios derived from the
-  ``repro_engine_cache_*_total`` counters, and convergence summaries
-  (Sericola truncation depth, uniformisation series length, final
-  residuals);
+  ``repro_engine_cache_*_total`` counters, and the timing histograms;
+  the tree labels each span with its decisions and outcomes (kernel,
+  expanded size, series depth, steps run, residual Poisson mass);
 * benchmarks and tests read the engine-counter ledger as plain
   integers (:func:`engine_totals`).
 
@@ -27,7 +27,6 @@ import json
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
-from .convergence import ConvergenceRecorder
 from .metrics import ENGINE_COUNTERS, MetricsRegistry
 from .recorder import RecordLog
 from .trace import Span, Tracer
@@ -160,13 +159,15 @@ def _span_label(span: Span) -> str:
                    if k in _LABEL_ATTRIBUTES}
     if not interesting:
         return span.name
-    inner = ", ".join(f"{k}={v}" for k, v in interesting.items())
+    inner = ", ".join(f"{k}={v:.3g}" if k == "residual" else f"{k}={v}"
+                      for k, v in interesting.items())
     return f"{span.name} [{inner}]"
 
 #: Attributes worth showing inline in the tree rendering.
 _LABEL_ATTRIBUTES = frozenset({
     "engine", "formula", "t", "r", "phases", "step", "depth", "worker",
-    "round", "cache_hit", "points", "error"})
+    "round", "cache_hit", "points", "error", "kernel", "expanded_states",
+    "steps", "residual", "rate"})
 
 
 def render_span_tree(roots: Sequence[Span]) -> str:
@@ -230,10 +231,8 @@ def _engine_from_label(label: str) -> str:
     return "unknown"
 
 
-def render_profile(tracer: Tracer,
-                   registry: MetricsRegistry,
-                   convergence: Optional[ConvergenceRecorder] = None) -> str:
-    """The human report: span tree, cache ratios, convergence, timings."""
+def render_profile(tracer: Tracer, registry: MetricsRegistry) -> str:
+    """The human report: span tree, cache ratios, counters, timings."""
     sections: List[str] = []
 
     roots = list(tracer.roots)
@@ -284,21 +283,5 @@ def render_profile(tracer: Tracer,
                     f"total={summary['sum']:.6f}s "
                     f"mean={summary['mean'] * 1e3:.3f}ms "
                     f"max={summary['max'] * 1e3:.3f}ms")
-
-    if convergence is not None and convergence.records:
-        sections.append("")
-        sections.append("== convergence ==")
-        for record in convergence.records:
-            attrs = record.attributes
-            context = ", ".join(f"{k}={v}"
-                                for k, v in sorted(attrs.items()))
-            residual = record.final_residual
-            residual_text = ("n/a" if residual is None
-                             else f"{residual:.3e}")
-            sections.append(
-                f"{record.kind}: depth={record.depth} "
-                f"steps={record.steps} "
-                f"final_residual={residual_text}"
-                + (f" ({context})" if context else ""))
 
     return "\n".join(sections) + ("\n" if sections else "")

@@ -3,25 +3,26 @@ merge it into the parent's.
 
 The process executor (:mod:`repro.exec`) runs engines in worker
 *processes*, so everything :mod:`repro.obs` records inside a worker --
-engine counters, matvec histograms, convergence series, spans, peak
-RSS -- would die with the worker.  This module defines the payload
-that rides home over the existing result pipe:
+engine counters, matvec histograms, spans (the series spans with their
+depths and residuals), peak RSS -- would die with the worker.  This
+module defines the payload that rides home over the existing result
+pipe:
 
 * :func:`export_telemetry` -- called in the worker after each task
   (and once more on clean shutdown): bundles the registry's
-  :meth:`~repro.obs.metrics.MetricsRegistry.export_state`, the
-  tracer's bounded
-  :meth:`~repro.obs.trace.Tracer.export_segments` and the convergence
-  records into one picklable dict, then resets all three so the next
-  export ships a pure delta.
+  :meth:`~repro.obs.metrics.MetricsRegistry.export_state` and the
+  tracer's bounded :meth:`~repro.obs.trace.Tracer.export_segments`
+  into one picklable dict, then resets both so the next export ships
+  a pure delta.  The parent and its workers run the same code, so
+  the payload carries no version.
 * :func:`merge_telemetry` -- called in the parent: folds the metrics
   into the parent registry with a ``worker="process-i"`` label
-  (:meth:`~repro.obs.metrics.MetricsRegistry.merge`), re-parents the
-  exported spans under the parent's live sweep span
-  (:meth:`~repro.obs.trace.Tracer.adopt_segments`), and replays the
-  convergence series -- so ``repro check --profile`` shows one
-  coherent tree and ``repro_engine_*_total`` are complete whether the
-  sweep ran on threads or processes.
+  (:meth:`~repro.obs.metrics.MetricsRegistry.merge`) and re-parents
+  the exported spans under the parent's live sweep span
+  (:meth:`~repro.obs.trace.Tracer.adopt_segments`) -- so ``repro
+  check --profile`` shows one coherent tree and
+  ``repro_engine_*_total`` are complete whether the sweep ran on
+  threads or processes.
 
 Roll-up convention: derived roll-up gauges (currently
 ``repro_peak_rss_bytes_max``) are *not* shipped -- the merging side
@@ -36,12 +37,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from .convergence import ConvergenceRecorder
 from .metrics import MetricsRegistry
 from .trace import Span, Tracer
-
-#: Wire-format version of the telemetry payload.
-TELEMETRY_VERSION = 1
 
 #: Metric names recomputed by the merging side instead of shipped
 #: (see the module docstring).
@@ -53,14 +50,13 @@ SEGMENT_LIMIT = 512
 
 def export_telemetry(registry: MetricsRegistry,
                      tracer: Optional[Tracer] = None,
-                     convergence: Optional[ConvergenceRecorder] = None,
                      segment_limit: Optional[int] = SEGMENT_LIMIT,
                      reset: bool = True) -> Dict[str, Any]:
     """One picklable telemetry payload; resets the sources by default.
 
-    With *reset* (the default) the registry, tracer and convergence
-    recorder are cleared after the export, so repeated exports ship
-    disjoint deltas and the parent can merge them blindly.
+    With *reset* (the default) the registry and tracer are cleared
+    after the export, so repeated exports ship disjoint deltas and the
+    parent can merge them blindly.
     """
     metrics = [entry for entry in registry.export_state()
                if entry["name"] not in ROLLUP_METRICS]
@@ -68,25 +64,15 @@ def export_telemetry(registry: MetricsRegistry,
     if tracer is not None:
         segments = tracer.export_segments(limit=segment_limit,
                                           clear=reset)
-    records: List[Dict[str, Any]] = []
-    if convergence is not None:
-        records = [record.to_dict()
-                   for record in convergence.records]
-        if reset:
-            convergence.clear()
     if reset:
         registry.reset()
-    return {"version": TELEMETRY_VERSION,
-            "metrics": metrics,
-            "segments": segments,
-            "convergence": records}
+    return {"metrics": metrics, "segments": segments}
 
 
 def merge_telemetry(payload: Dict[str, Any],
                     registry: MetricsRegistry,
                     tracer: Optional[Tracer] = None,
                     parent_span: Optional[Span] = None,
-                    convergence: Optional[ConvergenceRecorder] = None,
                     worker: Optional[str] = None) -> None:
     """Fold one :func:`export_telemetry` payload into parent state.
 
@@ -94,7 +80,7 @@ def merge_telemetry(payload: Dict[str, Any],
     every merged metric, overriding a worker label the snapshot may
     already carry (a worker records its own RSS under
     ``worker="main"``).  Spans attach under *parent_span* when a
-    tracer is given; convergence series are replayed sample by sample.
+    tracer is given.
     """
     extra = {"worker": worker} if worker is not None else None
     metrics = payload.get("metrics", ())
@@ -108,13 +94,3 @@ def merge_telemetry(payload: Dict[str, Any],
         segments = payload.get("segments", ())
         if segments:
             tracer.adopt_segments(list(segments), parent=parent_span)
-    if convergence is not None:
-        for record in payload.get("convergence", ()):
-            series = convergence.start_series(
-                str(record.get("kind", "series")),
-                int(record.get("depth", 0)),
-                **dict(record.get("attributes", {})))
-            iterations = record.get("iterations", ())
-            residuals = record.get("residuals", ())
-            for iteration, residual in zip(iterations, residuals):
-                series.record(int(iteration), float(residual))

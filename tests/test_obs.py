@@ -1,8 +1,9 @@
 """Tests for the :mod:`repro.obs` observability layer.
 
-Covers the tracer/metrics/convergence units, the JSON-lines
-round-trip, the worker-span attachment of the thread executor, both
-executors' deadline-missed counter, the engine-counter ledger
+Covers the tracer/metrics units, the series facts on their spans, the
+JSON-lines round-trip, the worker-span attachment of the thread
+executor, both executors' deadline-missed counter, the engine-counter
+ledger
 -- and the two bit-identity guarantees: observability on vs off never
 changes engine outputs, and the disabled instrumentation path stays
 within noise on the Table-4 reference query.
@@ -12,8 +13,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +31,6 @@ from repro.exec import ProcessShardExecutor, ThreadShardExecutor
 from repro.exec.executor import remaining
 from repro.mc.checker import ModelChecker
 from repro.obs import OBS, REGISTRY, count_engine, span
-from repro.obs.convergence import ConvergenceRecorder
 from repro.obs.export import (build_tree, cache_hit_ratios, parse_jsonl,
                               record_shape, render_profile, span_shape,
                               write_jsonl)
@@ -191,17 +195,57 @@ class TestMetrics:
         assert cache_hit_ratios(REGISTRY) == {"sericola": (2, 0)}
 
 
-class TestConvergence:
-    def test_series_record(self):
-        recorder = ConvergenceRecorder()
-        record = recorder.start_series("test_series", 5, engine="x")
-        record.record(0, 0.5)
-        record.record(1, 0.1)
-        assert record.steps == 2
-        assert record.final_residual == 0.1
-        only, = recorder.records
-        assert only.kind == "test_series"
-        assert only.depth == 5
+class TestSeriesSpans:
+    """What a series loop reached is set on its span when it ends."""
+
+    def test_sericola_series_sweep_carries_residual(self, flip_flop):
+        clear_caches()
+        engine = SericolaEngine()
+        with OBS.capture():
+            ModelChecker(flip_flop, engine=engine).check(
+                "P>0.5 [ up U[0,1][0,1] down ]")
+            sweeps = [s for s in OBS.tracer.spans()
+                      if s.name == "series_sweep"]
+        assert sweeps
+        for sweep in sweeps:
+            attrs = sweep.attributes
+            assert 0.0 <= attrs["residual"] <= engine.epsilon
+            # The checker made ``down`` absorbing: only ``up`` exits.
+            assert attrs["rate"] == 1.0
+            assert attrs["steps"] <= attrs["depth"]
+
+    @pytest.mark.parametrize("detection", [True, False])
+    def test_uniformisation_steps_stop_at_steady_state(self, flip_flop,
+                                                       detection):
+        from repro.numerics.uniformization import transient_distribution
+        with OBS.capture():
+            transient_distribution(flip_flop, 200.0,
+                                   steady_state_detection=detection)
+            series, = [s for s in OBS.tracer.spans()
+                       if s.name == "uniformisation_series"]
+        attrs = series.attributes
+        assert attrs["rate"] == flip_flop.max_exit_rate
+        assert 0.0 <= attrs["residual"] <= 1.0
+        if detection:
+            assert attrs["steps"] < attrs["depth"]
+        else:
+            assert attrs["steps"] == attrs["depth"]
+            assert attrs["residual"] == 0.0
+
+
+class TestColdImport:
+    def test_cli_import_leaves_http_server_out(self):
+        # A fresh interpreter: this test process has long loaded it.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = ("import sys, repro.cli; "
+                "sys.exit('http.server' in sys.modules)")
+        completed = subprocess.run([sys.executable, "-c", code],
+                                   env=env, capture_output=True,
+                                   text=True)
+        assert completed.returncode == 0, completed.stderr
 
 
 # ----------------------------------------------------------------------
@@ -405,12 +449,13 @@ class TestRenderProfile:
         with OBS.capture():
             checker = ModelChecker(flip_flop)
             # r < t * max reward keeps the reward bound binding, so the
-            # Sericola series (and its convergence record) actually runs.
+            # Sericola series (and its series_sweep span) actually runs.
             checker.check("P>0.5 [ up U[0,1][0,1] down ]")
-        report = render_profile(OBS.tracer, OBS.metrics,
-                                OBS.convergence)
+        report = render_profile(OBS.tracer, OBS.metrics)
         assert "== span tree ==" in report
         assert "check" in report
         assert "== cache ==" in report
         assert "== counters & gauges ==" in report
-        assert "== convergence ==" in report
+        sweep_line, = [line for line in report.splitlines()
+                       if "series_sweep [" in line]
+        assert "residual=" in sweep_line

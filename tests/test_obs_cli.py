@@ -92,7 +92,14 @@ class TestCheckProfileFlags:
         output = capsys.readouterr().out
         assert "joint_vector" in output
         assert "repro_sericola_truncation_depth" in output
-        assert "sericola_series" in output
+        # The a-priori bound behind the verdict, and the kernel chosen.
+        sweep_line, = [line for line in output.splitlines()
+                       if "series_sweep [" in line]
+        for fact in ("depth=603", "steps=603", "residual=9.86e-10"):
+            assert fact in sweep_line
+        unit_line, = [line for line in output.splitlines()
+                      if "sweep_unit [" in line]
+        assert "kernel=" in unit_line
 
     def test_trace_out_round_trips(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

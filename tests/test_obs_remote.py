@@ -190,6 +190,10 @@ class TestTelemetryPayload:
         empty = export_telemetry(registry, tracer=tracer)
         assert empty["metrics"] == [] and empty["segments"] == []
 
+    def test_payload_holds_metrics_and_spans_only(self):
+        payload = export_telemetry(MetricsRegistry(), tracer=Tracer())
+        assert set(payload) == {"metrics", "segments"}
+
     def test_merge_labels_and_rollup(self):
         worker = MetricsRegistry()
         worker.counter("repro_engine_matvec_total",
@@ -391,6 +395,23 @@ class TestProcessAggregation:
         assert worker_spans
         assert any(c.name == "sweep_unit"
                    for w in worker_spans for c in w.children)
+
+    def test_process_series_spans_keep_residuals(self):
+        from repro.algorithms import SericolaEngine
+        from tests.exec_sweep_driver import (REWARDS, TARGET, TIMES,
+                                             build_model)
+        clear_caches()
+        with OBS.capture():
+            partial = SericolaEngine().joint_probability_sweep_partial(
+                build_model(), TIMES, REWARDS, TARGET,
+                executor=ProcessShardExecutor(max_workers=2))
+            assert partial.complete
+            roots = list(OBS.tracer.roots)
+        sweep, = [r for r in roots if r.name == "process_sweep"]
+        series = [s for w in sweep.children if w.name == "worker"
+                  for s in w.walk() if s.name == "series_sweep"]
+        assert series
+        assert all("residual" in s.attributes for s in series)
 
     def test_obs_off_grid_bit_identical(self):
         model = two_state_model()
