@@ -91,8 +91,8 @@ def bench_discretization_state_scaling(benchmark, stations):
     indicator = np.ones(model.num_states)
 
     def run():
-        return engine.joint_probability_from(model, t, r, indicator,
-                                             stations)
+        return engine.sweep_unit(model, [t], [r],
+                                 indicator)[0, 0, stations]
 
     benchmark.pedantic(run, rounds=2, iterations=1)
     report(benchmark, states=model.num_states,
@@ -246,8 +246,8 @@ def bench_engine_shootout(benchmark, q3_setting, q3_exact):
         "erlang(k=256)": lambda: ErlangEngine(phases=256)
         .joint_probability_vector(model, t, r, [goal])[initial],
         "discretization(1/64)": lambda: DiscretizationEngine(
-            step=1.0 / 64).joint_probability_from(model, t, r,
-                                                  indicator, initial),
+            step=1.0 / 64).sweep_unit(model, [t], [r],
+                                      indicator)[0, 0, initial],
     }
 
     import time

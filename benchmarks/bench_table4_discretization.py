@@ -32,8 +32,8 @@ def bench_table4_row(benchmark, q3_setting, q3_exact, step,
     indicator[goal] = 1.0
 
     def run():
-        return engine.joint_probability_from(model, t, r, indicator,
-                                             initial)
+        return engine.sweep_unit(model, [t], [r],
+                                 indicator)[0, 0, initial]
 
     value = benchmark.pedantic(run, rounds=1, iterations=1)
     error_pct = 100.0 * abs(value - q3_exact) / q3_exact
@@ -63,8 +63,7 @@ def bench_table4_quadratic_cost(benchmark, q3_setting):
         for step in (1.0 / 32, 1.0 / 64, 1.0 / 128):
             engine = DiscretizationEngine(step=step)
             start = time.perf_counter()
-            engine.joint_probability_from(model, t, r, indicator,
-                                          initial)
+            engine.sweep_unit(model, [t], [r], indicator)
             timings.append(time.perf_counter() - start)
         return timings
 

@@ -4,13 +4,13 @@
 Runs the three engines on property Q3 of the ad hoc network case study
 (Section 5 of the paper) -- the Sericola epsilon sweep (Table 2), the
 pseudo-Erlang phase sweep (Table 3) and the discretisation step sweep
-(Table 4) -- plus three measurements of this library's performance
-layer: the batched all-initial-states propagation against the seed's
-per-state loop, the joint-vector cache behaviour under repeated
-identical checks, and the shared-prefix ``(t, r)`` grid sweep against
-the per-point loop (see :mod:`bench_sweep`).  Results (computed values, errors against the
-paper's reference, wall-clock seconds, cache counters) are written to
-``BENCH_<YYYYMMDD>.json`` next to this script.
+(Table 4) -- plus measurements of this library's performance layer:
+the joint-vector cache behaviour under repeated identical checks, the
+shared-prefix ``(t, r)`` grid sweep against the per-point loop (see
+:mod:`bench_sweep`) and the telemetry overhead.  Results (computed
+values, errors against the paper's reference, wall-clock seconds,
+cache counters) are written to ``BENCH_<YYYYMMDD>.json`` next to this
+script.
 
 Usage::
 
@@ -64,20 +64,20 @@ REFERENCE = adhoc.Q3_REFERENCE_VALUE
 #: largest single process's high-water mark) and the file carries an
 #: ``obs_overhead`` section timing an obs-on process sweep against the
 #: dark run (the PR 5 overhead contract extended to the executor).
+#: Files written since the library lost its forward per-state path
+#: have no ``batched_speedup`` section (nothing left to time against).
 SCHEMA_VERSION = 5
 
 QUICK = {
     "epsilons": [1e-2, 1e-4, 1e-6],
     "phases": [16, 64],
     "steps": [1.0 / 32],
-    "speedup_step": 1.0 / 32,
 }
 FULL = {
     "epsilons": [row[0] for row in adhoc.TABLE2_OCCUPATION_TIME],
     "phases": [row[0] for row in adhoc.TABLE3_PSEUDO_ERLANG
                if row[0] <= 256],
     "steps": [row[0] for row in adhoc.TABLE4_DISCRETIZATION[:3]],
-    "speedup_step": 1.0 / 64,
 }
 
 
@@ -215,33 +215,6 @@ def bench_table4(setting, steps) -> list:
     return rows
 
 
-def bench_batched_speedup(setting, step) -> dict:
-    """Seed-style per-state loop vs the batched adjoint propagation."""
-    model, goal, initial, t, r = setting
-    indicator = np.zeros(model.num_states)
-    indicator[goal] = 1.0
-    engine = DiscretizationEngine(step=step)
-
-    clear_caches()
-    loop, loop_seconds = _timed(lambda: np.array(
-        [engine.joint_probability_from(model, t, r, indicator, s)
-         for s in range(model.num_states)]))
-    clear_caches()
-    batched, batched_seconds = _timed(
-        lambda: engine.joint_probability_vector(model, t, r, [goal]))
-    speedup = loop_seconds / batched_seconds
-    print(f"  per-state loop {loop_seconds:.3f}s vs batched "
-          f"{batched_seconds:.3f}s -> {speedup:.1f}x")
-    return {
-        "step": f"1/{int(round(1 / step))}",
-        "states": model.num_states,
-        "loop_seconds": round(loop_seconds, 4),
-        "batched_seconds": round(batched_seconds, 4),
-        "speedup": round(speedup, 2),
-        "max_abs_diff": float(np.max(np.abs(loop - batched))),
-    }
-
-
 def bench_cache(setting) -> dict:
     """Repeated identical checks through the model checker."""
     clear_caches()
@@ -344,8 +317,6 @@ def main(argv=None) -> int:
     table3 = bench_table3(setting, config["phases"])
     print("Table 4 (Tijms-Veldman discretisation):")
     table4 = bench_table4(setting, config["steps"])
-    print("Batched vs per-state discretisation:")
-    speedup = bench_batched_speedup(setting, config["speedup_step"])
     print("Result cache under repeated checks:")
     cache = bench_cache(setting)
     print("Shared-prefix (t, r) grid sweep:")
@@ -370,7 +341,6 @@ def main(argv=None) -> int:
         "table2_sericola": table2,
         "table3_erlang": table3,
         "table4_discretization": table4,
-        "batched_speedup": speedup,
         "cache": cache,
         "sweep": sweep,
         "obs_overhead": obs_overhead,

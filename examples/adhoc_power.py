@@ -106,8 +106,8 @@ def engine_tables(full: bool):
     for step, paper_value, paper_error in rows:
         engine = DiscretizationEngine(step=step)
         start = time.perf_counter()
-        value = engine.joint_probability_from(model, t, r, indicator,
-                                              initial)
+        value = engine.sweep_unit(model, [t], [r],
+                                  indicator)[0, 0, initial]
         elapsed = time.perf_counter() - start
         error = 100.0 * abs(value - exact) / exact
         print(f"   1/{int(round(1 / step)):<4d} {value:>12.8f} "

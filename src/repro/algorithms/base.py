@@ -35,6 +35,12 @@ entry point is a view of it:
   (:meth:`JointEngine._bracket_companion`), and
   :meth:`JointEngine.joint_probability_interval` is its ``1 x 1`` cell.
 
+The core runs in one direction, backwards from the target: one run
+covers every initial state, and the value from a single state (or an
+initial distribution ``alpha``) is a read-off of the vector (``v[s]``,
+``alpha @ v``).  The forward per-state recurrences that check it are
+independent code in ``tests/oracles.py``.
+
 The engines' work counters (cache hits/misses, propagation steps,
 sparse products, sweep points) go straight into the metrics registry as
 ``repro_engine_*_total{engine=...}`` (:func:`repro.obs.count_engine`)
@@ -544,39 +550,6 @@ class JointEngine(ABC):
         cell computed in a ``1 x 1`` grid bit for bit.
         """
 
-    def joint_probability(self,
-                          model: MarkovRewardModel,
-                          t: float,
-                          r: float,
-                          target: Iterable[int],
-                          initial: Optional[Sequence[float]] = None
-                          ) -> float:
-        """The joint probability from *initial* (default: the model's
-        initial distribution)."""
-        vector = self.joint_probability_vector(model, t, r, target)
-        alpha = (model.initial_distribution if initial is None
-                 else np.asarray(initial, dtype=float))
-        return float(alpha @ vector)
-
-    def joint_probability_from(self,
-                               model: MarkovRewardModel,
-                               t: float,
-                               r: float,
-                               indicator: np.ndarray,
-                               initial_state: int) -> float:
-        """Joint probability from a single initial state.
-
-        The base implementation runs the engine's (uncached) ``1 x 1``
-        grid and reads off one entry -- engines with a genuinely scalar
-        algorithm (the discretisation's single-initial-state
-        propagation, the pseudo-Erlang forward analysis) override this
-        with an independent per-state path, which the equivalence tests
-        compare against the batched vector.
-        """
-        grid = self._compute_joint_sweep(model, [float(t)], [float(r)],
-                                         np.asarray(indicator, dtype=float))
-        return float(grid[0, 0, int(initial_state)])
-
     # ------------------------------------------------------------------
 
     def _cache_token(self) -> Tuple:
@@ -589,18 +562,24 @@ class JointEngine(ABC):
         """
         return (self.name,)
 
-    def _validate(self, model: MarkovRewardModel, t: float, r: float,
+    def _validate(self, model: MarkovRewardModel,
+                  times: Sequence[float], rewards: Sequence[float],
                   target: Iterable[int]) -> np.ndarray:
         """Shared argument validation; returns the target indicator.
 
-        Also enforces the engine's :meth:`capabilities` declaration
-        (e.g. impulse rewards vs. the occupation-time algorithm).
+        Every bound of the sweep must be ``>= 0`` -- written so that
+        ``NaN`` fails too.  Also enforces the engine's
+        :meth:`capabilities` declaration (e.g. impulse rewards vs. the
+        occupation-time algorithm).
         """
         self._check_capabilities(model)
-        if t < 0.0:
-            raise NumericalError(f"time bound must be >= 0, got {t}")
-        if r < 0.0:
-            raise NumericalError(f"reward bound must be >= 0, got {r}")
+        for t in times:
+            if not t >= 0.0:
+                raise NumericalError(f"time bound must be >= 0, got {t}")
+        for r in rewards:
+            if not r >= 0.0:
+                raise NumericalError(
+                    f"reward bound must be >= 0, got {r}")
         indicator = np.zeros(model.num_states)
         states = np.fromiter((int(s) for s in target), dtype=np.int64)
         if states.size:

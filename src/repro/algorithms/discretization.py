@@ -15,7 +15,11 @@ being in state ``s`` at time ``j * d`` with accumulated reward
                   + sum_{s'} F^j(s', k - rho(s')) R(s', s) d
 
 (the displacement uses the reward rate of the state occupied during
-the interval, as in Tijms & Veldman's original formulation).  After
+the interval, as in Tijms & Veldman's original formulation).  A
+transition carrying an impulse reward ``iota(s', s)`` displaces its
+term by ``c = iota(s', s) / d`` further cells: it reads ``G(s', k -
+c)``, with ``G(s', m) = F^j(s', m - rho(s'))`` and zero for ``k < c``.
+After
 ``T = t / d`` steps,
 
     Pr{Y_t <= r, X_t in S'} ~~ sum_{s in S'} sum_{k<=R} F^T(s, k) d
@@ -33,29 +37,20 @@ so the cost is ``O(T * nnz(R) * R / d)`` -- quadratic in ``1/d``,
 matching the paper's observation that halving ``d`` quadruples the
 runtime (Table 4).
 
-**Batched all-initial-states evaluation.**  The recurrence above is a
-linear map ``L`` on the ``(state, reward cell)`` density array, and the
-model checker needs ``v[s0] = <w, L^{T-1} F^1_{s0}>`` for *every*
-initial state ``s0``, where ``w`` is the indicator of the accepting
-cells (target states, reward within bound).  Two batched formulations
-replace the seed's ``|S|`` independent runs:
-
-* the *adjoint* sweep (used by :meth:`DiscretizationEngine.\
-joint_probability_vector`): propagate ``G^T = w`` backwards through the
-  adjoint recurrence ``G^{j} = shift_rho^T( (1 - E d) G^{j+1}
-  + R d G^{j+1} )`` and read off ``v[s0] = G^1(s0, rho(s0))`` -- one
-  ``(|S|, R+1)`` array and two sparse x dense products per step cover
-  all initial states at once, an ``|S|``-fold saving over the per-state
-  loop;
-* the *forward tensor* sweep (:meth:`DiscretizationEngine.\
-final_density_batch`): propagate the ``(initial, state, reward cell)``
-  density tensor in one pass when the full per-initial densities are
-  wanted, again two sparse x dense products per step over the flattened
-  trailing axes.
-
-Both agree with the scalar :meth:`DiscretizationEngine.\
-joint_probability_from` path to floating-point accuracy (it is the same
-linear operator, applied forwards or backwards).
+**One backward run for all initial states.**  The recurrence above
+is a linear map ``L`` on the ``(state, reward cell)`` density array,
+and the model checker needs ``v[s0] = <w, L^{T-1} F^1_{s0}>`` for
+*every* initial state ``s0``, where ``w`` is the indicator of the
+accepting cells (target states, reward within bound, cell 0
+included).  The engine never runs the recurrence forwards: it
+propagates ``G^T = w`` backwards through the adjoint recurrence
+``G^{j} = shift_rho^T( (1 - E d) G^{j+1} + R d G^{j+1} )`` and reads
+off ``v[s0] = G^1(s0, rho(s0))`` -- one ``(|S|, R+1)`` array and one
+fused product per step (plus one per impulse value) cover all initial
+states at once, an ``|S|``-fold saving over ``|S|`` forward runs.  It
+is the same linear operator applied backwards, so it agrees with the
+forward recurrence to floating-point accuracy; the test suite checks
+it against an independent forward implementation.
 
 **Grid sweeps.**  For a whole ``(t, r)`` grid of bounds
 (:meth:`~repro.algorithms.base.JointEngine.joint_probability_sweep`)
@@ -73,8 +68,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from math import gcd
-from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,8 +76,7 @@ import scipy.sparse as sp
 from repro.algorithms.base import (EngineCapabilities, JointEngine,
                                    register_engine)
 from repro.algorithms.cache import matrix_cache
-from repro.algorithms.erlang import (zero_reward_bound_sweep,
-                                     zero_reward_bound_vector)
+from repro.algorithms.erlang import zero_reward_bound_sweep
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError, RewardError
 from repro.kernels import KernelBackend, resolve_static
@@ -126,10 +119,6 @@ class DiscretizationEngine(JointEngine):
     underflow:
         ``"drop"`` (density at negative accumulated reward is zero) or
         ``"clamp"`` (the paper's literal "set the index to 0" rule).
-    include_zero:
-        Include the ``k = 0`` cell in the final sum.  The paper's
-        formula starts at ``k = 1``; the zero cell only carries mass
-        when the initial state has reward zero.
     kernel:
         Kernel backend running the propagation loops (a name, a
         :class:`~repro.kernels.KernelBackend` instance, or ``None``
@@ -151,7 +140,6 @@ class DiscretizationEngine(JointEngine):
     def __init__(self,
                  step: float = 1.0 / 64,
                  underflow: str = "drop",
-                 include_zero: bool = True,
                  kernel: Union[str, KernelBackend, None] = None):
         if step <= 0.0:
             raise NumericalError(f"step must be positive, got {step}")
@@ -160,7 +148,6 @@ class DiscretizationEngine(JointEngine):
                 f"underflow must be 'drop' or 'clamp', got {underflow!r}")
         self.step = float(step)
         self.underflow = underflow
-        self.include_zero = bool(include_zero)
         self._kernel_request = kernel
         self._backend = resolve_static(kernel)
         self.kernel = ("auto" if self._backend is None
@@ -170,15 +157,16 @@ class DiscretizationEngine(JointEngine):
         # Backends agree only to <= 1e-12, so the backend name keys the
         # result cache alongside the numeric knobs.  The "auto"
         # sentinel is sound: the per-model resolution is deterministic
-        # given the model content already in the key.
-        return (self.name, self.step, self.underflow, self.include_zero,
-                self.kernel)
+        # given the model content already in the key.  The literal True
+        # fills the slot of the removed ``include_zero`` knob (cell 0 is
+        # always summed): checkpoint headers hold ``repr(token)``, so
+        # the token must stay byte-identical for older files to resume.
+        return (self.name, self.step, self.underflow, True, self.kernel)
 
     def spec(self):
         return {"engine": self.name,
                 "options": {"step": self.step,
                             "underflow": self.underflow,
-                            "include_zero": self.include_zero,
                             "kernel": self._kernel_option()}}
 
     # ------------------------------------------------------------------
@@ -200,7 +188,6 @@ class DiscretizationEngine(JointEngine):
         """
         return DiscretizationEngine(step=self.step / 2.0,
                                     underflow=self.underflow,
-                                    include_zero=self.include_zero,
                                     kernel=self._kernel_request)
 
     def refined(self):
@@ -279,12 +266,10 @@ class DiscretizationEngine(JointEngine):
 
         in_range = rho < num_cells
 
-        start = 0 if self.include_zero else 1
-        weight = np.zeros((n, num_cells))
-        weight[:, start:] = indicator[:, None]
+        weight = np.empty((n, num_cells))
+        weight[:] = indicator[:, None]
 
-        stepper = self._propagator(model, num_cells, weight,
-                                   forward=False, backend=backend)
+        stepper = self._propagator(model, num_cells, weight, backend)
         out = np.empty((len(times), n))
         matvec_hist = (OBS.metrics.histogram("repro_matvec_block_seconds",
                                              engine=self.name,
@@ -309,53 +294,6 @@ class DiscretizationEngine(JointEngine):
         self._count_steps(stepper, num_steps - 1)
         return out
 
-    def final_density_batch(self,
-                            model: MarkovRewardModel,
-                            t: float,
-                            r: float,
-                            initial_states: Optional[Sequence[int]] = None
-                            ) -> np.ndarray:
-        """Forward densities for a batch of initial states in one pass.
-
-        Returns the ``(len(initial_states), |S|, R+1)`` array whose
-        slice ``[b]`` equals :meth:`final_density` started in
-        ``initial_states[b]`` (default: every state).  The whole batch
-        advances through each step with two sparse x dense products on
-        the ``(|S|, batch * (R+1))`` flattened tensor instead of
-        ``len(initial_states)`` independent runs.
-        """
-        num_steps, num_cells, rho = self._setup(model, t, r)
-        n = model.num_states
-        if initial_states is None:
-            inits = np.arange(n)
-        else:
-            inits = np.asarray([int(s) for s in initial_states])
-        batch = len(inits)
-
-        density = np.zeros((n, batch, num_cells))
-        for index, s0 in enumerate(inits):
-            if rho[s0] < num_cells:
-                density[s0, index, rho[s0]] = 1.0 / self.step
-
-        backend = self._backend_for(model)
-        stepper = self._propagator(model, num_cells, density,
-                                   forward=True, batch=batch,
-                                   backend=backend)
-        matvec_hist = (OBS.metrics.histogram("repro_matvec_block_seconds",
-                                             engine=self.name,
-                                             kernel=backend.name)
-                       if OBS.enabled else None)
-        with obs_span("final_density_batch", steps=num_steps - 1,
-                      batch=batch, cells=num_cells):
-            for _ in range(num_steps - 1):
-                if matvec_hist is not None:
-                    block_start = time.perf_counter()
-                density = stepper.step()
-                if matvec_hist is not None:
-                    matvec_hist.observe(time.perf_counter() - block_start)
-        self._count_steps(stepper, num_steps - 1)
-        return np.ascontiguousarray(density.transpose(1, 0, 2))
-
     def _count_steps(self, stepper, steps: int) -> None:
         """Count one finished run of *steps* propagation steps."""
         steps = max(steps, 0)
@@ -363,81 +301,20 @@ class DiscretizationEngine(JointEngine):
                      matvec_count=steps * stepper.products_per_step)
 
     # ------------------------------------------------------------------
-    # scalar (single initial state) path -- the seed formulation
-    # ------------------------------------------------------------------
-
-    def joint_probability_from(self,
-                               model: MarkovRewardModel,
-                               t: float,
-                               r: float,
-                               indicator: np.ndarray,
-                               initial_state: int) -> float:
-        """Joint probability from a single initial state (one run)."""
-        if t == 0.0:
-            return float(indicator[initial_state])
-        if r == 0.0:
-            exact = zero_reward_bound_vector(model, t, indicator,
-                                             kernel=self._backend_for(model))
-            return float(exact[initial_state])
-        density = self.final_density(model, t, r, initial_state)
-        start = 0 if self.include_zero else 1
-        mass = density[:, start:] * self.step
-        return float(min(1.0, (mass.sum(axis=1) * indicator).sum()))
-
-    def final_density(self,
-                      model: MarkovRewardModel,
-                      t: float,
-                      r: float,
-                      initial_state: int) -> np.ndarray:
-        """The discretised density ``F^T`` as an ``(|S|, R+1)`` array.
-
-        ``F[s, k]`` approximates the joint density of ``(X_t, Y_t)`` at
-        ``Y_t = k * d``, restricted to ``Y_t <= r`` (mass beyond the
-        bound is discarded on the fly; it never flows back because
-        displacements are non-negative).  ``R = r / d``, capped at
-        ``rho_max t / d`` on impulse-free models (see :meth:`_setup`).
-        """
-        num_steps, num_cells, rho = self._setup(model, t, r)
-        d = self.step
-
-        density = np.zeros((model.num_states, num_cells))
-        start_cell = min(int(rho[initial_state]), num_cells - 1)
-        # F^1 places all mass (density 1/d) at the initial state with
-        # one interval's reward already earned.
-        if rho[initial_state] < num_cells:
-            density[initial_state, start_cell] = 1.0 / d
-        else:
-            # The very first interval already exceeds the bound.
-            return density
-
-        stepper = self._propagator(model, num_cells, density,
-                                   forward=True)
-        for _ in range(num_steps - 1):
-            density = stepper.step()
-        return density
-
-    # ------------------------------------------------------------------
     # shared setup and cached step matrices
     # ------------------------------------------------------------------
 
     def _propagator(self, model: MarkovRewardModel, num_cells: int,
-                    state: np.ndarray, forward: bool,
-                    batch: Optional[int] = None,
-                    backend: Optional[KernelBackend] = None
+                    state: np.ndarray, backend: KernelBackend
                     ) -> DiscretizationPropagator:
-        """A kernel stepper over the caller-seeded *state* array."""
-        if backend is None:
-            backend = self._backend_for(model)
+        """An adjoint kernel stepper over the caller-seeded *state*."""
         operator, impulses = self._step_operators(
-            model, forward, backend.operator_policy)
+            model, backend.operator_policy)
         live = [(cells, op) for cells, op in impulses
                 if cells < num_cells]
-        plan = self._shift_plan(model)
-        if batch is not None:
-            plan = plan.expand(batch)
         return DiscretizationPropagator(
-            backend, operator, live, plan,
-            self.underflow == "clamp", state, forward)
+            backend, operator, live, self._shift_plan(model),
+            self.underflow == "clamp", state)
 
     def _shift_plan(self, model: MarkovRewardModel) -> ShiftPlan:
         """The per-state reward displacement plan, cached per
@@ -451,7 +328,7 @@ class DiscretizationEngine(JointEngine):
             matrix_cache.put(key, plan)
         return plan
 
-    def _step_operators(self, model: MarkovRewardModel, forward: bool,
+    def _step_operators(self, model: MarkovRewardModel,
                         policy: str = "auto"
                         ) -> Tuple[StepOperator,
                                    Tuple[Tuple[int, StepOperator], ...]]:
@@ -459,21 +336,18 @@ class DiscretizationEngine(JointEngine):
 
         ``diag(1 - E d)`` folds into the ``d``-scaled rate matrix, so
         the former ``stay[:, None] * W + base @ W`` pair becomes one
-        product per step.  Cached per ``(model, step, orientation)``;
-        under the default ``"auto"`` policy the representation (dense
-        vs CSR) never depends on the kernel backend, so that cache
-        entry is backend-neutral.  The sparse/dense backends pin the
+        product per step.  Cached per ``(model, step)``; under the
+        default ``"auto"`` policy the representation (dense vs CSR)
+        never depends on the kernel backend, so that cache entry is
+        backend-neutral.  The sparse/dense backends pin the
         representation instead and get their own key element.
         """
-        key = (("disc-step-op", model.fingerprint, self.step,
-                bool(forward)) if policy == "auto"
-               else ("disc-step-op", model.fingerprint, self.step,
-                     bool(forward), policy))
+        key = (("disc-step-op", model.fingerprint, self.step)
+               if policy == "auto"
+               else ("disc-step-op", model.fingerprint, self.step, policy))
         cached = matrix_cache.get(key)
         if cached is None:
-            groups = dict(self._transposed_step_groups(model, self.step)
-                          if forward
-                          else self._step_groups(model, self.step))
+            groups = self._build_step_groups(model, self.step)
             n = model.num_states
             base = groups.pop(0, sp.csr_matrix((n, n)))
             stay = 1.0 - model.exit_rates * self.step
@@ -520,36 +394,12 @@ class DiscretizationEngine(JointEngine):
         num_cells = int(np.floor(r / d + 1e-9)) + 1
         return num_steps, num_cells, rho
 
-    @classmethod
-    def _step_groups(cls, model: MarkovRewardModel, d: float
-                     ) -> Dict[int, sp.csr_matrix]:
-        """``d``-scaled rate matrices grouped by the number of reward
-        cells their impulse displaces (0 for no impulse), in forward
-        (row = source) orientation; cached per ``(model, d)``."""
-        key = ("disc-groups", model.fingerprint, float(d))
-        groups = matrix_cache.get(key)
-        if groups is None:
-            groups = cls._build_step_groups(model, d)
-            matrix_cache.put(key, groups)
-        return groups
-
-    @classmethod
-    def _transposed_step_groups(cls, model: MarkovRewardModel, d: float
-                                ) -> Dict[int, sp.csr_matrix]:
-        """The transposed (column = source) variant of
-        :meth:`_step_groups`, used by the forward propagations."""
-        key = ("disc-groups-T", model.fingerprint, float(d))
-        groups = matrix_cache.get(key)
-        if groups is None:
-            groups = {cells: matrix.transpose().tocsr()
-                      for cells, matrix in
-                      cls._step_groups(model, d).items()}
-            matrix_cache.put(key, groups)
-        return groups
-
     @staticmethod
     def _build_step_groups(model: MarkovRewardModel, d: float
                            ) -> Dict[int, sp.csr_matrix]:
+        """``d``-scaled rate matrices (row = source) grouped by the
+        number of reward cells their impulse displaces (0 for no
+        impulse)."""
         base = (model.rate_matrix * d).tocsr()
         if not model.has_impulse_rewards:
             return {0: base}

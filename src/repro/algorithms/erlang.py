@@ -54,7 +54,7 @@ from repro.kernels import KernelBackend, resolve_static
 from repro.obs import annotate
 from repro.obs import span as obs_span
 from repro.numerics.uniformization import (
-    Kernel, transient_distribution, transient_target_probabilities_sweep)
+    Kernel, transient_target_probabilities_sweep)
 
 
 def erlang_expanded_model(model: MarkovRewardModel,
@@ -290,36 +290,6 @@ class ErlangEngine(JointEngine):
             return None
         return self._bracket_companion()
 
-    def joint_probability_from(self,
-                               model: MarkovRewardModel,
-                               t: float,
-                               r: float,
-                               indicator: np.ndarray,
-                               initial_state: int) -> float:
-        """Joint probability from one initial state via an independent
-        *forward* transient analysis of the expanded chain (the dual of
-        the batched backward series; used by the equivalence tests)."""
-        indicator = np.asarray(indicator, dtype=float)
-        if r == 0.0:
-            exact = zero_reward_bound_vector(
-                model, t, indicator, epsilon=self.epsilon,
-                kernel=self._backend_for(model))
-            return float(exact[int(initial_state)])
-        expanded, barrier = erlang_expanded_model(model, r, self.phases)
-        k = self.phases
-        alpha = np.zeros(expanded.num_states)
-        alpha[int(initial_state) * k] = 1.0
-        distribution = transient_distribution(
-            expanded, t, initial=alpha, epsilon=self.epsilon,
-            steady_state_detection=False,
-            kernel=self._backend_for(expanded),
-            metrics_engine=self.name)
-        mass = 0.0
-        for s in np.flatnonzero(indicator):
-            mass += indicator[s] * float(
-                distribution[s * k:(s + 1) * k].sum())
-        return float(np.clip(mass, 0.0, 1.0))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(phases={self.phases})"
 
@@ -362,17 +332,6 @@ def _zero_reward_restriction(model: MarkovRewardModel,
         return CTMC(rates.tocsr()), masked
     masked = np.where(positive, 0.0, indicator)
     return CTMC(rates.tocsr()), masked
-
-
-def zero_reward_bound_vector(model: MarkovRewardModel,
-                             t: float,
-                             indicator: np.ndarray,
-                             epsilon: float = 1e-12,
-                             kernel: Kernel = None) -> np.ndarray:
-    """Exact ``Pr{Y_t <= 0, X_t in S'}`` for every initial state: the
-    single-time-bound case of :func:`zero_reward_bound_sweep`."""
-    return zero_reward_bound_sweep(model, [t], indicator, epsilon=epsilon,
-                                   kernel=kernel)[0]
 
 
 def zero_reward_bound_sweep(model: MarkovRewardModel,

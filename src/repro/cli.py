@@ -332,11 +332,17 @@ def _parse_grid_axis(text: Optional[str], flag: str) -> list:
               f"--sweep-rewards ({flag} is missing)", file=sys.stderr)
         raise SystemExit(2)
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         print(f"{flag} must be comma-separated numbers, got {text!r}",
               file=sys.stderr)
         raise SystemExit(2)
+    for value in values:
+        if not (np.isfinite(value) and value >= 0.0):
+            print(f"{flag} must hold finite bounds >= 0, got {value}",
+                  file=sys.stderr)
+            raise SystemExit(2)
+    return values
 
 
 def _sweep_check(checker: ModelChecker, model, formula: str,

@@ -178,9 +178,8 @@ class SweepGrid:
         self.model = model
         self.times = [float(t) for t in times]
         self.rewards = [float(r) for r in rewards]
-        self.indicator = engine._validate(
-            model, min(self.times, default=0.0),
-            min(self.rewards, default=0.0), target)
+        self.indicator = engine._validate(model, self.times,
+                                          self.rewards, target)
         self.token = engine._cache_token()
         self.mask = self.indicator.tobytes()
         shape = (len(self.times), len(self.rewards), model.num_states)

@@ -196,7 +196,7 @@ def _run_task(context: _SweepContext, message: Tuple,
     _apply_pre_fault(fault, heartbeat)
     engine = context.engine
     try:
-        indicator = engine._validate(context.model, 0.0, 0.0,
+        indicator = engine._validate(context.model, (), (),
                                      context.target)
         block = engine.sweep_unit(context.model, times, rewards,
                                   indicator)

@@ -1,7 +1,7 @@
 """Batched propagation kernels behind interchangeable backends.
 
 The kernels package owns the inner propagation steps of all three
-engines (discretisation adjoint/forward sweeps, the Sericola
+engines (the discretisation adjoint sweep, the Sericola
 ``b(h, n, k)`` series advance, uniformisation matvecs) behind a
 stable array-in/array-out API defined in :mod:`repro.kernels.base`.
 

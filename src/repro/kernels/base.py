@@ -1,8 +1,8 @@
 """Backend-neutral building blocks of the propagation kernels.
 
 The three engines spend essentially all their time in a handful of
-inner loops: the Tijms--Veldman adjoint/forward step (one sparse or
-dense product plus a per-state reward-cell shift), Sericola's
+inner loops: the Tijms--Veldman adjoint step (one sparse or dense
+product plus a per-state reward-cell shift), Sericola's
 ``b(h,n,k)`` triangular update (one block product plus two sweeps of
 first-order recurrences), and the plain uniformisation series (one
 product per term).  This module owns the *shared* structure of those
@@ -191,23 +191,6 @@ class ShiftPlan:
         self.shifts = shifts
         self.groups = groups
 
-    @property
-    def num_rows(self) -> int:
-        return int(self.shifts.shape[0])
-
-    def expand(self, batch: int) -> "ShiftPlan":
-        """The plan on the ``(state, batch)``-flattened row axis.
-
-        Row ``s * batch + b`` of the flattened array belongs to state
-        ``s`` and inherits its displacement.
-        """
-        offsets = np.arange(batch, dtype=np.int64)
-        shifts = np.repeat(self.shifts, batch)
-        groups = tuple(
-            (value, (rows[:, None] * batch + offsets).ravel())
-            for value, rows in self.groups)
-        return ShiftPlan(shifts, groups)
-
 
 def build_shift_plan(shifts: Union[np.ndarray, Sequence[int]]) -> ShiftPlan:
     """A :class:`ShiftPlan` from the per-row displacement vector."""
@@ -279,14 +262,6 @@ class KernelBackend(ABC):
         duplicating cell 0 upward.  Overwrites *dst* entirely."""
 
     @abstractmethod
-    def shift_up(self, src: np.ndarray, dst: np.ndarray,
-                 plan: ShiftPlan, clamp: bool) -> None:
-        """The forward reward displacement: ``dst[i, k] = src[i, k -
-        shifts[i]]`` (zero below the start, or cell 0 broadcast under
-        *clamp* -- the paper's literal index rule).  Overwrites *dst*
-        entirely."""
-
-    @abstractmethod
     def first_order_scan(self, stay: float, move: float,
                          inputs: np.ndarray,
                          start: np.ndarray) -> np.ndarray:
@@ -309,35 +284,25 @@ class KernelBackend(ABC):
 
 
 class DiscretizationPropagator:
-    """Double-buffered stepper of the Tijms--Veldman recurrence.
+    """Double-buffered stepper of the adjoint Tijms--Veldman recurrence.
 
-    Owns the per-step loop body of both orientations over a caller-
-    seeded ``(rows..., cells)`` array -- 2-D ``(|S|, R+1)`` for the
-    adjoint and scalar-forward paths, 3-D ``(|S|, batch, R+1)`` for
-    the batched forward tensor:
+    Owns the per-step loop body over a caller-seeded ``(|S|, R+1)``
+    weight array: the fused product ``(diag(stay) + R d) @ W`` plus
+    the impulse shift-down products, then the per-state reward shift
+    *down*.
 
-    * adjoint (``forward=False``): fused product ``(diag(stay) + R d)
-      @ W`` plus the impulse shift-down products, then the per-state
-      reward shift *down*;
-    * forward (``forward=True``): reward shift *up* first, then the
-      fused product and the impulse shift-up products.
-
-    The weight/density array and its companion buffers are allocated
-    once and swapped per step (no ``np.zeros_like`` churn); products
-    run on the ``(|S|, -1)`` flattened view, shifts on the
-    ``(-1, cells)`` row view of the same memory.
+    The weight array and its companion buffers are allocated once and
+    swapped per step (no ``np.zeros_like`` churn).
     """
 
     def __init__(self, backend: KernelBackend, operator: StepOperator,
                  impulses: Sequence[Tuple[int, StepOperator]],
-                 plan: ShiftPlan, clamp: bool, state: np.ndarray,
-                 forward: bool):
+                 plan: ShiftPlan, clamp: bool, state: np.ndarray):
         self._backend = backend
         self._operator = operator
         self._impulses = tuple(impulses)
         self._plan = plan
         self._clamp = clamp
-        self._forward = forward
         self._state = np.ascontiguousarray(state, dtype=float)
         self._spare = np.empty_like(self._state)
         self._scratch: Optional[np.ndarray] = (
@@ -347,84 +312,35 @@ class DiscretizationPropagator:
             if any(op.in_place for _, op in self._impulses) else None)
 
     @property
-    def state(self) -> np.ndarray:
-        """The current weight/density array (rotating buffer -- copy
-        anything read between steps)."""
-        return self._state
-
-    @property
     def products_per_step(self) -> int:
         """Matrix products per :meth:`step` (for ``matvec_count``)."""
         return 1 + len(self._impulses)
 
-    @staticmethod
-    def _rows(array: np.ndarray) -> np.ndarray:
-        return array.reshape(-1, array.shape[-1])
-
-    @staticmethod
-    def _flat(array: np.ndarray) -> np.ndarray:
-        return array.reshape(array.shape[0], -1)
-
     def step(self) -> np.ndarray:
-        """Advance one step; returns the new state array."""
-        if self._forward:
-            self._step_forward()
-        else:
-            self._step_adjoint()
-        return self._state
-
-    def _impulse_product(self, op: StepOperator,
-                         shape: Tuple[int, ...]) -> np.ndarray:
-        scratch = self._scratch
-        assert scratch is not None
-        if op.in_place:
-            extra = self._extra
-            assert extra is not None
-            op.matmat(self._flat(scratch), out=self._flat(extra))
-            return extra
-        return op.matmat(self._flat(scratch)).reshape(shape)
-
-    def _step_adjoint(self) -> None:
+        """Advance one step; returns the new weight array."""
         state, spare = self._state, self._spare
-        num_cells = state.shape[-1]
-        product = self._operator.matmat(self._flat(state),
-                                        out=self._flat(spare))
-        merged = (spare if self._operator.in_place
-                  else product.reshape(state.shape))
+        num_cells = state.shape[1]
+        product = self._operator.matmat(state, out=spare)
+        merged = spare if self._operator.in_place else product
         for cells, op in self._impulses:
             scratch = self._scratch
             assert scratch is not None
-            src = self._rows(state)
-            dst = self._rows(scratch)
-            dst[:, :num_cells - cells] = src[:, cells:]
-            dst[:, num_cells - cells:] = 0.0
-            merged += self._impulse_product(op, state.shape)
-        self._backend.shift_down(self._rows(merged), self._rows(state),
-                                 self._plan, self._clamp)
+            scratch[:, :num_cells - cells] = state[:, cells:]
+            scratch[:, num_cells - cells:] = 0.0
+            merged += self._impulse_product(op, scratch)
+        self._backend.shift_down(merged, state, self._plan, self._clamp)
         # The shifted result lives in the old state buffer; the merged
         # buffer (spare, or the adopted sparse product) is free again.
         self._spare = merged
+        return state
 
-    def _step_forward(self) -> None:
-        state, spare = self._state, self._spare
-        num_cells = state.shape[-1]
-        self._backend.shift_up(self._rows(state), self._rows(spare),
-                               self._plan, self._clamp)
-        product = self._operator.matmat(self._flat(spare),
-                                        out=self._flat(state))
-        density = (state if self._operator.in_place
-                   else product.reshape(state.shape))
-        for cells, op in self._impulses:
-            scratch = self._scratch
-            assert scratch is not None
-            src = self._rows(spare)
-            dst = self._rows(scratch)
-            dst[:, :cells] = 0.0
-            dst[:, cells:] = src[:, :num_cells - cells]
-            density += self._impulse_product(op, state.shape)
-        # `spare` keeps holding the shifted copy; it is overwritten
-        # first thing next step, so it stays the companion buffer.
-        self._state = density
+    def _impulse_product(self, op: StepOperator,
+                         scratch: np.ndarray) -> np.ndarray:
+        if op.in_place:
+            extra = self._extra
+            assert extra is not None
+            return op.matmat(scratch, out=extra)
+        return op.matmat(scratch)
 
 
 class SericolaSeries:

@@ -6,7 +6,7 @@ absent.  Each kernel is a straight per-row loop compiled with
 ``@njit(cache=True)``.  The arithmetic mirrors the NumPy backend
 exactly -- the first-order recurrence uses the same two-term
 ``move * x[k] + stay * y`` update as ``scipy.signal.lfilter`` -- so the
-two backends agree bit-for-bit on the shift kernels and to well below
+two backends agree bit-for-bit on the shift kernel and to well below
 ``1e-12`` elsewhere.
 """
 
@@ -45,27 +45,6 @@ def _shift_down(src: np.ndarray, dst: np.ndarray, shifts: np.ndarray,
                 for c in range(num_cells):
                     total += src[i, c]
                 dst[i, 0] = total
-
-
-@njit(cache=True)
-def _shift_up(src: np.ndarray, dst: np.ndarray, shifts: np.ndarray,
-              clamp: bool) -> None:
-    num_rows, num_cells = src.shape
-    for i in range(num_rows):
-        v = shifts[i]
-        if v == 0:
-            for c in range(num_cells):
-                dst[i, c] = src[i, c]
-        elif v < num_cells:
-            for c in range(num_cells - 1, v - 1, -1):
-                dst[i, c] = src[i, c - v]
-            head = src[i, 0] if clamp else 0.0
-            for c in range(v):
-                dst[i, c] = head
-        else:
-            head = src[i, 0] if clamp else 0.0
-            for c in range(num_cells):
-                dst[i, c] = head
 
 
 @njit(cache=True)
@@ -119,10 +98,6 @@ class NumbaBackend(KernelBackend):
     def shift_down(self, src: np.ndarray, dst: np.ndarray,
                    plan: ShiftPlan, clamp: bool) -> None:
         _shift_down(np.ascontiguousarray(src), dst, plan.shifts, clamp)
-
-    def shift_up(self, src: np.ndarray, dst: np.ndarray,
-                 plan: ShiftPlan, clamp: bool) -> None:
-        _shift_up(np.ascontiguousarray(src), dst, plan.shifts, clamp)
 
     def first_order_scan(self, stay: float, move: float,
                          inputs: np.ndarray,

@@ -1,10 +1,10 @@
 """The pure-NumPy kernel backend (the always-available baseline).
 
 Every loop body is expressed over whole reward-value groups: the
-shift kernels gather/scatter one contiguous slice per distinct
-displacement (no full-array zeroing -- only the vacated tail of each
-group is cleared), and the first-order recurrences run as IIR filters
-in :func:`scipy.signal.lfilter`'s C loop.  This backend defines the
+adjoint shift gathers one contiguous slice per distinct displacement
+(no full-array zeroing -- only the vacated tail of each group is
+cleared), and the first-order recurrences run as IIR filters in
+:func:`scipy.signal.lfilter`'s C loop.  This backend defines the
 reference semantics; the numba backend must agree to ``<= 1e-12``.
 """
 
@@ -21,7 +21,9 @@ _lfilter = None
 
 
 class NumpyBackend(KernelBackend):
-    """Vectorised NumPy/SciPy implementation of the kernel contract.
+    """Vectorised NumPy/SciPy implementation of the kernel contract:
+    the three loop bodies :meth:`shift_down`, :meth:`first_order_scan`
+    and :meth:`sericola_triangular`.
 
     The ``sparse`` and ``dense`` backends are instances of this class
     that differ only in *name* and :attr:`~repro.kernels.base.\
@@ -49,23 +51,6 @@ KernelBackend.operator_policy` (see ``docs/KERNELS.md``): the loop
                 dst[rows] = 0.0
                 if clamp:
                     dst[rows, 0] = src[rows].sum(axis=1)
-
-    def shift_up(self, src: np.ndarray, dst: np.ndarray,
-                 plan: ShiftPlan, clamp: bool) -> None:
-        num_cells = src.shape[1]
-        for value, rows in plan.groups:
-            if value == 0:
-                dst[rows] = src[rows]
-            elif value < num_cells:
-                dst[rows, value:] = src[rows, :num_cells - value]
-                if clamp:
-                    dst[rows, :value] = src[rows, 0][:, None]
-                else:
-                    dst[rows, :value] = 0.0
-            elif clamp:
-                dst[rows] = src[rows, 0][:, None]
-            else:
-                dst[rows] = 0.0
 
     def first_order_scan(self, stay: float, move: float,
                          inputs: np.ndarray,

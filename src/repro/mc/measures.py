@@ -52,10 +52,10 @@ def performability_distribution(model: MarkovRewardModel,
     variable of Meyer's framework; its distribution is the special
     case of the joint measure with the full state space as target.
     """
-    resolved = _resolve_engine(engine)
-    return resolved.joint_probability(model, t, r,
-                                      range(model.num_states),
-                                      initial=initial)
+    vector = performability_distribution_vector(model, t, r, engine)
+    alpha = (model.initial_distribution if initial is None
+             else np.asarray(initial, dtype=float))
+    return float(alpha @ vector)
 
 
 def performability_distribution_vector(model: MarkovRewardModel,

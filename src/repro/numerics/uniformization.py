@@ -207,42 +207,14 @@ def transient_target_probabilities(model: CTMC,
     :func:`transient_distribution`.  Any real-valued vector is accepted,
     so this also evaluates ``E[f(X_t) | X_0 = i]`` for bounded ``f``.
 
+    The one-row view of :func:`transient_target_probabilities_sweep`;
     *metrics_engine* attributes the series' steps in the metrics
     registry, as for :func:`transient_distribution`.
     """
-    if t < 0.0:
-        raise NumericalError(f"time must be >= 0, got {t}")
-    vector = np.asarray(indicator, dtype=float)
-    if vector.shape != (model.num_states,):
-        raise NumericalError(
-            f"indicator has shape {vector.shape}, expected "
-            f"({model.num_states},)")
-    vector = vector.copy()
-    rate = (model.max_exit_rate if uniformization_rate is None
-            else float(uniformization_rate))
-    if t == 0.0 or rate == 0.0:
-        return vector
-    backend = get_backend(kernel)
-    operator = uniformized_operator(model, rate,
-                                    policy=backend.operator_policy)
-    hist = _step_histogram(backend, metrics_engine)
-    weights = poisson_weights(rate * t, epsilon=epsilon)
-    result = np.zeros_like(vector)
-    with obs_span("uniformisation_series", depth=weights.right,
-                  kind="backward", rate=rate) as span:
-        for k in range(weights.right + 1):
-            if k >= weights.left:
-                result += weights.weights[k - weights.left] * vector
-            if k == weights.right:
-                break
-            if hist is not None:
-                block_start = time.perf_counter()
-            vector = operator.matvec(vector)
-            if hist is not None:
-                hist.observe(time.perf_counter() - block_start)
-        _end_series(span, weights, weights.right)
-    _count_series(metrics_engine, weights.right)
-    return result
+    return transient_target_probabilities_sweep(
+        model, [t], indicator, epsilon=epsilon,
+        uniformization_rate=uniformization_rate, kernel=kernel,
+        metrics_engine=metrics_engine)[0]
 
 
 def transient_target_probabilities_sweep(model: CTMC,
@@ -254,16 +226,16 @@ def transient_target_probabilities_sweep(model: CTMC,
                                          kernel: Kernel = None,
                                          metrics_engine: Optional[str]
                                          = None) -> np.ndarray:
-    """:func:`transient_target_probabilities` for a whole list of
+    """Per-initial-state target probabilities for a whole list of
     time bounds from **one** shared backward series.
 
     The iterates ``P^k 1_{S'}`` of the backward uniformisation series
     do not depend on ``t`` -- only the Poisson weights do -- so a sweep
     over *times* runs the series once to the largest truncation point
     and re-weights every iterate per time bound.  Returns the
-    ``(len(times), |S|)`` array whose row ``i`` equals the
-    single-``t`` call with ``times[i]`` (same weights, same iterates --
-    the values are arithmetically identical).
+    ``(len(times), |S|)`` array whose row ``i`` is the answer for
+    ``times[i]`` alone (same weights, same iterates);
+    :func:`transient_target_probabilities` is the one-row view.
     """
     vector = np.asarray(indicator, dtype=float)
     if vector.shape != (model.num_states,):
@@ -272,7 +244,7 @@ def transient_target_probabilities_sweep(model: CTMC,
             f"({model.num_states},)")
     times = [float(t) for t in times]
     for t in times:
-        if t < 0.0:
+        if not t >= 0.0:
             raise NumericalError(f"time must be >= 0, got {t}")
     vector = vector.copy()
     results = np.zeros((len(times), model.num_states))
@@ -290,7 +262,9 @@ def transient_target_probabilities_sweep(model: CTMC,
             weight_rows.append(poisson_weights(rate * t, epsilon=epsilon))
     deepest = max((w for w in weight_rows if w is not None),
                   key=lambda w: w.right, default=None)
-    depth = deepest.right if deepest is not None else 0
+    if deepest is None:
+        return results
+    depth = deepest.right
     backend = get_backend(kernel)
     operator = uniformized_operator(model, rate,
                                     policy=backend.operator_policy)
@@ -311,8 +285,7 @@ def transient_target_probabilities_sweep(model: CTMC,
             vector = operator.matvec(vector)
             if hist is not None:
                 hist.observe(time.perf_counter() - block_start)
-        if deepest is not None:
-            _end_series(span, deepest, depth)
+        _end_series(span, deepest, depth)
     _count_series(metrics_engine, depth)
     return results
 

@@ -178,14 +178,13 @@ class TestTable4Shape:
         exact = engine_exact.joint_probability_vector(
             adhoc_reduced.model, 24.0, 600.0,
             [adhoc_reduced.goal_state])[0]
-        indicator = np.zeros(adhoc_reduced.model.num_states)
-        indicator[adhoc_reduced.goal_state] = 1.0
         init = int(np.argmax(adhoc_reduced.model.initial_distribution))
         errors = []
         for step in (1.0 / 64, 1.0 / 128):
             engine = DiscretizationEngine(step=step)
-            value = engine.joint_probability_from(
-                adhoc_reduced.model, 24.0, 600.0, indicator, init)
+            value = engine.joint_probability_vector(
+                adhoc_reduced.model, 24.0, 600.0,
+                [adhoc_reduced.goal_state])[init]
             errors.append(abs(value - exact))
         assert errors[1] < errors[0]
         assert errors[0] / exact < 0.0005  # paper: 0.05 percent

@@ -3,8 +3,8 @@
 Covers the performance layer added on top of the three engines:
 
 * the batched :meth:`JointEngine.joint_probability_vector` agrees with
-  the per-state scalar path on the ad hoc case study and on a random
-  20-state MRM;
+  the per-state forward references of :mod:`tests.oracles` on the ad
+  hoc case study and on a random 20-state MRM;
 * repeated identical queries are served from the shared joint-vector
   LRU (hit counters move, results are identical and isolated copies),
   including through the :class:`ModelChecker`, which rebuilds the
@@ -26,12 +26,14 @@ import pytest
 
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
                               SericolaEngine, clear_caches, joint_cache)
+from repro.ctmc import ModelBuilder
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.mc.checker import ModelChecker
 from repro.models.adhoc import Q3_REWARD_BOUND, Q3_TIME_BOUND
 from repro.models.workloads import random_mrm
 from repro.numerics.poisson import (clear_poisson_cache,
                                     poisson_cache_info, poisson_weights)
+from tests.oracles import discretized_density, joint_probability_from
 
 
 def engines():
@@ -41,7 +43,7 @@ def engines():
 
 
 # ----------------------------------------------------------------------
-# batched vector == per-state scalar loop
+# batched vector == per-state forward reference
 # ----------------------------------------------------------------------
 
 class TestBatchedEquivalence:
@@ -55,7 +57,7 @@ class TestBatchedEquivalence:
         indicator = np.zeros(model.num_states)
         indicator[goal] = 1.0
         loop = np.array([
-            engine.joint_probability_from(model, t, r, indicator, s)
+            joint_probability_from(engine, model, t, r, indicator, s)
             for s in range(model.num_states)])
         np.testing.assert_allclose(vector, loop, atol=1e-10)
 
@@ -71,20 +73,54 @@ class TestBatchedEquivalence:
         for s in target:
             indicator[s] = 1.0
         loop = np.array([
-            engine.joint_probability_from(model, t, r, indicator, s)
+            joint_probability_from(engine, model, t, r, indicator, s)
             for s in range(model.num_states)])
         np.testing.assert_allclose(vector, loop, atol=1e-10)
 
+    def test_discretization_impulses_and_underflow_rules(self):
+        """Impulse displacements and both underflow rules.  From the
+        zero-reward state ``a`` mass enters ``b`` at reward zero, where
+        the paper's clamp rule duplicates it, so the rules differ."""
+        builder = ModelBuilder()
+        builder.add_state("a", reward=0.0)
+        builder.add_state("b", reward=2.0)
+        builder.add_state("c", reward=1.0)
+        builder.add_transition("a", "b", 0.2)
+        builder.add_transition("b", "c", 1.2, impulse=1.0)
+        builder.add_transition("c", "a", 0.5, impulse=2.0)
+        model = builder.build(initial_state="a")
+        t, r = 1.0, 3.0
+        indicator = np.array([0.0, 1.0, 1.0])
+        vectors = {}
+        for underflow in ("drop", "clamp"):
+            engine = DiscretizationEngine(step=1.0 / 8,
+                                          underflow=underflow)
+            clear_caches()
+            vector = engine.joint_probability_vector(model, t, r, {1, 2})
+            loop = np.array([
+                joint_probability_from(engine, model, t, r, indicator, s)
+                for s in range(model.num_states)])
+            np.testing.assert_allclose(vector, loop, atol=1e-10)
+            vectors[underflow] = vector
+        assert vectors["clamp"][0] > vectors["drop"][0] + 0.5
+
     def test_discretization_batch_density_matches_scalar(self,
                                                          adhoc_reduced):
+        """Every target-state, in-bound reward cell of the forward
+        density carries weight one in the adjoint read-out: the batched
+        column equals the per-state densities' accepted mass."""
         engine = DiscretizationEngine(step=1.0 / 32)
         model = adhoc_reduced.model
         t, r = 2.0, 40.0
-        batch = engine.final_density_batch(model, t, r)
+        target = [adhoc_reduced.goal_state, 0]
+        clear_caches()
+        column = engine.sweep_unit(model, [t], [r], np.isin(
+            np.arange(model.num_states), target).astype(float))[0, 0]
         for s in range(model.num_states):
-            np.testing.assert_allclose(
-                batch[s], engine.final_density(model, t, r, s),
-                atol=1e-12)
+            density = discretized_density(model, t, r, engine.step, s)
+            accepted = density[target].sum() * engine.step
+            np.testing.assert_allclose(column[s], min(1.0, accepted),
+                                       atol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,33 @@ class TestCheckCommand:
         assert code == 0
 
 
+class TestSweepBounds:
+    """Bad sweep bounds get a one-line message and exit 2, like a
+    non-number does, instead of a traceback or a failed cell."""
+
+    @pytest.mark.parametrize("flag,values", [
+        ("--sweep-times", "24,-1"),
+        ("--sweep-times", "nan,24"),
+        ("--sweep-times", "24,inf"),
+        ("--sweep-rewards", "600,-5"),
+        ("--sweep-rewards", "nan"),
+        ("--sweep-rewards", "-inf,600"),
+        ("--sweep-times", "24,soon"),
+    ])
+    def test_bad_bound_exits_two(self, flag, values, capsys):
+        axes = {"--sweep-times": "24", "--sweep-rewards": "600"}
+        axes[flag] = values
+        args = ["check", "--model", "adhoc", "--formula", "Q3"]
+        # "--flag=value" keeps argparse from reading "-inf" as a flag.
+        args += [f"{name}={text}" for name, text in axes.items()]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(args)
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err.strip()
+        assert message.startswith(flag)
+        assert len(message.splitlines()) == 1
+
+
 class TestLumpCommand:
     @pytest.fixture
     def symmetric_on_disk(self, tmp_path):

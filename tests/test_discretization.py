@@ -7,6 +7,7 @@ from repro.algorithms.discretization import (DiscretizationEngine,
                                              integer_reward_scale)
 from repro.ctmc import ModelBuilder
 from repro.errors import NumericalError, RewardError
+from tests.oracles import discretized_joint_probability
 
 MU = 0.7
 
@@ -37,10 +38,9 @@ class TestParameters:
 
     def test_step_must_divide_time(self, two_state_absorbing):
         engine = DiscretizationEngine(step=0.4)
-        indicator = np.array([0.0, 1.0])
         with pytest.raises(NumericalError, match="multiple"):
-            engine.joint_probability_from(two_state_absorbing, 1.0, 1.0,
-                                          indicator, 0)
+            engine.joint_probability_vector(two_state_absorbing, 1.0, 1.0,
+                                            [1])
 
     def test_step_too_coarse_rejected(self):
         builder = ModelBuilder()
@@ -50,8 +50,7 @@ class TestParameters:
         model = builder.build()
         engine = DiscretizationEngine(step=0.5)
         with pytest.raises(NumericalError, match="too coarse"):
-            engine.joint_probability_from(model, 1.0, 1.0,
-                                          np.array([0.0, 1.0]), 0)
+            engine.joint_probability_vector(model, 1.0, 1.0, [1])
 
     def test_fractional_rewards_rejected(self):
         builder = ModelBuilder()
@@ -61,8 +60,7 @@ class TestParameters:
         model = builder.build()
         engine = DiscretizationEngine(step=0.1)
         with pytest.raises(RewardError, match="natural-number"):
-            engine.joint_probability_from(model, 1.0, 1.0,
-                                          np.array([0.0, 1.0]), 0)
+            engine.joint_probability_vector(model, 1.0, 1.0, [1])
 
     def test_scaling_recipe_works(self):
         # The documented workaround: scale rewards and the bound.
@@ -75,8 +73,8 @@ class TestParameters:
         scaled = model.scaled_rewards(scale)
         engine = DiscretizationEngine(step=1.0 / 128)
         t, r = 2.0, 0.6
-        value = engine.joint_probability_from(
-            scaled, t, r * scale, np.array([0.0, 1.0]), 0)
+        value = engine.joint_probability_vector(scaled, t, r * scale,
+                                                [1])[0]
         exact = 1.0 - np.exp(-MU * (r / 0.5))  # T <= r / rho
         assert value == pytest.approx(exact, abs=5e-3)
 
@@ -85,12 +83,11 @@ class TestConvergence:
     def test_first_order_convergence(self, two_state_absorbing):
         t, r = 3.0, 1.2
         exact = 1.0 - np.exp(-MU * r)
-        indicator = np.array([0.0, 1.0])
         errors = []
         for d in (0.1, 0.05, 0.025):
             engine = DiscretizationEngine(step=d)
-            value = engine.joint_probability_from(
-                two_state_absorbing, t, r, indicator, 0)
+            value = engine.joint_probability_vector(
+                two_state_absorbing, t, r, [1])[0]
             errors.append(abs(value - exact))
         # Error shrinks roughly linearly in d.
         assert errors[0] > errors[1] > errors[2]
@@ -101,13 +98,12 @@ class TestConvergence:
         # No probability mass at accumulated reward zero: the paper's
         # clamp rule and the drop rule coincide.
         t, r = 2.0, 1.0
-        indicator = np.array([0.0, 1.0])
         drop = DiscretizationEngine(step=0.025, underflow="drop")
         clamp = DiscretizationEngine(step=0.025, underflow="clamp")
-        assert drop.joint_probability_from(
-            two_state_absorbing, t, r, indicator, 0) == pytest.approx(
-            clamp.joint_probability_from(
-                two_state_absorbing, t, r, indicator, 0), abs=1e-12)
+        assert drop.joint_probability_vector(
+            two_state_absorbing, t, r, [1])[0] == pytest.approx(
+            clamp.joint_probability_vector(
+                two_state_absorbing, t, r, [1])[0], abs=1e-12)
 
     def test_vector_api(self, two_state_absorbing):
         engine = DiscretizationEngine(step=0.05)
@@ -123,9 +119,10 @@ class TestConvergence:
         builder.add_transition("a", "b", MU)
         model = builder.build(initial_distribution=[0.5, 0.5])
         engine = DiscretizationEngine(step=0.05)
-        combined = engine.joint_probability(model, 2.0, 1.0, [1])
-        from_a = engine.joint_probability_from(model, 2.0, 1.0,
-                                               np.array([0.0, 1.0]), 0)
+        vector = engine.joint_probability_vector(model, 2.0, 1.0, [1])
+        combined = float(model.initial_distribution @ vector)
+        from_a = discretized_joint_probability(
+            model, 2.0, 1.0, np.array([0.0, 1.0]), 0, step=0.05)
         assert combined == pytest.approx(0.5 * from_a + 0.5, abs=1e-9)
 
 
@@ -153,10 +150,13 @@ class TestHugeRewardBound:
 
 class TestDensity:
     def test_density_is_a_subdensity(self, two_state_absorbing):
+        # The total mass of F^T -- the read-off over every state and
+        # cell -- with r >= rho_max t, so no mass is cut off: the
+        # recurrence conserves it.
         engine = DiscretizationEngine(step=0.05)
-        density = engine.final_density(two_state_absorbing, 2.0, 5.0, 0)
-        mass = density.sum() * 0.05
-        assert 0.0 < mass <= 1.0 + 1e-9
+        mass = engine.joint_probability_vector(two_state_absorbing, 2.0,
+                                               5.0, [0, 1])[0]
+        assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_first_interval_exceeding_bound(self):
         # Initial reward displacement beyond R: nothing to track.
@@ -166,18 +166,16 @@ class TestDensity:
         builder.add_transition("a", "b", 1.0)
         model = builder.build()
         engine = DiscretizationEngine(step=0.1)
-        density = engine.final_density(model, 1.0, 0.5, 0)
-        assert np.allclose(density, 0.0)
+        vector = engine.joint_probability_vector(model, 1.0, 0.5, [0, 1])
+        assert vector[0] == 0.0
 
     def test_time_zero(self, two_state_absorbing):
         engine = DiscretizationEngine(step=0.1)
-        indicator = np.array([1.0, 0.0])
-        assert engine.joint_probability_from(
-            two_state_absorbing, 0.0, 1.0, indicator, 0) == 1.0
+        assert engine.joint_probability_vector(
+            two_state_absorbing, 0.0, 1.0, [0])[0] == 1.0
 
     def test_zero_reward_bound_exact(self, two_state_absorbing):
         engine = DiscretizationEngine(step=0.1)
-        indicator = np.array([0.0, 1.0])
-        value = engine.joint_probability_from(two_state_absorbing,
-                                              2.0, 0.0, indicator, 0)
+        value = engine.joint_probability_vector(two_state_absorbing,
+                                                2.0, 0.0, [1])[0]
         assert value == pytest.approx(0.0, abs=1e-12)

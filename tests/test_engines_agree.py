@@ -51,10 +51,8 @@ class TestFixtures:
         erlang = ErlangEngine(phases=512).joint_probability_vector(
             model, t, r, [goal])[init]
         assert erlang == pytest.approx(reference, abs=2e-4)
-        indicator = np.zeros(model.num_states)
-        indicator[goal] = 1.0
         discretization = DiscretizationEngine(step=1.0 / 64) \
-            .joint_probability_from(model, t, r, indicator, init)
+            .joint_probability_vector(model, t, r, [goal])[init]
         assert discretization == pytest.approx(reference, abs=2e-4)
 
 
@@ -80,13 +78,11 @@ class TestRandomModels:
         target = [1, 3]
         reference = SericolaEngine(epsilon=1e-11) \
             .joint_probability_vector(model, t, r, target)
-        indicator = np.zeros(model.num_states)
-        indicator[target] = 1.0
-        engine = DiscretizationEngine(step=1.0 / 256)
+        discretization = DiscretizationEngine(step=1.0 / 256) \
+            .joint_probability_vector(model, t, r, target)
         for s in range(model.num_states):
-            value = engine.joint_probability_from(model, t, r,
-                                                  indicator, s)
-            assert value == pytest.approx(reference[s], abs=8e-3)
+            assert discretization[s] == pytest.approx(reference[s],
+                                                      abs=8e-3)
 
     @pytest.mark.parametrize("seed", [8, 9])
     def test_r_large_reduces_to_transient(self, seed):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.algorithms import clear_caches
 from repro.algorithms.erlang import (ErlangEngine, erlang_expanded_model,
-                                     zero_reward_bound_vector)
+                                     zero_reward_bound_sweep)
 from repro.ctmc import ModelBuilder
 from repro.errors import NumericalError
 from repro.obs import OBS
@@ -129,8 +129,8 @@ class TestZeroRewardBound:
         builder.add_transition("y", "z", 1.0)
         model = builder.build()
         t = 2.0
-        vector = zero_reward_bound_vector(model, t,
-                                          np.array([0.0, 1.0, 0.0]))
+        vector = zero_reward_bound_sweep(model, [t],
+                                         np.array([0.0, 1.0, 0.0]))[0]
         # In y at t without having reached z: exactly one Poisson(t)
         # event in a 2-phase Erlang race = t e^{-t}.
         assert vector[0] == pytest.approx(t * np.exp(-t), abs=1e-10)

@@ -130,12 +130,11 @@ class TestEngines:
     def test_discretization_closed_form(self, impulse_chain):
         t = 1.0
         engine = DiscretizationEngine(step=1.0 / 128)
-        indicator = np.ones(2)
-        below = engine.joint_probability_from(impulse_chain, t, 1.0,
-                                              indicator, 0)
+        below = engine.joint_probability_vector(impulse_chain, t, 1.0,
+                                                [0, 1])[0]
         assert below == pytest.approx(np.exp(-LAM * t), abs=5e-3)
-        above = engine.joint_probability_from(impulse_chain, t, 3.0,
-                                              indicator, 0)
+        above = engine.joint_probability_vector(impulse_chain, t, 3.0,
+                                                [0, 1])[0]
         assert above == pytest.approx(1.0, abs=1e-9)
 
     def test_discretization_vs_simulation_mixed(self):
@@ -148,8 +147,8 @@ class TestEngines:
         model = builder.build()
         t, r = 2.0, 4.0
         engine = DiscretizationEngine(step=1.0 / 128)
-        numeric = engine.joint_probability_from(model, t, r,
-                                                np.ones(3), 0)
+        numeric = engine.joint_probability_vector(model, t, r,
+                                                  [0, 1, 2])[0]
         estimate = estimate_joint_probability(model, t, r, {0, 1, 2},
                                               samples=20_000, seed=9)
         assert abs(numeric - estimate.value) < max(
@@ -166,7 +165,7 @@ class TestEngines:
         erlang = ErlangEngine(phases=1024).joint_probability_vector(
             model, t, r, [0, 1])[0]
         discretized = DiscretizationEngine(step=1.0 / 128) \
-            .joint_probability_from(model, t, r, np.ones(2), 0)
+            .joint_probability_vector(model, t, r, [0, 1])[0]
         assert erlang == pytest.approx(discretized, abs=1e-2)
 
     def test_sericola_rejects_impulses(self, impulse_chain):
@@ -184,10 +183,10 @@ class TestEngines:
 
     def test_zero_bound_with_impulses(self, impulse_chain):
         # Y_t <= 0 requires the impulse transition not to have fired.
-        from repro.algorithms.erlang import zero_reward_bound_vector
+        from repro.algorithms.erlang import zero_reward_bound_sweep
         t = 1.0
-        vector = zero_reward_bound_vector(impulse_chain, t,
-                                          np.ones(2))
+        vector = zero_reward_bound_sweep(impulse_chain, [t],
+                                         np.ones(2))[0]
         assert vector[0] == pytest.approx(np.exp(-LAM * t), abs=1e-9)
         assert vector[1] == pytest.approx(1.0)
 

@@ -4,10 +4,11 @@ Covers backend selection (explicit ``kernel=`` knob, the
 ``REPRO_KERNEL`` environment variable, auto-detection and the
 numba-absent fallback), the NumPy kernels against naive per-row
 reference loops (including the ``shift >= cells`` and clamp edge
-cases), the shift-plan caching in ``matrix_cache``, the
-``final_density_batch`` telemetry, and -- when numba is importable --
-hypothesis cross-backend agreement to ``1e-12`` on random MRMs with
-impulse rewards.
+cases), the shift-plan caching in ``matrix_cache``, the adjoint
+column's telemetry and its agreement with the forward reference of
+:mod:`tests.oracles`, and hypothesis cross-backend agreement to
+``1e-12`` on random MRMs with impulse rewards (against numba when it
+is importable).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.kernels import (build_shift_plan, get_backend,
                            numba_available, reset_backend_cache)
 from repro.models import workloads
 from repro.obs import OBS
+from tests.oracles import discretized_density
 
 CROSS_BACKEND_TOLERANCE = 1e-12
 
@@ -133,19 +135,6 @@ def naive_shift_down(src, shifts, clamp):
     return dst
 
 
-def naive_shift_up(src, shifts, clamp):
-    rows, cells = src.shape
-    dst = np.zeros_like(src)
-    for i in range(rows):
-        v = int(shifts[i])
-        for k in range(cells):
-            if k - v >= 0:
-                dst[i, k] = src[i, k - v]
-            elif clamp:
-                dst[i, k] = src[i, 0]
-    return dst
-
-
 def naive_scan(stay, move, inputs, start):
     out = np.empty_like(inputs)
     for i in range(inputs.shape[0]):
@@ -186,17 +175,6 @@ class TestShiftKernels:
             rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("backend_name", _all_backends())
-    @pytest.mark.parametrize("clamp", [False, True])
-    def test_shift_up_matches_naive(self, src, clamp, backend_name):
-        backend = get_backend(backend_name)
-        plan = build_shift_plan(self.SHIFTS)
-        dst = np.empty_like(src)
-        backend.shift_up(src, dst, plan, clamp)
-        np.testing.assert_allclose(
-            dst, naive_shift_up(src, self.SHIFTS, clamp),
-            rtol=0.0, atol=1e-15)
-
-    @pytest.mark.parametrize("backend_name", _all_backends())
     def test_first_order_scan_matches_naive(self, backend_name):
         backend = get_backend(backend_name)
         rng = np.random.default_rng(7)
@@ -207,14 +185,6 @@ class TestShiftKernels:
             got, naive_scan(0.375, 0.625, inputs, start),
             rtol=0.0, atol=1e-13)
 
-    def test_shift_plan_expand_maps_rows_to_batches(self):
-        plan = build_shift_plan(np.array([2, 0], dtype=np.int64))
-        wide = plan.expand(3)
-        assert wide.shifts.tolist() == [2, 2, 2, 0, 0, 0]
-        groups = dict((value, rows.tolist()) for value, rows in wide.groups)
-        assert groups == {0: [3, 4, 5], 2: [0, 1, 2]}
-
-
 # ---------------------------------------------------------------------------
 # Engine integration: caching and telemetry
 
@@ -224,23 +194,24 @@ class TestEngineIntegration:
         clear_caches()
         engine = DiscretizationEngine(step=0.25, kernel="numpy")
         indicator = np.array([1.0, 0.0])
-        engine.joint_probability_from(flip_flop, 1.0, 0.5, indicator, 0)
+        engine.sweep_unit(flip_flop, [1.0], [0.5], indicator)
         key = ("disc-shift-plan", flip_flop.fingerprint, 0.25)
         plan = matrix_cache.get(key)
         assert plan is not None
         assert plan.shifts.tolist() == [2, 0]
-        # A second run reuses the same plan object.
-        engine.joint_probability_from(flip_flop, 1.0, 0.5, indicator, 1)
+        # A second (uncached) run reuses the same plan object.
+        engine.sweep_unit(flip_flop, [1.0], [0.5], indicator)
         assert matrix_cache.get(key) is plan
 
-    def test_final_density_batch_telemetry(self, flip_flop):
+    def test_adjoint_column_telemetry(self, flip_flop):
         clear_caches()
         engine = DiscretizationEngine(step=0.25)
         with OBS.capture(reset_metrics=True):
-            engine.final_density_batch(flip_flop, 1.0, 1.0, [0, 1])
+            engine.sweep_unit(flip_flop, [1.0], [1.0], np.ones(2))
             roots = list(OBS.tracer.roots)
             snapshot = OBS.metrics.snapshot()
-        assert [s.name for s in roots] == ["final_density_batch"]
+        assert [s.name for s in roots] == ["sweep_unit"]
+        assert [c.name for c in roots[0].children] == ["adjoint_column"]
         # The engine is unpinned ("auto"); the histogram is labelled
         # with the backend the run actually resolved to.
         assert engine.kernel == "auto"
@@ -252,14 +223,18 @@ class TestEngineIntegration:
         assert gauge[label] == 1.0
 
     def test_batch_matches_scalar_density(self, three_level_chain):
+        """The adjoint column (all initial states in one run) equals
+        the accepted mass of each state's forward density."""
         clear_caches()
         engine = DiscretizationEngine(step=0.25, kernel="numpy")
-        batch = engine.final_density_batch(three_level_chain, 1.0, 2.0,
-                                           [0, 2])
-        for index, state in enumerate((0, 2)):
-            single = engine.final_density(three_level_chain, 1.0, 2.0,
-                                          state)
-            np.testing.assert_allclose(batch[index], single,
+        target = np.array([0.0, 1.0, 1.0])
+        column = engine.sweep_unit(three_level_chain, [1.0], [2.0],
+                                   target)[0, 0]
+        for state in (0, 2):
+            density = discretized_density(three_level_chain, 1.0, 2.0,
+                                          0.25, state)
+            accepted = (density.sum(axis=1) @ target) * 0.25
+            np.testing.assert_allclose(column[state], accepted,
                                        rtol=0.0, atol=1e-12)
 
     def test_scipy_signal_imported_only_for_sericola(self):
@@ -331,10 +306,12 @@ class TestSparseBackendAgreement:
         for backend in ("numpy", "sparse", "dense"):
             clear_caches()
             engine = DiscretizationEngine(step=step, kernel=backend)
-            values.append(engine.joint_probability_from(
-                model, 1.0, 2.0, indicator, 0))
-        assert abs(values[1] - values[0]) <= CROSS_BACKEND_TOLERANCE
-        assert abs(values[2] - values[0]) <= CROSS_BACKEND_TOLERANCE
+            values.append(engine.sweep_unit(model, [1.0], [2.0],
+                                            indicator)[0, 0])
+        assert np.max(np.abs(values[1] - values[0])) \
+            <= CROSS_BACKEND_TOLERANCE
+        assert np.max(np.abs(values[2] - values[0])) \
+            <= CROSS_BACKEND_TOLERANCE
 
     @settings(max_examples=10, deadline=None)
     @given(num_states=st.integers(min_value=2, max_value=6),
@@ -356,9 +333,10 @@ class TestSparseBackendAgreement:
         for backend in ("numpy", "sparse"):
             clear_caches()
             engine = ErlangEngine(phases=16, kernel=backend)
-            values.append(engine.joint_probability_from(
-                flip_flop, 1.0, 1.0, np.array([0.0, 1.0]), 0))
-        assert abs(values[0] - values[1]) <= CROSS_BACKEND_TOLERANCE
+            values.append(engine.sweep_unit(
+                flip_flop, [1.0], [1.0], np.array([0.0, 1.0]))[0, 0])
+        assert np.max(np.abs(values[0] - values[1])) \
+            <= CROSS_BACKEND_TOLERANCE
 
     def test_auto_selects_sparse_on_large_sparse_models(self):
         sparse_backend = kernels.select_for_model(
@@ -385,9 +363,10 @@ class TestCrossBackendAgreement:
         for backend in ("numpy", "numba"):
             clear_caches()
             engine = DiscretizationEngine(step=0.25, kernel=backend)
-            values.append(engine.joint_probability_from(
-                model, 1.0, 2.0, indicator, 0))
-        assert abs(values[0] - values[1]) <= CROSS_BACKEND_TOLERANCE
+            values.append(engine.sweep_unit(model, [1.0], [2.0],
+                                            indicator)[0, 0])
+        assert np.max(np.abs(values[0] - values[1])) \
+            <= CROSS_BACKEND_TOLERANCE
 
     @settings(max_examples=10, deadline=None)
     @given(num_states=st.integers(min_value=2, max_value=6),
@@ -409,6 +388,7 @@ class TestCrossBackendAgreement:
         for backend in ("numpy", "numba"):
             clear_caches()
             engine = ErlangEngine(phases=16, kernel=backend)
-            values.append(engine.joint_probability_from(
-                flip_flop, 1.0, 1.0, np.array([0.0, 1.0]), 0))
-        assert abs(values[0] - values[1]) <= CROSS_BACKEND_TOLERANCE
+            values.append(engine.sweep_unit(
+                flip_flop, [1.0], [1.0], np.array([0.0, 1.0]))[0, 0])
+        assert np.max(np.abs(values[0] - values[1])) \
+            <= CROSS_BACKEND_TOLERANCE

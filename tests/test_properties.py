@@ -340,13 +340,10 @@ class TestImpulseProperties:
             r += 0.125
         erlang = ErlangEngine(phases=4096).joint_probability_vector(
             spiked, aligned, r, {0})
-        engine = DiscretizationEngine(step=step)
-        indicator = np.zeros(spiked.num_states)
-        indicator[0] = 1.0
+        discretized = DiscretizationEngine(step=step) \
+            .joint_probability_vector(spiked, aligned, r, {0})
         for s in range(spiked.num_states):
-            discretized = engine.joint_probability_from(
-                spiked, aligned, r, indicator, s)
-            assert erlang[s] == pytest.approx(discretized, abs=0.05)
+            assert erlang[s] == pytest.approx(discretized[s], abs=0.05)
 
 
 # ----------------------------------------------------------------------

@@ -72,12 +72,9 @@ class TestAnalysis:
         t, r = 6.0, 15.0
         target = set(queue.states_with("busy"))
         engine = DiscretizationEngine(step=1.0 / 64)
-        indicator = np.zeros(queue.num_states)
-        for s in target:
-            indicator[s] = 1.0
         initial = int(np.argmax(queue.initial_distribution))
-        numeric = engine.joint_probability_from(queue, t, r, indicator,
-                                                initial)
+        numeric = engine.joint_probability_vector(queue, t, r,
+                                                  target)[initial]
         estimate = estimate_joint_probability(
             queue, t, r, target, samples=20_000, seed=5,
             initial_state=initial)

@@ -11,6 +11,7 @@ import pytest
 from repro.algorithms.sericola import SericolaEngine
 from repro.ctmc import MarkovRewardModel, ModelBuilder
 from repro.errors import NumericalError
+from repro.mc.measures import performability_distribution
 from repro.numerics.uniformization import transient_target_probabilities
 
 MU = 0.7
@@ -146,9 +147,11 @@ class TestInterface:
 
     def test_joint_probability_uses_initial_distribution(
             self, two_state_absorbing):
+        # Pr{Y_t <= r} over every state equals the closed form into b:
+        # from a, Y_3 = min(T, 3) <= 1.2 iff T <= 1.2.
         engine = SericolaEngine(epsilon=1e-12)
-        value = engine.joint_probability(two_state_absorbing, 3.0, 1.2,
-                                         [1])
+        value = performability_distribution(two_state_absorbing, 3.0,
+                                            1.2, engine=engine)
         assert value == pytest.approx(1.0 - np.exp(-MU * 1.2), abs=1e-10)
 
 

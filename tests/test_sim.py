@@ -123,9 +123,10 @@ class TestStatisticalAgreement:
 
     def test_reward_cdf_covers_sericola(self, three_level_chain):
         from repro.algorithms import SericolaEngine
+        from repro.mc.measures import performability_distribution
         t, r = 2.0, 3.0
-        exact = SericolaEngine(epsilon=1e-11).joint_probability(
-            three_level_chain, t, r, range(3))
+        exact = performability_distribution(
+            three_level_chain, t, r, engine=SericolaEngine(epsilon=1e-11))
         estimate = estimate_accumulated_reward_cdf(
             three_level_chain, t, r, samples=20_000, seed=14)
         assert estimate.covers(exact)

@@ -372,6 +372,46 @@ class TestExecutorsMatchSharedSweep:
 # model checker routing
 # ----------------------------------------------------------------------
 
+class TestBoundValidation:
+    """Every bound of a sweep is validated -- NaN fails ``>= 0`` too --
+    before any propagation runs or any cell is cached."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("times,rewards", [
+        ([24.0, NAN], [600.0]),
+        ([24.0], [600.0, NAN]),
+        ([NAN, 24.0], [600.0]),
+        ([24.0, -1.0], [600.0]),
+        ([24.0], [-600.0, 600.0]),
+    ], ids=["nan-time", "nan-reward", "nan-first-time", "negative-time",
+            "negative-reward"])
+    @pytest.mark.parametrize("engine", [
+        DiscretizationEngine(step=1.0 / 32), SericolaEngine(),
+        ErlangEngine(phases=8)], ids=lambda e: e.name)
+    def test_rejected_before_propagation(self, adhoc_reduced, ledger,
+                                         engine, times, rewards):
+        clear_caches()
+        with pytest.raises(NumericalError, match="must be >= 0"):
+            engine.joint_probability_sweep(
+                adhoc_reduced.model, times, rewards,
+                [adhoc_reduced.goal_state])
+        assert ledger().get("propagation_steps", 0) == 0
+        assert len(joint_cache) == 0
+
+    def test_partial_sweep_rejects_nan(self, adhoc_reduced):
+        with pytest.raises(NumericalError, match="must be >= 0"):
+            SericolaEngine().joint_probability_sweep_partial(
+                adhoc_reduced.model, [24.0], [self.NAN],
+                [adhoc_reduced.goal_state])
+
+    def test_transient_sweep_rejects_nan(self, three_level_chain):
+        with pytest.raises(NumericalError, match="must be >= 0"):
+            transient_target_probabilities_sweep(
+                three_level_chain, [1.0, self.NAN],
+                np.array([1.0, 0.0, 0.0]))
+
+
 class TestCheckerSweep:
     def test_grid_matches_per_formula_checks(self, three_level_chain):
         checker = ModelChecker(three_level_chain,
