@@ -99,9 +99,6 @@ class SericolaEngine(JointEngine):
     epsilon:
         A-priori bound on the truncation error of the outer
         uniformisation series (Table 2 of the paper sweeps this knob).
-    uniformization_rate:
-        Optional override of the uniformisation rate ``lambda``
-        (must be at least the maximal exit rate).
     steady_state_detection:
         Stop the outer series early, per grid point, once the per-step
         inner terms have converged (the remaining Poisson mass then
@@ -131,14 +128,12 @@ class SericolaEngine(JointEngine):
 
     def __init__(self,
                  epsilon: float = 1e-9,
-                 uniformization_rate: Optional[float] = None,
                  steady_state_detection: bool = False,
                  kernel: Kernel = None):
         if not 0.0 < epsilon < 1.0:
             raise NumericalError(
                 f"epsilon must be in (0, 1), got {epsilon}")
         self.epsilon = float(epsilon)
-        self.uniformization_rate = uniformization_rate
         self.steady_state_detection = bool(steady_state_detection)
         self.last_diagnostics: Optional[SericolaDiagnostics] = None
         self._kernel_request = kernel
@@ -147,14 +142,16 @@ class SericolaEngine(JointEngine):
                        else self._backend.name)
 
     def _cache_token(self):
-        return (self.name, self.epsilon, self.uniformization_rate,
+        # The literal None fills the slot of the removed
+        # ``uniformization_rate`` knob: checkpoint headers hold
+        # ``repr(token)``, so older files still resume.
+        return (self.name, self.epsilon, None,
                 self.steady_state_detection, self.kernel)
 
     def spec(self):
         return {"engine": self.name,
                 "options": {
                     "epsilon": self.epsilon,
-                    "uniformization_rate": self.uniformization_rate,
                     "steady_state_detection":
                         self.steady_state_detection,
                     "kernel": self._kernel_option()}}
@@ -189,7 +186,6 @@ class SericolaEngine(JointEngine):
             return None
         return SericolaEngine(
             epsilon=max(self.epsilon * 1e-2, self.MIN_EPSILON),
-            uniformization_rate=self.uniformization_rate,
             steady_state_detection=self.steady_state_detection,
             kernel=self._kernel_request)
 
@@ -301,8 +297,7 @@ class SericolaEngine(JointEngine):
         plan = self._sericola_plan(model)
         levels = plan.levels
         m = len(levels) - 1
-        rate = (model.max_exit_rate if self.uniformization_rate is None
-                else float(self.uniformization_rate))
+        rate = model.max_exit_rate
         weight_epsilon = min(self.epsilon * 1e-3, 1e-14)
         grid = np.empty((len(times), len(rewards), n_states))
         trans = []              # (i, j, psi): the bound never binds

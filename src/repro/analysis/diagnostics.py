@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 
 class Severity(enum.IntEnum):
@@ -31,16 +31,6 @@ class Severity(enum.IntEnum):
     def label(self) -> str:
         """Lowercase name used in text and JSON output."""
         return self.name.lower()
-
-    @classmethod
-    def from_label(cls, label: str) -> "Severity":
-        """Parse a lowercase severity name (``"warning"`` etc.)."""
-        try:
-            return cls[label.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {label!r}; expected one of "
-                f"{', '.join(s.label for s in cls)}") from None
 
 
 @dataclass(frozen=True)
@@ -133,13 +123,6 @@ class AnalysisReport:
     def diagnostics(self) -> Tuple[Diagnostic, ...]:
         return self._diagnostics
 
-    def merged(self, other: "AnalysisReport") -> "AnalysisReport":
-        """A new report holding the diagnostics of both (de-duplicated
-        on the full diagnostic content)."""
-        seen = dict.fromkeys(self._diagnostics)
-        seen.update(dict.fromkeys(other._diagnostics))
-        return AnalysisReport(seen)
-
     # -- severity queries ----------------------------------------------
 
     def by_severity(self, severity: Severity) -> List[Diagnostic]:
@@ -169,13 +152,6 @@ class AnalysisReport:
     def clean(self) -> bool:
         """True when no diagnostics at all were emitted."""
         return not self._diagnostics
-
-    @property
-    def max_severity(self) -> Optional[Severity]:
-        """The worst severity present, or ``None`` for a clean report."""
-        if not self._diagnostics:
-            return None
-        return max(d.severity for d in self._diagnostics)
 
     def codes(self) -> List[str]:
         """Sorted distinct codes present in the report."""

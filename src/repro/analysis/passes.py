@@ -41,11 +41,6 @@ def register_pass(family: str) -> Callable[[PassFn], PassFn]:
     return decorator
 
 
-def registered_passes(family: str) -> Tuple[PassFn, ...]:
-    """The passes registered under *family* (read-only view)."""
-    return tuple(_PASSES[family])
-
-
 @dataclass(frozen=True)
 class QueryProfile:
     """Static shape of the numerical workload a formula implies.

@@ -49,8 +49,10 @@ class StepOperator:
     ``matmat(block, out=None)`` computes ``matrix @ block``; dense
     operators write into *out* when given (``in_place`` is ``True``),
     sparse operators always return a fresh array.  Callers must adopt
-    the *returned* array either way.  ``matvec``/``rmatvec`` are the
-    vector specialisations (``M @ v`` and ``v @ M``).
+    the *returned* array either way.  ``matvec`` computes ``M @ v`` for
+    a vector or a column block; it is the one product the
+    uniformisation series loop uses -- a forward series runs on an
+    operator built from ``M^T``, not on a second orientation.
     """
 
     kind: str = "abstract"
@@ -66,9 +68,6 @@ class StepOperator:
         raise NotImplementedError
 
     def matvec(self, vector: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def rmatvec(self, vector: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -96,9 +95,6 @@ class DenseOperator(StepOperator):
 
     def matvec(self, vector: np.ndarray) -> np.ndarray:
         return self.matrix @ vector
-
-    def rmatvec(self, vector: np.ndarray) -> np.ndarray:
-        return vector @ self.matrix
 
     def __repr__(self) -> str:
         return f"DenseOperator(shape={self.shape})"
@@ -128,9 +124,6 @@ class SparseOperator(StepOperator):
 
     def matvec(self, vector: np.ndarray) -> np.ndarray:
         return self.matrix @ vector
-
-    def rmatvec(self, vector: np.ndarray) -> np.ndarray:
-        return vector @ self.matrix
 
     def __repr__(self) -> str:
         return (f"SparseOperator(shape={self.shape}, "

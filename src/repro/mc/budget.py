@@ -67,13 +67,6 @@ class Budget:
         self._start = time.monotonic()
         return self
 
-    @property
-    def deadline(self) -> Optional[float]:
-        """Absolute ``time.monotonic()`` deadline, or ``None``."""
-        if self.seconds is None:
-            return None
-        return self._start + self.seconds
-
     def remaining_seconds(self) -> float:
         """Wall-clock time left (``inf`` when unlimited)."""
         if self.seconds is None:

@@ -5,8 +5,8 @@ expected values:
 
 * instantaneous (``I=t``): ``E[rho(X_t) | X_0 = s]``, one backward
   uniformisation run with the reward vector as terminal weight;
-* cumulative (``C<=t``): ``E[Y_t | X_0 = s]``, via the Poisson-tail
-  integration of the uniformisation series;
+* cumulative (``C<=t``): ``E[Y_t | X_0 = s]``, one backward run of the
+  Poisson-tail integrated uniformisation series;
 * reachability (``F Phi``): the expected reward accumulated until the
   first Phi-state, by one sparse linear solve -- infinite (numpy
   ``inf``) for states that do not reach Phi almost surely, following
@@ -15,17 +15,16 @@ expected values:
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.ctmc import graph
 from repro.ctmc.mrm import MarkovRewardModel
-from repro.errors import NumericalError
 from repro.numerics.linear import solve_linear_system
-from repro.numerics.poisson import poisson_weights
-from repro.numerics.uniformization import transient_target_probabilities
+from repro.numerics.uniformization import (accumulated_reward_vector,
+                                           transient_target_probabilities)
 
 
 def instantaneous_reward_vector(model: MarkovRewardModel,
@@ -44,29 +43,7 @@ def cumulative_reward_vector(model: MarkovRewardModel,
     Uses ``int_0^t P^(u) rho du = (1/lambda) sum_k T_{k+1} P^k rho``
     with ``T_k`` the Poisson tail mass beyond ``k``.
     """
-    if t < 0.0:
-        raise NumericalError(f"time must be >= 0, got {t}")
-    if t == 0.0:
-        return np.zeros(model.num_states)
-    rate = model.max_exit_rate
-    if rate == 0.0:
-        return model.rewards * t
-    matrix = model.uniformized_dtmc_matrix(rate)
-    weights = poisson_weights(rate * t, epsilon=epsilon)
-    tails = weights.tail_from()
-
-    vector = model.rewards.astype(float).copy()
-    total = np.zeros_like(vector)
-    for k in range(weights.right + 1):
-        if k + 1 <= weights.left:
-            tail = 1.0
-        else:
-            index = k + 1 - weights.left
-            tail = float(tails[index]) if index < len(tails) else 0.0
-        total += tail * vector
-        if k < weights.right:
-            vector = matrix @ vector
-    return total / rate
+    return accumulated_reward_vector(model, t, epsilon=epsilon)
 
 
 def reachability_reward_vector(model: MarkovRewardModel,

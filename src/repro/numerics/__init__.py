@@ -18,7 +18,8 @@ from repro.numerics.poisson import (PoissonWeights, poisson_weights,
 from repro.numerics.uniformization import (
     transient_distribution, transient_matrix,
     transient_target_probabilities, transient_target_probabilities_sweep,
-    expected_accumulated_reward, expected_instantaneous_reward)
+    accumulated_reward_vector, expected_accumulated_reward,
+    expected_instantaneous_reward)
 from repro.numerics.linear import (solve_linear_system,
                                    stationary_distribution)
 from repro.numerics.dtmc import (embedded_dtmc,
@@ -28,7 +29,7 @@ __all__ = [
     "PoissonWeights", "poisson_weights", "right_truncation_point",
     "transient_distribution", "transient_matrix",
     "transient_target_probabilities",
-    "transient_target_probabilities_sweep",
+    "transient_target_probabilities_sweep", "accumulated_reward_vector",
     "expected_accumulated_reward", "expected_instantaneous_reward",
     "solve_linear_system", "stationary_distribution",
     "embedded_dtmc", "reachability_probabilities",

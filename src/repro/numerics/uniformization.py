@@ -3,25 +3,31 @@
 Uniformisation (Jensen 1953, Gross/Miller 1984) turns the matrix
 exponential into a Poisson mixture of DTMC powers:
 
-    pi(t) = alpha e^{Q t} = sum_{k>=0} psi_k(lambda t) * alpha P^k
+    e^{Q t} v = sum_{k>=0} psi_k(lambda t) * P^k v
 
 with ``P = I + Q / lambda`` for any ``lambda >= max_s E(s)`` and
 ``psi_k`` the Poisson probabilities.  Each step is a sparse
-vector--matrix product, and the truncation error is controlled a priori
+matrix--vector product, and the truncation error is controlled a priori
 through the Poisson tail (see :mod:`repro.numerics.poisson`).
 
-The module also provides Poisson-integrated quantities needed for
-reward measures: the expected accumulated reward ``E[Y_t]`` uses
+Every public function here is a view of **one** series loop,
+:func:`_series`, which returns ``sum_k c_i[k] M^k start`` for each
+coefficient row ``c_i``.  The Poisson rows ``psi_k(lambda t)`` give the
+transient probabilities; the tail rows ``T_{k+1} / lambda`` give the
+integral
 
-    int_0^t alpha e^{Q u} du = (1/lambda) sum_k T_{k+1} * alpha P^k
+    int_0^t e^{Q u} v du = (1/lambda) sum_k T_{k+1} * P^k v
 
-where ``T_k`` is the Poisson tail ``sum_{j>=k} psi_j(lambda t)``.
+with ``T_k`` the Poisson tail ``sum_{j>=k} psi_j(lambda t)``, behind the
+expected accumulated reward.  ``M`` is ``P`` (backward: one run covers
+every initial state) except in :func:`transient_distribution`, which
+runs the same loop on ``P^T`` from the initial distribution.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,10 +40,15 @@ from repro.obs import OBS, count_engine
 from repro.obs import span as obs_span
 
 Kernel = Union[str, KernelBackend, None]
+#: ``(first, coefficients)``: ``coefficients[j]`` weighs term ``first + j``.
+Row = Tuple[int, np.ndarray]
+
+# Maximum-norm threshold under which two successive uniformised vectors
+# are considered equal for steady-state detection.
+_STEADY_STATE_TOLERANCE_FACTOR = 1e-3
 
 
 def uniformized_operator(model: CTMC, rate: float,
-                         transposed: bool = False,
                          policy: str = "auto") -> StepOperator:
     """The uniformised DTMC matrix wrapped as a cached step operator.
 
@@ -46,73 +57,147 @@ def uniformized_operator(model: CTMC, rate: float,
     :func:`repro.kernels.make_operator`; the sparse/dense backends
     pin the representation through their
     :attr:`~repro.kernels.KernelBackend.operator_policy` instead.
-    Cached per ``(model, rate, orientation)`` in the shared matrix
-    cache; non-default policies get their own key element, since the
+    Cached per ``(model, rate)`` in the shared matrix cache;
+    non-default policies get their own key element, since the
     representation then depends on the requesting backend.
     """
     # Imported lazily: repro.algorithms imports this module during its
     # own package initialisation.
     from repro.algorithms.cache import matrix_cache
-    tag = "uniform-op-T" if transposed else "uniform-op"
-    key = ((tag, model.fingerprint, float(rate)) if policy == "auto"
-           else (tag, model.fingerprint, float(rate), policy))
+    key = (("uniform-op", model.fingerprint, float(rate))
+           if policy == "auto"
+           else ("uniform-op", model.fingerprint, float(rate), policy))
     operator = matrix_cache.get(key)
     if operator is None:
-        matrix = model.uniformized_dtmc_matrix(rate)
-        if transposed:
-            matrix = matrix.transpose().tocsr()
-        operator = make_operator(matrix, policy=policy)
+        operator = make_operator(model.uniformized_dtmc_matrix(rate),
+                                 policy=policy)
         matrix_cache.put(key, operator)
     return operator
 
 
-def _step_histogram(backend: KernelBackend,
-                    metrics_engine: Optional[str]):
-    """The kernel-labelled per-step histogram, or ``None``."""
-    if not OBS.enabled or metrics_engine is None:
-        return None
-    return OBS.metrics.histogram("repro_matvec_block_seconds",
-                                 engine=metrics_engine,
-                                 kernel=backend.name)
+def _transposed_operator(model: CTMC, rate: float,
+                         policy: str = "auto") -> StepOperator:
+    """``P^T`` for the forward series (uncached: no engine runs it)."""
+    matrix = model.uniformized_dtmc_matrix(rate).transpose().tocsr()
+    return make_operator(matrix, policy=policy)
 
 
-def _count_series(metrics_engine: Optional[str], steps: int) -> None:
-    """Count a finished series of *steps* sparse products (one per
-    step) against *metrics_engine*, if any."""
+def _poisson_row(rate: float, t: float, epsilon: float) -> Row:
+    """Coefficients ``psi_k(rate t)`` of the transient series."""
+    if t == 0.0 or rate == 0.0:
+        return 0, np.ones(1)
+    weights = poisson_weights(rate * t, epsilon=epsilon)
+    return weights.left, weights.weights
+
+
+def _tail_row(rate: float, t: float, epsilon: float) -> Row:
+    """Coefficients ``T_{k+1}(rate t) / rate`` of the integrated series
+    (``T_{k+1} = 1`` below the Poisson window's left end)."""
+    if t == 0.0 or rate == 0.0:
+        return 0, np.array([t])   # no transitions: the integral is t v
+    weights = poisson_weights(rate * t, epsilon=epsilon)
+    tails = weights.tail_from()
+    return 0, np.concatenate((np.ones(weights.left), tails[1:])) / rate
+
+
+def _series(model: CTMC,
+            start: np.ndarray,
+            times: Sequence[float],
+            row_for: Callable[[float, float, float], Row],
+            epsilon: float,
+            kind: str,
+            kernel: Kernel = None,
+            metrics_engine: Optional[str] = None,
+            operator_for: Callable[..., StepOperator] = uniformized_operator,
+            steady_state_detection: bool = False) -> np.ndarray:
+    """The uniformisation series loop: ``sum_k c_i[k] M^k start`` for
+    the coefficient row ``c_i = row_for(lambda, times[i], epsilon)`` of
+    every time bound, from one run of the iterates ``M^k start``.
+
+    *start* is a vector or a column block; the result stacks one such
+    array per time bound.  ``M = operator_for(model, lambda)`` is
+    applied with ``matvec`` only.  With *steady_state_detection* the
+    loop stops once two successive iterates agree to a tolerance tied
+    to *epsilon*, handing each row its remaining coefficient mass.
+
+    The series runs under one ``uniformisation_series`` span (``kind``,
+    ``depth``, ``points``, ``rate``, ``steps`` and ``residual``: the
+    largest coefficient mass any row left beyond ``steps``).  With
+    observability on, *metrics_engine* times each step into
+    ``repro_matvec_block_seconds`` and counts the steps into
+    ``repro_engine_propagation_steps_total`` and
+    ``repro_engine_matvec_total``.
+    """
+    times = [float(t) for t in times]
+    for t in times:
+        if not t >= 0.0:
+            raise NumericalError(f"time must be >= 0, got {t}")
+    rate = model.max_exit_rate
+    rows = [row_for(rate, t, epsilon) for t in times]
+    results = np.zeros((len(rows),) + start.shape)
+    depth = max((first + len(c) - 1 for first, c in rows), default=0)
+    if depth <= 0:
+        # t = 0 or no transitions: only the k = 0 term is left.
+        for i, (_, c) in enumerate(rows):
+            results[i] += c[:1].sum() * start
+        return results
+    backend = get_backend(kernel)
+    operator = operator_for(model, rate, policy=backend.operator_policy)
+    hist = (OBS.metrics.histogram("repro_matvec_block_seconds",
+                                  engine=metrics_engine,
+                                  kernel=backend.name)
+            if OBS.enabled and metrics_engine is not None else None)
+    tolerance = (epsilon * _STEADY_STATE_TOLERANCE_FACTOR
+                 / max(1.0, float(max(len(c) for _, c in rows))))
+    settled_from = max(first for first, _ in rows)
+    vector = start
+    steps = depth
+    with obs_span("uniformisation_series", kind=kind, depth=depth,
+                  points=len(rows), rate=rate) as span:
+        for k in range(depth + 1):
+            for i, (first, c) in enumerate(rows):
+                if first <= k < first + len(c):
+                    results[i] += c[k - first] * vector
+            if k == depth:
+                break
+            if hist is not None:
+                block_start = time.perf_counter()
+            next_vector = operator.matvec(vector)
+            if hist is not None:
+                hist.observe(time.perf_counter() - block_start)
+            if (steady_state_detection and k >= settled_from
+                    and np.max(np.abs(next_vector - vector)) < tolerance):
+                # Steady state reached: every remaining term multiplies
+                # (approximately) the same vector.
+                for i, (first, c) in enumerate(rows):
+                    results[i] += c[k + 1 - first:].sum() * next_vector
+                steps = k + 1
+                break
+            vector = next_vector
+        if OBS.enabled:
+            span.set(steps=steps, residual=max(
+                float(c[max(0, steps + 1 - first):].sum())
+                for first, c in rows))
     if metrics_engine is not None:
         count_engine(metrics_engine, propagation_steps=steps,
                      matvec_count=steps)
+    return results
 
 
-def _end_series(span, weights, steps: int) -> None:
-    """Set what a finished uniformisation loop reached on its *span*:
-    the *steps* (products) it ran and the Poisson mass left beyond
-    them -- the truncation error not covered by computed terms."""
-    if OBS.enabled:
-        span.set(steps=steps, residual=weights.remaining_after(steps))
-
-# Maximum-norm threshold under which two successive uniformised vectors
-# are considered equal for steady-state detection.
-_STEADY_STATE_TOLERANCE_FACTOR = 1e-3
-
-
-def _initial_vector(model: CTMC,
-                    initial: Optional[Sequence[float]]) -> np.ndarray:
-    if initial is None:
-        return model.initial_distribution.copy()
-    vector = np.asarray(initial, dtype=float)
-    if vector.shape != (model.num_states,):
+def _start(model: CTMC, values: Sequence[float], what: str) -> np.ndarray:
+    """*values* as a float vector or column block of ``|S|`` rows."""
+    array = np.asarray(values, dtype=float)
+    if array.ndim not in (1, 2) or array.shape[0] != model.num_states:
         raise NumericalError(
-            f"initial vector has shape {vector.shape}, expected "
-            f"({model.num_states},)")
-    return vector.copy()
+            f"{what} has shape {array.shape}, expected {model.num_states} "
+            f"rows (a vector or a column block)")
+    return array
 
 
 def transient_distribution(model: CTMC,
                            t: float,
                            initial: Optional[Sequence[float]] = None,
                            epsilon: float = 1e-12,
-                           uniformization_rate: Optional[float] = None,
                            steady_state_detection: bool = True,
                            kernel: Kernel = None,
                            metrics_engine: Optional[str] = None
@@ -132,69 +217,27 @@ def transient_distribution(model: CTMC,
     epsilon:
         Bound on the truncation error (in total variation, per unit of
         initial mass).
-    uniformization_rate:
-        Override for the uniformisation rate ``lambda``; must be at
-        least the maximal exit rate.
     steady_state_detection:
         Stop the series early once the uniformised vector has converged
         (the remaining Poisson mass then multiplies a fixed vector).
     metrics_engine:
-        Engine the series is run for: with observability on, its steps
-        are timed into ``repro_matvec_block_seconds`` and counted into
-        ``repro_engine_propagation_steps_total`` and
-        ``repro_engine_matvec_total`` under ``engine=metrics_engine``.
-    """
-    if t < 0.0:
-        raise NumericalError(f"time must be >= 0, got {t}")
-    vector = _initial_vector(model, initial)
-    if t == 0.0 or model.num_states == 0:
-        return vector
-    rate = (model.max_exit_rate if uniformization_rate is None
-            else float(uniformization_rate))
-    if rate == 0.0:
-        return vector  # no transitions at all
-    backend = get_backend(kernel)
-    operator = uniformized_operator(model, rate,
-                                    policy=backend.operator_policy)
-    hist = _step_histogram(backend, metrics_engine)
-    weights = poisson_weights(rate * t, epsilon=epsilon)
+        Engine the series is run for (see :func:`_series`).
 
-    result = np.zeros_like(vector)
-    tolerance = (epsilon * _STEADY_STATE_TOLERANCE_FACTOR
-                 / max(1.0, float(len(weights))))
-    with obs_span("uniformisation_series", depth=weights.right,
-                  kind="forward", rate=rate) as span:
-        for k in range(weights.right + 1):
-            if k >= weights.left:
-                result += weights.weights[k - weights.left] * vector
-            if k == weights.right:
-                break
-            if hist is not None:
-                block_start = time.perf_counter()
-            next_vector = operator.rmatvec(vector)
-            if hist is not None:
-                hist.observe(time.perf_counter() - block_start)
-            if steady_state_detection and k >= weights.left:
-                if np.max(np.abs(next_vector - vector)) < tolerance:
-                    # Steady state reached: the remaining Poisson mass
-                    # all multiplies (approximately) the same vector.
-                    remaining = weights.weights[
-                        k + 1 - weights.left:].sum()
-                    result += remaining * next_vector
-                    _end_series(span, weights, k + 1)
-                    _count_series(metrics_engine, k + 1)
-                    return result
-            vector = next_vector
-        _end_series(span, weights, weights.right)
-    _count_series(metrics_engine, weights.right)
-    return result
+    The forward view of the series loop: the Poisson series of ``P^T``
+    applied to the initial vector.
+    """
+    alpha = (model.initial_distribution if initial is None
+             else _start(model, initial, "initial vector"))
+    return _series(model, alpha, [t], _poisson_row, epsilon, "forward",
+                   kernel=kernel, metrics_engine=metrics_engine,
+                   operator_for=_transposed_operator,
+                   steady_state_detection=steady_state_detection)[0]
 
 
 def transient_target_probabilities(model: CTMC,
                                    t: float,
                                    indicator: Sequence[float],
                                    epsilon: float = 1e-12,
-                                   uniformization_rate: Optional[float] = None,
                                    kernel: Kernel = None,
                                    metrics_engine: Optional[str] = None
                                    ) -> np.ndarray:
@@ -205,15 +248,13 @@ def transient_target_probabilities(model: CTMC,
     with the *backward* uniformisation series ``sum_k psi_k P^k 1_{S'}``
     -- one run covers every initial state, the dual of
     :func:`transient_distribution`.  Any real-valued vector is accepted,
-    so this also evaluates ``E[f(X_t) | X_0 = i]`` for bounded ``f``.
+    so this also evaluates ``E[f(X_t) | X_0 = i]`` for bounded ``f``;
+    an ``(|S|, m)`` column block gets the ``m`` columns in one run.
 
-    The one-row view of :func:`transient_target_probabilities_sweep`;
-    *metrics_engine* attributes the series' steps in the metrics
-    registry, as for :func:`transient_distribution`.
+    The one-row view of :func:`transient_target_probabilities_sweep`.
     """
     return transient_target_probabilities_sweep(
-        model, [t], indicator, epsilon=epsilon,
-        uniformization_rate=uniformization_rate, kernel=kernel,
+        model, [t], indicator, epsilon=epsilon, kernel=kernel,
         metrics_engine=metrics_engine)[0]
 
 
@@ -221,8 +262,6 @@ def transient_target_probabilities_sweep(model: CTMC,
                                          times: Sequence[float],
                                          indicator: Sequence[float],
                                          epsilon: float = 1e-12,
-                                         uniformization_rate:
-                                         Optional[float] = None,
                                          kernel: Kernel = None,
                                          metrics_engine: Optional[str]
                                          = None) -> np.ndarray:
@@ -233,117 +272,64 @@ def transient_target_probabilities_sweep(model: CTMC,
     do not depend on ``t`` -- only the Poisson weights do -- so a sweep
     over *times* runs the series once to the largest truncation point
     and re-weights every iterate per time bound.  Returns the
-    ``(len(times), |S|)`` array whose row ``i`` is the answer for
-    ``times[i]`` alone (same weights, same iterates);
+    ``(len(times), |S|)`` array (``(len(times), |S|, m)`` for a column
+    block) whose row ``i`` is the answer for ``times[i]`` alone (same
+    weights, same iterates);
     :func:`transient_target_probabilities` is the one-row view.
     """
-    vector = np.asarray(indicator, dtype=float)
-    if vector.shape != (model.num_states,):
-        raise NumericalError(
-            f"indicator has shape {vector.shape}, expected "
-            f"({model.num_states},)")
-    times = [float(t) for t in times]
-    for t in times:
-        if not t >= 0.0:
-            raise NumericalError(f"time must be >= 0, got {t}")
-    vector = vector.copy()
-    results = np.zeros((len(times), model.num_states))
-    rate = (model.max_exit_rate if uniformization_rate is None
-            else float(uniformization_rate))
-    if rate == 0.0:
-        results[:] = vector
-        return results
-    weight_rows = []
-    for i, t in enumerate(times):
-        if t == 0.0:
-            results[i] = vector
-            weight_rows.append(None)
-        else:
-            weight_rows.append(poisson_weights(rate * t, epsilon=epsilon))
-    deepest = max((w for w in weight_rows if w is not None),
-                  key=lambda w: w.right, default=None)
-    if deepest is None:
-        return results
-    depth = deepest.right
-    backend = get_backend(kernel)
-    operator = uniformized_operator(model, rate,
-                                    policy=backend.operator_policy)
-    hist = _step_histogram(backend, metrics_engine)
-    with obs_span("uniformisation_series", depth=depth,
-                  kind="backward_sweep", points=len(times),
-                  rate=rate) as span:
-        for k in range(depth + 1):
-            for i, weights in enumerate(weight_rows):
-                if weights is not None \
-                        and weights.left <= k <= weights.right:
-                    results[i] += (weights.weights[k - weights.left]
-                                   * vector)
-            if k == depth:
-                break
-            if hist is not None:
-                block_start = time.perf_counter()
-            vector = operator.matvec(vector)
-            if hist is not None:
-                hist.observe(time.perf_counter() - block_start)
-        _end_series(span, deepest, depth)
-    _count_series(metrics_engine, depth)
-    return results
+    return _series(model, _start(model, indicator, "indicator"),
+                   times, _poisson_row, epsilon, "backward_sweep",
+                   kernel=kernel, metrics_engine=metrics_engine)
 
 
 def transient_matrix(model: CTMC,
                      t: float,
                      epsilon: float = 1e-12,
-                     uniformization_rate: Optional[float] = None,
                      metrics_engine: Optional[str] = None) -> np.ndarray:
     """All-pairs transient probabilities ``Pi(t)[i, j] = Pr{X_t = j | X_0 = i}``.
 
-    Computed in a **single** uniformisation pass over a dense identity
-    block: the iterates ``P^k`` applied to ``I`` are accumulated with
-    the Poisson weights, so every initial state advances through one
-    sparse x dense product per series term instead of ``|S|``
-    independent vector runs.  Dense output of shape ``(n, n)``;
-    *metrics_engine* counts the series' steps as for
-    :func:`transient_distribution`.
+    The backward series on the identity block: column ``j`` is the
+    target-probability vector of state ``j``, and every column advances
+    through one product per series term.  Dense output of shape
+    ``(n, n)``.
     """
-    if t < 0.0:
-        raise NumericalError(f"time must be >= 0, got {t}")
-    n = model.num_states
-    rate = (model.max_exit_rate if uniformization_rate is None
-            else float(uniformization_rate))
-    if t == 0.0 or n == 0 or rate == 0.0:
-        return np.eye(n)
-    # Propagate the transposed block: column i holds the distribution
-    # from initial state i, and pi' = pi P transposes to P^T pi^T.
-    operator = uniformized_operator(model, rate, transposed=True)
-    weights = poisson_weights(rate * t, epsilon=epsilon)
-    block = np.eye(n)
-    result = np.zeros((n, n))
-    with obs_span("uniformisation_series", depth=weights.right,
-                  kind="matrix", rate=rate) as span:
-        for k in range(weights.right + 1):
-            if k >= weights.left:
-                result += weights.weights[k - weights.left] * block
-            if k == weights.right:
-                break
-            block = operator.matmat(block)
-        _end_series(span, weights, weights.right)
-    _count_series(metrics_engine, weights.right)
-    return result.T
+    return _series(model, np.eye(model.num_states), [t], _poisson_row,
+                   epsilon, "matrix", metrics_engine=metrics_engine)[0]
+
+
+def accumulated_reward_vector(model,
+                              t: float,
+                              rewards: Optional[Sequence[float]] = None,
+                              epsilon: float = 1e-12,
+                              metrics_engine: Optional[str] = None
+                              ) -> np.ndarray:
+    """``E[Y_t | X_0 = s]`` for every state ``s``: the backward series
+    with the tail coefficients ``T_{k+1} / lambda`` applied to the
+    reward vector.
+
+    *model* is an MRM (its reward vector is used) unless *rewards*
+    overrides the reward structure.
+    """
+    rho = (model.rewards if rewards is None
+           else _start(model, rewards, "reward vector"))
+    return _series(model, rho, [t], _tail_row, epsilon,
+                   "accumulated_reward", metrics_engine=metrics_engine)[0]
 
 
 def expected_instantaneous_reward(model,
                                   t: float,
                                   rewards: Optional[Sequence[float]] = None,
                                   epsilon: float = 1e-12) -> float:
-    """Expected reward rate at time *t*: ``E[rho(X_t)]``.
+    """Expected reward rate at time *t*: ``E[rho(X_t)]``, the initial
+    distribution weighting the backward series of the reward vector.
 
     *model* is an MRM (its reward vector is used) unless *rewards*
     overrides the reward structure.
     """
-    rho = (np.asarray(rewards, dtype=float)
-           if rewards is not None else model.rewards)
-    pi = transient_distribution(model, t, epsilon=epsilon)
-    return float(pi @ rho)
+    rho = model.rewards if rewards is None else rewards
+    return float(model.initial_distribution
+                 @ transient_target_probabilities(model, t, rho,
+                                                  epsilon=epsilon))
 
 
 def expected_accumulated_reward(model,
@@ -352,48 +338,10 @@ def expected_accumulated_reward(model,
                                 epsilon: float = 1e-12,
                                 metrics_engine: Optional[str] = None
                                 ) -> float:
-    """Expected accumulated reward ``E[Y_t] = int_0^t E[rho(X_u)] du``.
-
-    Uses the Poisson-tail formulation of the integral of the transient
-    distribution, so the cost is one uniformisation run.
-    *metrics_engine* counts its steps as for
-    :func:`transient_distribution`.
-    """
-    if t < 0.0:
-        raise NumericalError(f"time must be >= 0, got {t}")
-    rho = (np.asarray(rewards, dtype=float)
-           if rewards is not None else model.rewards)
-    if t == 0.0:
-        return 0.0
-    rate = model.max_exit_rate
-    if rate == 0.0:
-        # No transitions: the chain sits in its initial distribution.
-        return float(model.initial_distribution @ rho) * t
-
-    operator = uniformized_operator(model, rate)
-    # Make the relative error of the integral match epsilon: the
-    # integral is <= t * max(rho), and each tail coefficient errs by at
-    # most the Poisson tail mass.
-    weights = poisson_weights(rate * t, epsilon=epsilon)
-    tails = weights.tail_from()
-
-    vector = model.initial_distribution.copy()
-    total = 0.0
-    # Coefficient of alpha P^k is tail(k+1) / lambda; for k < left the
-    # tail is 1.
-    with obs_span("uniformisation_series", depth=weights.right,
-                  kind="accumulated_reward", rate=rate) as span:
-        for k in range(weights.right + 1):
-            if k + 1 <= weights.left:
-                tail = 1.0
-            else:
-                idx = k + 1 - weights.left
-                tail = float(tails[idx]) if idx < len(tails) else 0.0
-            total += tail * float(vector @ rho)
-            if k < weights.right:
-                vector = operator.rmatvec(vector)
-        _end_series(span, weights, weights.right)
-    _count_series(metrics_engine, weights.right)
-    # Account for the (up to `left`) leading terms whose tail is 1 but
-    # which the loop already covers, and normalise by the rate.
-    return total / rate
+    """Expected accumulated reward ``E[Y_t] = int_0^t E[rho(X_u)] du``:
+    the initial distribution weighting
+    :func:`accumulated_reward_vector`."""
+    return float(model.initial_distribution
+                 @ accumulated_reward_vector(
+                     model, t, rewards, epsilon=epsilon,
+                     metrics_engine=metrics_engine))

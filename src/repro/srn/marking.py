@@ -18,11 +18,6 @@ class Marking:
         self._tokens: Tuple[int, ...] = tuple(int(x) for x in tokens)
         self._index = index  # shared place-name -> position map
 
-    @property
-    def tokens(self) -> Tuple[int, ...]:
-        """The raw token counts, ordered by place position."""
-        return self._tokens
-
     def __getitem__(self, place: "str | int") -> int:
         if isinstance(place, str):
             return self._tokens[self._index[place]]

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.ctmc import ModelBuilder
 from repro.errors import FormulaError, ParseError
 from repro.logic import ast, parse_formula
 from repro.mc import ModelChecker
+from repro.obs import OBS
 from repro.mc.reward_op import (cumulative_reward_vector,
                                 instantaneous_reward_vector,
                                 reachability_reward_vector)
@@ -75,14 +77,29 @@ class TestCumulative:
                                           rel=1e-8)
         assert vector[1] == 0.0
 
-    def test_matches_forward_variant(self, three_level_chain):
-        from repro.numerics.uniformization import \
-            expected_accumulated_reward
+    def test_matches_van_loan_integral(self, three_level_chain):
+        # Van Loan: expm([[Q, rho], [0, 0]] t) holds
+        # int_0^t e^{Qu} rho du in its last column.
         t = 1.7
+        n = three_level_chain.num_states
+        augmented = np.zeros((n + 1, n + 1))
+        augmented[:n, :n] = three_level_chain.generator_matrix().toarray()
+        augmented[:n, n] = three_level_chain.rewards
+        reference = scipy.linalg.expm(augmented * t)[:n, n]
         vector = cumulative_reward_vector(three_level_chain, t)
-        forward = expected_accumulated_reward(three_level_chain, t)
-        alpha = three_level_chain.initial_distribution
-        assert float(alpha @ vector) == pytest.approx(forward, rel=1e-8)
+        np.testing.assert_allclose(vector, reference, rtol=0, atol=1e-10)
+
+    def test_series_span(self, three_level_chain):
+        checker = ModelChecker(three_level_chain)
+        with OBS.capture():
+            checker.check("R<=5 [ C<=1.7 ]")
+            series = [s for s in OBS.tracer.spans()
+                      if s.name == "uniformisation_series"]
+        span, = series
+        attrs = span.attributes
+        assert attrs["kind"] == "accumulated_reward"
+        assert 0 < attrs["steps"] <= attrs["depth"]
+        assert attrs["residual"] == 0.0
 
     def test_static_chain(self):
         from repro.ctmc import MarkovRewardModel

@@ -6,10 +6,12 @@ import scipy.linalg
 
 from repro.ctmc import CTMC, MarkovRewardModel, ModelBuilder
 from repro.errors import NumericalError
+from repro.mc.reward_op import cumulative_reward_vector
 from repro.numerics.uniformization import (
-    expected_accumulated_reward, expected_instantaneous_reward,
-    transient_distribution, transient_matrix,
-    transient_target_probabilities)
+    accumulated_reward_vector, expected_accumulated_reward,
+    expected_instantaneous_reward, transient_distribution,
+    transient_matrix, transient_target_probabilities,
+    transient_target_probabilities_sweep)
 
 
 def random_ctmc(n, seed):
@@ -120,23 +122,76 @@ class TestBackwardTransient:
         chain = random_ctmc(4, 22)
         assert np.allclose(transient_matrix(chain, 0.0), np.eye(4))
 
+    def test_column_block_matches_columns_and_matrix(self):
+        chain = random_ctmc(5, 24)
+        t = 1.1
+        block = np.zeros((5, 3))
+        block[[0, 2], 0] = 1.0
+        block[1, 1] = 1.0
+        block[[2, 3, 4], 2] = 1.0
+        together = transient_target_probabilities(chain, t, block)
+        assert together.shape == (5, 3)
+        for j in range(3):
+            single = transient_target_probabilities(chain, t, block[:, j])
+            # A block product may round differently from the vector one.
+            np.testing.assert_allclose(together[:, j], single,
+                                       rtol=0, atol=1e-15)
+        np.testing.assert_allclose(together, transient_matrix(chain, t)
+                                   @ block, rtol=0, atol=1e-13)
+
     def test_stats_plumbing(self, ledger):
+        # Every view of the series loop counts one product per step
+        # against the engine it runs for.
         chain = random_ctmc(4, 23)
-        transient_distribution(chain, 1.3, metrics_engine="test")
-        stats = ledger("test")
-        assert stats["matvec_count"] > 0
-        assert stats["propagation_steps"] == stats["matvec_count"]
-        before = stats["matvec_count"]
-        transient_matrix(chain, 1.3, metrics_engine="test")
-        assert ledger("test")["matvec_count"] > before
         model = MarkovRewardModel(chain.rate_matrix,
                                   rewards=[1.0, 0.0, 2.0, 0.5])
-        before = ledger("test")["matvec_count"]
-        expected_accumulated_reward(model, 1.3, metrics_engine="test")
-        assert ledger("test")["matvec_count"] > before
+        views = [
+            lambda: transient_distribution(chain, 1.3,
+                                           metrics_engine="test"),
+            lambda: transient_matrix(chain, 1.3, metrics_engine="test"),
+            lambda: transient_target_probabilities_sweep(
+                chain, [0.4, 1.3], np.ones(4), metrics_engine="test"),
+            lambda: accumulated_reward_vector(model, 1.3,
+                                              metrics_engine="test"),
+            lambda: expected_accumulated_reward(model, 1.3,
+                                                metrics_engine="test"),
+        ]
+        before = 0
+        for view in views:
+            view()
+            stats = ledger("test")
+            assert stats["matvec_count"] > before
+            assert stats["propagation_steps"] == stats["matvec_count"]
+            before = stats["matvec_count"]
         # Without an engine to count against, nothing is counted.
         transient_distribution(chain, 1.3)
+        expected_accumulated_reward(model, 1.3)
         assert ledger() == ledger("test")
+
+
+def _static_chain():
+    return MarkovRewardModel(np.zeros((2, 2)), rewards=[3.0, 1.0],
+                             initial_distribution=[0.5, 0.5])
+
+
+def _live_chain():
+    return MarkovRewardModel(random_ctmc(3, 31).rate_matrix,
+                             rewards=[1.0, 0.0, 2.0])
+
+
+@pytest.mark.parametrize("chain", [_static_chain, _live_chain],
+                         ids=["static", "live"])
+@pytest.mark.parametrize("t", [-1.0, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("entry", [
+    lambda m, t: transient_distribution(m, t),
+    lambda m, t: transient_matrix(m, t),
+    lambda m, t: transient_target_probabilities(m, t, np.ones(m.num_states)),
+    lambda m, t: expected_accumulated_reward(m, t),
+    lambda m, t: cumulative_reward_vector(m, t),
+], ids=["distribution", "matrix", "target", "accumulated", "cumulative"])
+def test_invalid_time_bound_rejected(entry, t, chain):
+    with pytest.raises(NumericalError, match="must be >= 0"):
+        entry(chain(), t)
 
 
 class TestExpectedRewards:
