@@ -8,8 +8,6 @@ any).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.ctmc.ctmc import CTMC
 
 

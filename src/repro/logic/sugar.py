@@ -13,8 +13,7 @@ These helpers mirror the notation of the paper:
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Union
+from typing import Union
 
 from repro.logic import ast
 from repro.logic.intervals import Interval

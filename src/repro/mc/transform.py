@@ -22,7 +22,7 @@ Two transformations from the paper and its companion [Baier et al.,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 import scipy.sparse as sp

@@ -9,7 +9,7 @@ a sparse linear system after the Prob0/Prob1 precomputation.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
+from typing import Set
 
 import numpy as np
 import scipy.sparse as sp

@@ -13,11 +13,8 @@ cross-checks.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.ctmc.ctmc import CTMC
 from repro.ctmc import graph
@@ -55,6 +52,7 @@ def solve_linear_system(matrix,
             f"rhs has shape {b.shape}, expected ({n},)")
 
     if method == "direct":
+        import scipy.sparse.linalg as spla
         return np.asarray(spla.spsolve(A.tocsc(), b)).ravel()
     if method == "jacobi":
         return _jacobi(A, b, tolerance, max_iterations)
@@ -136,6 +134,7 @@ def stationary_distribution(model: CTMC,
     system[n - 1, :] = 1.0
     rhs = np.zeros(n)
     rhs[n - 1] = 1.0
+    import scipy.sparse.linalg as spla
     pi = np.asarray(spla.spsolve(system.tocsc(), rhs)).ravel()
     # Clean tiny numerical negatives.
     pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)

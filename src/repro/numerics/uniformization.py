@@ -26,6 +26,7 @@ runs the same loop on ``P^T`` from the initial distribution.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -91,13 +92,25 @@ def _poisson_row(rate: float, t: float, epsilon: float) -> Row:
 
 
 def _tail_row(rate: float, t: float, epsilon: float) -> Row:
-    """Coefficients ``T_{k+1}(rate t) / rate`` of the integrated series
-    (``T_{k+1} = 1`` below the Poisson window's left end)."""
+    """Coefficients ``T_{k+1}(rate t) / rate`` of the integrated series.
+
+    Below the Poisson window's left end ``T_{k+1} = 1``.  A window that
+    starts at 0 takes its tails from the unnormalised Poisson mass --
+    ``T_1 = 1 - e^{-q}`` by ``expm1``, then ``T_{k+1} = T_k - psi_k`` --
+    because the normalised weights credit the window with all the mass:
+    for ``q = rate t`` below epsilon the window is ``{0}`` and every
+    normalised tail is 0, though the integral is ``~t``.
+    """
     if t == 0.0 or rate == 0.0:
         return 0, np.array([t])   # no transitions: the integral is t v
-    weights = poisson_weights(rate * t, epsilon=epsilon)
-    tails = weights.tail_from()
-    return 0, np.concatenate((np.ones(weights.left), tails[1:])) / rate
+    q = rate * t
+    weights = poisson_weights(q, epsilon=epsilon)
+    if weights.left > 0:
+        tails = weights.tail_from()
+        return 0, np.concatenate((np.ones(weights.left), tails[1:])) / rate
+    psi = weights.weights * (math.exp(-q) / weights.weights[0])
+    tails = -math.expm1(-q) - np.concatenate(([0.0], np.cumsum(psi[1:])))
+    return 0, np.maximum(tails, 0.0) / rate
 
 
 def _series(model: CTMC,

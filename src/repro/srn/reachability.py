@@ -20,7 +20,7 @@ The resulting :class:`~repro.ctmc.mrm.MarkovRewardModel` has
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np

@@ -10,7 +10,10 @@ at a time, straight from the paper's formulas:
   :mod:`repro.algorithms.discretization` docstring), including impulse
   rewards and both underflow rules, written with dense NumPy arrays;
 * :func:`erlang_joint_probability` -- a forward transient distribution
-  of the pseudo-Erlang expanded chain of Section 4.2.
+  of the pseudo-Erlang expanded chain of Section 4.2;
+* :func:`sericola_triangular` -- one step of Sericola's ``b(h,n,k)``
+  triangular update as plain per-row Python loops (the kernels'
+  batched scan is checked against it).
 
 The discretisation reference deliberately imports nothing from
 :mod:`repro.kernels` or :mod:`repro.algorithms.discretization`, so it
@@ -129,3 +132,39 @@ sweep_unit`), which checks the cache path.
             engine.epsilon)
     return float(engine.sweep_unit(model, [t], [r],
                                    indicator)[0, 0, initial_state])
+
+
+def sericola_triangular(pb: np.ndarray, new_b: np.ndarray,
+                        u_next: np.ndarray, levels: np.ndarray,
+                        cls: np.ndarray, n: int) -> None:
+    """One step ``n-1 -> n`` of the ``b(h,n,k)`` update, row by row.
+
+    The kernel contract's ``sericola_triangular`` (see
+    :mod:`repro.kernels.base`) with the reward structure given as the
+    ascending *levels* and the per-state level index *cls*: a state of
+    level ``j`` runs the ascending-``k`` recursion for ``g = 1..j``
+    (seeded with ``u_next`` at ``g = 1``, else with the previous
+    level's last element) and the descending one for ``g = m..j+1``
+    (seeded with 0 at ``g = m``, else with the next level's first).
+    """
+    m = len(levels) - 1
+    for s in range(pb.shape[0]):
+        value = levels[cls[s]]
+        for g in range(1, cls[s] + 1):
+            lo, hi = levels[g - 1], levels[g]
+            stay = (value - hi) / (value - lo)
+            move = (hi - lo) / (value - lo)
+            y = u_next[s] if g == 1 else new_b[s, n, g - 2]
+            new_b[s, 0, g - 1] = y
+            for k in range(n):
+                y = move * pb[s, k, g - 1] + stay * y
+                new_b[s, k + 1, g - 1] = y
+        for g in range(m, cls[s], -1):
+            lo, hi = levels[g - 1], levels[g]
+            stay = (lo - value) / (hi - value)
+            move = (hi - lo) / (hi - value)
+            y = 0.0 if g == m else new_b[s, 0, g]
+            new_b[s, n, g - 1] = y
+            for k in range(n - 1, -1, -1):
+                y = move * pb[s, k, g - 1] + stay * y
+                new_b[s, k, g - 1] = y

@@ -20,6 +20,7 @@ from repro.algorithms import (DiscretizationEngine, ErlangEngine,
 from repro.exec import ProcessShardExecutor
 from repro.models.adhoc import Q3
 from repro.obs import OBS, REGISTRY
+from repro.obs.export import engine_totals
 
 GRID_TIMES = [6.0, 12.0, 24.0]
 GRID_REWARDS = [200.0, 400.0, 600.0]
@@ -108,6 +109,22 @@ def test_certified_check(adhoc):
     counts = _counted(lambda: ModelChecker(adhoc).check_certified(Q3))
     assert counts["propagation_steps"] == 603
     assert counts["matvec_count"] == 1206
+
+
+@pytest.mark.parametrize("query", ["R<=500 [ I=24 ]", "R<=500 [ C<=24 ]"],
+                         ids=["instantaneous", "cumulative"])
+def test_reward_query_series_reach_the_ledger(adhoc, query):
+    """``R[I=t]`` and ``R[C<=t]`` count their series under
+    ``engine="reward"``: one product per step of the span."""
+    with OBS.capture():
+        ModelChecker(adhoc).check(query)
+        series, = [s for s in OBS.tracer.spans()
+                   if s.name == "uniformisation_series"]
+    totals = engine_totals(REGISTRY, engine="reward")
+    steps = series.attributes["steps"]
+    assert steps > 0
+    assert totals["matvec_count"] == steps
+    assert totals["propagation_steps"] == steps
 
 
 def test_obs_off_leaves_no_engine_family(adhoc):

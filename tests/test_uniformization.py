@@ -246,3 +246,15 @@ class TestExpectedRewards:
         doubled = expected_accumulated_reward(
             model.scaled_rewards(2.0), 3.0)
         assert doubled == pytest.approx(2.0 * base, rel=1e-9)
+
+    @pytest.mark.parametrize("rate", np.logspace(-15, -3, 13))
+    def test_accumulated_reward_continuous_at_tiny_rates(self, rate):
+        """A reward-2 state leaving at *rate* for a reward-1 sink:
+        ``E[Y_1] = 1 + (1 - e^{-rate}) / rate`` from the first state, 1
+        from the sink -- even when ``rate * t`` is so small that the
+        Poisson window is ``{0}``."""
+        model = MarkovRewardModel([[0.0, rate], [0.0, 0.0]],
+                                  rewards=[2.0, 1.0])
+        exact = [1.0 - np.expm1(-rate) / rate, 1.0]
+        np.testing.assert_allclose(accumulated_reward_vector(model, 1.0),
+                                   exact, rtol=1e-12, atol=0.0)
