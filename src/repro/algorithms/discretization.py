@@ -33,9 +33,20 @@ whenever no probability mass sits at accumulated reward zero, in
 particular on the paper's case study.
 
 The whole per-step update is two sparse-matrix/dense-matrix products,
-so the cost is ``O(T * nnz(R) * R / d)`` -- quadratic in ``1/d``,
+so the cost is ``O(T * nnz(R) * r / (g d))`` -- quadratic in ``1/d``,
 matching the paper's observation that halving ``d`` quadruples the
 runtime (Table 4).
+
+**The reward lattice.**  Under ``underflow="drop"`` the engine steps
+only the cells the chain can reach.  Let ``g`` be the gcd of every
+reward displacement ``rho(s)`` and impulse displacement ``iota / d``
+(:func:`lattice_cells`).  Every reachable cell is then a multiple of
+``g``, and off-lattice cells never feed on-lattice ones, so the run
+keeps cells ``0, g, 2g, ...`` only and divides every displacement and
+the read-out cell by ``g``: the same arithmetic, column by column, on
+a ``g``-times smaller array (the paper's case study has rewards
+{100, 0, 0, 200, 20}, so ``g = 20``).  ``"clamp"`` folds off-lattice
+cells into cell 0 and keeps ``g = 1``.
 
 **One backward run for all initial states.**  The recurrence above
 is a linear map ``L`` on the ``(state, reward cell)`` density array,
@@ -87,6 +98,32 @@ from repro.obs import OBS, count_engine
 from repro.obs import span as obs_span
 
 
+def lattice_cells(model: MarkovRewardModel, step: float, r: float,
+                  underflow: str = "drop") -> Tuple[int, int]:
+    """``(cells, g)``: the reward lattice of a run to the bound *r*.
+
+    ``g`` is the gcd of every reward displacement ``rho(s)`` and every
+    impulse displacement ``iota / d`` (1 when all are zero).  Mass
+    starts in cell ``rho(s0)`` and only ever moves by these
+    displacements, so every reachable cell is a multiple of ``g``;
+    in the adjoint, off-lattice cells never feed on-lattice ones.  The
+    run therefore keeps only cells ``0, g, 2g, ...`` up to ``r / d``:
+    ``cells`` counts them, and every displacement is divided by
+    ``g``.  Under ``"clamp"`` (cells ``0 .. rho - 1``, off-lattice ones
+    included, fold into cell 0) and without natural-number rewards
+    ``g`` is 1.  The engine and the E003 lint both size the grid here.
+    """
+    g = 0
+    if (underflow == "drop" and isinstance(model, MarkovRewardModel)
+            and model.has_integer_rewards()):
+        g = int(np.gcd.reduce(np.round(model.rewards).astype(np.int64)))
+        if model.has_impulse_rewards:
+            impulses = np.rint(model.impulse_matrix.data * (1.0 / step))
+            g = int(np.gcd.reduce(impulses.astype(np.int64), initial=g))
+    g = max(g, 1)
+    return int(np.floor(r / step + 1e-9)) // g + 1, g
+
+
 def integer_reward_scale(rewards: Iterable[float],
                          max_denominator: int = 10 ** 6) -> int:
     """Smallest integer ``c`` making every reward in *rewards* integral.
@@ -135,7 +172,8 @@ class DiscretizationEngine(JointEngine):
             grid_aligned_time=True,
             notes=("needs natural-number reward rates and impulses "
                    "and evaluates the joint distribution on the "
-                   "d-grid only; memory grows with r/d"))
+                   "d-grid only; memory grows with r/(g d), g the "
+                   "gcd of the reward and impulse displacements"))
 
     def __init__(self,
                  step: float = 1.0 / 64,
@@ -213,8 +251,8 @@ class DiscretizationEngine(JointEngine):
         to ``max(times)`` serves **all** requested time bounds of one
         reward column, bit-identically to the per-point runs (same
         operator, same application sequence, snapshots read mid-run).
-        Cost per column: ``O(T_max * nnz * r/d)`` instead of
-        ``O((sum_i T_i) * nnz * r/d)``.
+        Cost per column: ``O(T_max * nnz * r/(g d))`` instead of
+        ``O((sum_i T_i) * nnz * r/(g d))``.
 
         Columns are genuinely independent -- the operator's reward
         truncation depends on ``r`` -- so each column is one work unit
@@ -258,7 +296,7 @@ class DiscretizationEngine(JointEngine):
         off at every requested horizon on the way.
         """
         t_max = max(times)
-        num_steps, num_cells, rho = self._setup(model, t_max, r)
+        num_steps, num_cells, rho, lattice = self._setup(model, t_max, r)
         n = model.num_states
         snapshots: Dict[int, List[int]] = {}
         for index, t in enumerate(times):
@@ -269,14 +307,15 @@ class DiscretizationEngine(JointEngine):
         weight = np.empty((n, num_cells))
         weight[:] = indicator[:, None]
 
-        stepper = self._propagator(model, num_cells, weight, backend)
+        stepper = self._propagator(model, num_cells, lattice, weight,
+                                   backend)
         out = np.empty((len(times), n))
         matvec_hist = (OBS.metrics.histogram("repro_matvec_block_seconds",
                                              engine=self.name,
                                              kernel=backend.name)
                        if OBS.enabled else None)
         with obs_span("adjoint_column", r=float(r), steps=num_steps,
-                      points=len(times)):
+                      points=len(times), cells=num_cells, lattice=lattice):
             for advances in range(num_steps):
                 # `advances` applications done: the weight array holds
                 # the values for the horizon (advances + 1) * d.
@@ -305,26 +344,30 @@ class DiscretizationEngine(JointEngine):
     # ------------------------------------------------------------------
 
     def _propagator(self, model: MarkovRewardModel, num_cells: int,
-                    state: np.ndarray, backend: KernelBackend
-                    ) -> DiscretizationPropagator:
-        """An adjoint kernel stepper over the caller-seeded *state*."""
+                    lattice: int, state: np.ndarray,
+                    backend: KernelBackend) -> DiscretizationPropagator:
+        """An adjoint kernel stepper over the caller-seeded *state*,
+        whose *num_cells* columns are reward cells ``0, g, 2g, ...``
+        (``g`` = *lattice*).  The cached impulse operators keep raw
+        cell displacements; they are divided by ``g`` here."""
         operator, impulses = self._step_operators(
             model, backend.operator_policy)
-        live = [(cells, op) for cells, op in impulses
-                if cells < num_cells]
+        live = [(cells // lattice, op) for cells, op in impulses
+                if cells // lattice < num_cells]
         return DiscretizationPropagator(
-            backend, operator, live, self._shift_plan(model),
+            backend, operator, live, self._shift_plan(model, lattice),
             self.underflow == "clamp", state)
 
-    def _shift_plan(self, model: MarkovRewardModel) -> ShiftPlan:
-        """The per-state reward displacement plan, cached per
-        ``(model, step)`` -- the former per-call ``np.unique(rho)`` +
-        ``np.flatnonzero`` group scan."""
-        key = ("disc-shift-plan", model.fingerprint, self.step)
+    def _shift_plan(self, model: MarkovRewardModel,
+                    lattice: int) -> ShiftPlan:
+        """The per-state displacement plan in lattice units
+        (``rho / g``), cached per ``(model, step, g)``: a ``drop`` and a
+        ``clamp`` run of one model may differ in ``g``."""
+        key = ("disc-shift-plan", model.fingerprint, self.step, lattice)
         plan = matrix_cache.get(key)
         if plan is None:
             plan = build_shift_plan(
-                np.round(model.rewards).astype(np.int64))
+                np.round(model.rewards).astype(np.int64) // lattice)
             matrix_cache.put(key, plan)
         return plan
 
@@ -369,8 +412,10 @@ class DiscretizationEngine(JointEngine):
         return int(round(steps))
 
     def _setup(self, model: MarkovRewardModel, t: float, r: float
-               ) -> Tuple[int, int, np.ndarray]:
-        """Validated ``(num_steps, num_cells, rho)`` of a run.
+               ) -> Tuple[int, int, np.ndarray, int]:
+        """Validated ``(num_steps, num_cells, rho, g)`` of a run, with
+        ``num_cells`` and ``rho`` in units of the lattice spacing ``g``
+        (:func:`lattice_cells`).
 
         On impulse-free models ``Y_t <= rho_max * t``, so the reward
         cells stop there whatever *r* is.
@@ -391,8 +436,8 @@ class DiscretizationEngine(JointEngine):
                 f"{1.0 / exit_rates.max()}")
         if not model.has_impulse_rewards:
             r = min(r, float(rho.max()) * t)
-        num_cells = int(np.floor(r / d + 1e-9)) + 1
-        return num_steps, num_cells, rho
+        num_cells, lattice = lattice_cells(model, d, r, self.underflow)
+        return num_steps, num_cells, rho // lattice, lattice
 
     @staticmethod
     def _build_step_groups(model: MarkovRewardModel, d: float

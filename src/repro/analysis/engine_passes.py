@@ -19,6 +19,7 @@ import math
 from typing import Iterator, List, Optional, Union
 
 from repro.algorithms.base import JointEngine, get_engine
+from repro.algorithms.discretization import lattice_cells
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.passes import (AnalysisContext, QueryProfile,
                                    register_pass)
@@ -216,14 +217,16 @@ def _discretization_findings(engine: JointEngine, model,
                 source="engine")
     r = query.reward_bound
     if r is not None:
-        cells = r / step + 1.0
+        cells, lattice = lattice_cells(
+            model, step, r, getattr(engine, "underflow", "drop"))
         estimated_bytes = 16.0 * model.num_states * cells
         if estimated_bytes > DGRID_MEMORY_WARNING:
             yield Diagnostic(
                 code="E003",
                 severity=Severity.WARNING,
                 message=(f"the discretisation grid needs ~{cells:.3g} "
-                         f"reward cells per state (r/d + 1), an "
+                         f"reward cells per state (r/(g d) + 1 with "
+                         f"lattice spacing g = {lattice}), an "
                          f"estimated working set of "
                          f"~{estimated_bytes / 2**20:.0f} MiB for "
                          f"{model.num_states} states"),

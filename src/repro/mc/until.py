@@ -63,6 +63,7 @@ def time_bounded_until(model: MarkovRewardModel,
     ``I = [t1, t2]`` with ``t1 > 0`` uses the two-phase scheme: the
     path must stay in ``Phi`` throughout ``[0, t1]`` and then satisfy
     a ``[0, t2 - t1]``-bounded until from wherever it is at ``t1``.
+    The series' steps count under ``engine="transient"``.
     """
     if math.isinf(time.upper):
         if time.lower == 0.0:
@@ -74,7 +75,7 @@ def time_bounded_until(model: MarkovRewardModel,
     reduced = until_reduction(model, phi, psi)
     probabilities = transient_target_probabilities(
         reduced, horizon, _indicator(model.num_states, psi),
-        epsilon=epsilon)
+        epsilon=epsilon, metrics_engine="transient")
     if time.lower == 0.0:
         return np.clip(probabilities, 0.0, 1.0)
     # Phase 1: survive in Phi until t1.  Outside Phi the path is dead,
@@ -83,7 +84,7 @@ def time_bounded_until(model: MarkovRewardModel,
     survivor = until_reduction(model, phi, set())  # absorb !Phi states
     staged = transient_target_probabilities(
         survivor, time.lower, probabilities * phi_indicator,
-        epsilon=epsilon)
+        epsilon=epsilon, metrics_engine="transient")
     return np.clip(staged, 0.0, 1.0)
 
 
@@ -96,7 +97,8 @@ def reward_bounded_until(model: MarkovRewardModel,
 
     The reduction is applied first (which also zeroes the rewards of
     the decided states, keeping the duality well defined there), then
-    the dual model turns the reward bound into a time bound.
+    the dual model turns the reward bound into a time bound.  The
+    dual chain's series counts under ``engine="transient"``.
     """
     if reward.lower != 0.0:
         raise UnsupportedFormulaError(
@@ -116,14 +118,14 @@ def reward_bounded_until(model: MarkovRewardModel,
         kept_values = transient_target_probabilities(
             dual, reward.upper,
             _indicator(elimination.model.num_states, set(kept_psi)),
-            epsilon=epsilon)
+            epsilon=epsilon, metrics_engine="transient")
         probabilities = elimination.lift(kept_values,
                                          model.num_states)
         return np.clip(probabilities, 0.0, 1.0)
     dual = dual_model(reduced)
     probabilities = transient_target_probabilities(
         dual, reward.upper, _indicator(model.num_states, psi),
-        epsilon=epsilon)
+        epsilon=epsilon, metrics_engine="transient")
     return np.clip(probabilities, 0.0, 1.0)
 
 

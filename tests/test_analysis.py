@@ -414,6 +414,40 @@ class TestEnginePasses:
         assert not any(d.code == "E003" for d in engine_compatibility(
             engine, build_clean_model(), JOINT_QUERY))
 
+    @staticmethod
+    def _two_level_model(rewards):
+        builder = ModelBuilder()
+        builder.add_state("a", reward=rewards[0])
+        builder.add_state("b", reward=rewards[1])
+        builder.add_transition("a", "b", 1.0)
+        builder.add_transition("b", "a", 1.0)
+        return builder.build()
+
+    def test_e003_counts_reward_lattice_cells(self):
+        """Rewards {0, 100} put every reachable cell on a lattice of
+        spacing g = 100: 16 * 2 * (1e6 * 64 / 100 + 1) bytes ~ 20 MiB,
+        where the full grid would be ~2 GiB."""
+        query = QueryProfile(time_bound=64.0, reward_bound=1e6,
+                             needs_joint=True)
+        drop = DiscretizationEngine(step=1.0 / 64)
+        assert not any(d.code == "E003" for d in engine_compatibility(
+            drop, self._two_level_model([0.0, 100.0]), query))
+
+    def test_e003_warns_on_the_full_grid(self):
+        """The same bound with g = 1 -- rewards {1, 100}, or the clamp
+        rule, which folds off-lattice cells into cell 0 -- warns."""
+        query = QueryProfile(time_bound=64.0, reward_bound=1e6,
+                             needs_joint=True)
+        for rewards, underflow in (([1.0, 100.0], "drop"),
+                                   ([0.0, 100.0], "clamp")):
+            engine = DiscretizationEngine(step=1.0 / 64,
+                                          underflow=underflow)
+            findings = [d for d in engine_compatibility(
+                engine, self._two_level_model(rewards), query)
+                if d.code == "E003"]
+            assert findings, (rewards, underflow)
+            assert "lattice spacing g = 1" in findings[0].message
+
     def test_e004_step_too_coarse(self):
         builder = ModelBuilder()
         builder.add_state("a", reward=1.0)

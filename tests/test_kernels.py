@@ -244,10 +244,12 @@ class TestEngineIntegration:
         engine = DiscretizationEngine(step=0.25, kernel="numpy")
         indicator = np.array([1.0, 0.0])
         engine.sweep_unit(flip_flop, [1.0], [0.5], indicator)
-        key = ("disc-shift-plan", flip_flop.fingerprint, 0.25)
+        # Rewards {2, 0}: reward lattice g = 2, so the plan shifts by
+        # [1, 0] lattice cells and is keyed on g as well.
+        key = ("disc-shift-plan", flip_flop.fingerprint, 0.25, 2)
         plan = matrix_cache.get(key)
         assert plan is not None
-        assert plan.shifts.tolist() == [2, 0]
+        assert plan.shifts.tolist() == [1, 0]
         # A second (uncached) run reuses the same plan object.
         engine.sweep_unit(flip_flop, [1.0], [0.5], indicator)
         assert matrix_cache.get(key) is plan

@@ -127,6 +127,25 @@ def test_reward_query_series_reach_the_ledger(adhoc, query):
     assert totals["propagation_steps"] == steps
 
 
+@pytest.mark.parametrize("query, steps", [
+    ("P<0.5 [ (call_idle | doze) U[0,24] call_initiated ]", 630),
+    ("P<0.5 [ (call_idle | doze) U[6,24] call_initiated ]", 695),
+    ("P<0.5 [ (call_idle | doze) U[0,inf][0,600] call_initiated ]", 202),
+], ids=["time-bounded", "time-interval", "reward-bounded"])
+def test_until_series_reach_the_ledger(adhoc, query, steps):
+    """P1 and P2 untils count their transient series (two for a
+    ``[t1, t2]`` interval) under ``engine="transient"``: one product
+    per step of their spans."""
+    with OBS.capture():
+        ModelChecker(adhoc).check(query)
+        spans = [s for s in OBS.tracer.spans()
+                 if s.name == "uniformisation_series"]
+    assert sum(s.attributes["steps"] for s in spans) == steps
+    assert engine_totals(REGISTRY)["matvec_count"] == steps
+    assert engine_totals(REGISTRY, engine="transient")[
+        "propagation_steps"] == steps
+
+
 def test_obs_off_leaves_no_engine_family(adhoc):
     assert not OBS.enabled
     checker = ModelChecker(adhoc,
