@@ -59,7 +59,7 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from repro.ctmc.mrm import MarkovRewardModel
-from repro.errors import NumericalError, WorkerError
+from repro.errors import NumericalError, ReproError, WorkerError
 from repro.obs import OBS, annotate, peak_rss_bytes
 from repro.obs import span as obs_span
 
@@ -92,35 +92,21 @@ def richardson_bracket(coarse: np.ndarray, fine: np.ndarray,
 
 
 @dataclass(frozen=True)
-class EngineCapabilities:
-    """Statically declared requirements and limits of an engine.
+class Finding:
+    """One statement an engine makes about a workload.
 
-    Engines publish what they can handle through
-    :meth:`JointEngine.capabilities`, so the static-analysis layer
-    (:mod:`repro.analysis.engine_passes`) and the certified checker's
-    fallback chain can judge compatibility *before* any propagation
-    starts, and the runtime guard (:meth:`JointEngine.
-    _check_capabilities`) enforces the same declaration in one place.
-
-    Attributes
-    ----------
-    impulse_rewards:
-        Whether the engine supports transition-attached impulse
-        rewards (the occupation-time algorithm is tailored to
-        state-based rewards only; paper, Section 2.1).
-    natural_rewards_only:
-        Whether reward rates must be natural numbers (the Tijms--
-        Veldman discretisation counts reward in grid cells).
-    grid_aligned_time:
-        Whether time bounds must be multiples of an engine step.
-    notes:
-        Free-form cost caveats (phase explosion, grid memory, ...).
+    ``code`` is the diagnostic code (``E001``--``E008``, catalogued in
+    ``docs/DIAGNOSTICS.md``).  A finding with an ``error`` class is a
+    hard requirement the workload breaks: a run raises ``error`` and
+    the lint reports it as an error when the query needs the joint
+    distribution.  Without one it is a cost estimate, only ever a
+    warning.
     """
 
-    impulse_rewards: bool = True
-    natural_rewards_only: bool = False
-    grid_aligned_time: bool = False
-    notes: str = ""
+    code: str
+    message: str
+    hint: str
+    error: Optional[Type[ReproError]] = None
 
 
 @dataclass(frozen=True)
@@ -223,33 +209,31 @@ class JointEngine(ABC):
             annotate(kernel=backend.name)
         return backend
 
-    @classmethod
-    def capabilities(cls) -> EngineCapabilities:
-        """The engine's static capability declaration.
+    def findings(self, model: MarkovRewardModel,
+                 t: Optional[float] = None,
+                 r: Optional[float] = None) -> Iterator[Finding]:
+        """The engine's requirements of, and costs on, ``(model, t,
+        r)``: the one place each engine states its preconditions.
 
-        The default claims full support; engines override this to
-        declare their restrictions (see :class:`EngineCapabilities`).
-        Both the runtime validation and the static-analysis layer are
-        driven by this single declaration.
+        The lint (:func:`repro.analysis.engine_passes.\
+engine_compatibility`) reports every finding and the runtime guard
+        (:meth:`_require`) raises the hard ones.  A ``None`` bound
+        skips the findings that need it; no hard finding needs *r*, so
+        the guard passes none and skips the grid-size estimate.  The
+        default engine requires nothing.
         """
-        return EngineCapabilities()
+        return iter(())
 
-    def _check_capabilities(self, model: MarkovRewardModel) -> None:
-        """Reject workloads the declared capabilities rule out.
-
-        Called from :meth:`_validate` (and directly by entry points
-        that bypass it); raising here is the runtime twin of the
-        static ``E001``-family diagnostics of
-        :mod:`repro.analysis.engine_passes`.
-        """
-        capabilities = type(self).capabilities()
-        if (not capabilities.impulse_rewards
-                and getattr(model, "has_impulse_rewards", False)):
-            raise NumericalError(
-                f"[E001] the {self.name} engine handles state-based "
-                f"rewards only (paper, Section 2.1); use the "
-                f"discretisation or pseudo-Erlang engine for impulse "
-                f"rewards")
+    def _require(self, model: MarkovRewardModel,
+                 times: Iterable[float] = ()) -> None:
+        """Raise the first hard :meth:`findings` entry of *model* at
+        any of the time bounds *times* (none: the model alone)."""
+        for t in sorted(set(times)) or [None]:
+            for finding in self.findings(model, t):
+                if finding.error is not None:
+                    raise finding.error(f"[{finding.code}] "
+                                        f"{finding.message}; "
+                                        f"{finding.hint}")
 
     @contextmanager
     def _observed(self, name: str, histogram: Optional[str] = None,
@@ -568,11 +552,10 @@ class JointEngine(ABC):
         """Shared argument validation; returns the target indicator.
 
         Every bound of the sweep must be ``>= 0`` -- written so that
-        ``NaN`` fails too.  Also enforces the engine's
-        :meth:`capabilities` declaration (e.g. impulse rewards vs. the
+        ``NaN`` fails too -- and the workload must meet the engine's
+        hard :meth:`findings` (e.g. impulse rewards vs. the
         occupation-time algorithm).
         """
-        self._check_capabilities(model)
         for t in times:
             if not t >= 0.0:
                 raise NumericalError(f"time bound must be >= 0, got {t}")
@@ -580,6 +563,7 @@ class JointEngine(ABC):
             if not r >= 0.0:
                 raise NumericalError(
                     f"reward bound must be >= 0, got {r}")
+        self._require(model, times)
         indicator = np.zeros(model.num_states)
         states = np.fromiter((int(s) for s in target), dtype=np.int64)
         if states.size:

@@ -78,13 +78,13 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import gcd
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from math import ceil, gcd
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.algorithms.base import (EngineCapabilities, JointEngine,
+from repro.algorithms.base import (Finding, JointEngine,
                                    register_engine)
 from repro.algorithms.cache import matrix_cache
 from repro.algorithms.erlang import zero_reward_bound_sweep
@@ -96,6 +96,9 @@ from repro.kernels.base import (DiscretizationPropagator, ShiftPlan,
                                 make_operator)
 from repro.obs import OBS, count_engine
 from repro.obs import span as obs_span
+
+#: Estimated grid working-set bytes beyond which E003 warns.
+DGRID_MEMORY_WARNING = 512 * 2**20
 
 
 def lattice_cells(model: MarkovRewardModel, step: float, r: float,
@@ -114,8 +117,7 @@ def lattice_cells(model: MarkovRewardModel, step: float, r: float,
     ``g`` is 1.  The engine and the E003 lint both size the grid here.
     """
     g = 0
-    if (underflow == "drop" and isinstance(model, MarkovRewardModel)
-            and model.has_integer_rewards()):
+    if underflow == "drop" and model.has_integer_rewards():
         g = int(np.gcd.reduce(np.round(model.rewards).astype(np.int64)))
         if model.has_impulse_rewards:
             impulses = np.rint(model.impulse_matrix.data * (1.0 / step))
@@ -165,15 +167,68 @@ class DiscretizationEngine(JointEngine):
 
     name = "discretization"
 
-    @classmethod
-    def capabilities(cls) -> EngineCapabilities:
-        return EngineCapabilities(
-            natural_rewards_only=True,
-            grid_aligned_time=True,
-            notes=("needs natural-number reward rates and impulses "
-                   "and evaluates the joint distribution on the "
-                   "d-grid only; memory grows with r/(g d), g the "
-                   "gcd of the reward and impulse displacements"))
+    def findings(self, model, t=None, r=None):
+        """E005 (natural numbers), E008 (impulse step), E004 (step too
+        coarse), E006 (off-grid time bound) and E003 (grid memory)."""
+        d = self.step
+        impulses = (model.impulse_matrix.data if model.has_impulse_rewards
+                    else np.empty(0))
+        if not (model.has_integer_rewards() and np.all(
+                np.abs(impulses - np.round(impulses)) <= 1e-12)):
+            yield Finding(
+                "E005",
+                f"the {self.name} engine needs natural-number reward "
+                f"rates and impulse rewards, but the model's are not "
+                f"integers",
+                "rescale with model.scaled_rewards(integer_reward_"
+                "scale(model.rewards)) and scale the reward bound by "
+                "the same factor",
+                RewardError)
+        if impulses.size and abs(1.0 / d - round(1.0 / d)) > 1e-9:
+            yield Finding(
+                "E008",
+                f"impulse rewards need a step of the form 1/n so the "
+                f"impulse displacement is an integer number of cells, "
+                f"but d={d:g}",
+                f"use d=1/{max(1, ceil(1.0 / d))}",
+                NumericalError)
+        max_exit = model.max_exit_rate
+        if max_exit * d > 1.0 + 1e-12:
+            yield Finding(
+                "E004",
+                f"discretisation step d={d:g} is too coarse: max exit "
+                f"rate {max_exit:g} * d = {max_exit * d:.3g} > 1 "
+                f"breaks the first-order scheme's probability "
+                f"interpretation",
+                f"use a step of at most {1.0 / max_exit:.6g}",
+                NumericalError)
+        if t is not None:
+            steps = t / d
+            if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+                yield Finding(
+                    "E006",
+                    f"the time bound {t:g} is not a multiple of the "
+                    f"discretisation step d={d:g}; the scheme only "
+                    f"evaluates the joint distribution on the d-grid",
+                    f"choose a step dividing the time bound (e.g. "
+                    f"d={t:g}/{max(1, ceil(steps)):d}) or round "
+                    f"the bound to the grid",
+                    NumericalError)
+        if r is None:
+            return
+        cells, lattice = self._grid(model, t, r)
+        estimated_bytes = 16.0 * model.num_states * cells
+        if estimated_bytes > DGRID_MEMORY_WARNING:
+            yield Finding(
+                "E003",
+                f"the discretisation grid needs {cells:,} reward cells "
+                f"per state (r/(g d) + 1, r capped at rho_max * t "
+                f"without impulses, lattice spacing g = {lattice}), "
+                f"an estimated working set of "
+                f"~{estimated_bytes / 2**20:.0f} MiB for "
+                f"{model.num_states} states",
+                "increase the step d, lower the reward bound, or use "
+                "the Sericola/pseudo-Erlang engine")
 
     def __init__(self,
                  step: float = 1.0 / 64,
@@ -295,12 +350,12 @@ class DiscretizationEngine(JointEngine):
         adjoint run to the largest horizon, with the weight array read
         off at every requested horizon on the way.
         """
-        t_max = max(times)
-        num_steps, num_cells, rho, lattice = self._setup(model, t_max, r)
+        steps, num_cells, rho, lattice = self._setup(model, times, r)
+        num_steps = max(steps)
         n = model.num_states
         snapshots: Dict[int, List[int]] = {}
-        for index, t in enumerate(times):
-            snapshots.setdefault(self._num_steps(t), []).append(index)
+        for index, count in enumerate(steps):
+            snapshots.setdefault(count, []).append(index)
 
         in_range = rho < num_cells
 
@@ -403,41 +458,28 @@ class DiscretizationEngine(JointEngine):
             matrix_cache.put(key, cached)
         return cached
 
-    def _num_steps(self, t: float) -> int:
-        """``t / d``, which must be an integer."""
-        steps = t / self.step
-        if abs(steps - round(steps)) > 1e-9:
-            raise NumericalError(f"time bound {t} is not a multiple of "
-                                 f"the step {self.step}")
-        return int(round(steps))
-
-    def _setup(self, model: MarkovRewardModel, t: float, r: float
-               ) -> Tuple[int, int, np.ndarray, int]:
-        """Validated ``(num_steps, num_cells, rho, g)`` of a run, with
-        ``num_cells`` and ``rho`` in units of the lattice spacing ``g``
-        (:func:`lattice_cells`).
+    def _grid(self, model: MarkovRewardModel, t: Optional[float],
+              r: float) -> Tuple[int, int]:
+        """``(cells, g)`` of a run to ``(t, r)`` (:func:`lattice_cells`).
 
         On impulse-free models ``Y_t <= rho_max * t``, so the reward
         cells stop there whatever *r* is.
         """
-        d = self.step
-        num_steps = self._num_steps(t)
-        if not model.has_integer_rewards():
-            raise RewardError(
-                "the discretisation scheme needs natural-number rewards; "
-                "use model.scaled_rewards(integer_reward_scale(...)) and "
-                "scale the reward bound accordingly")
+        if t is not None and not model.has_impulse_rewards:
+            r = min(r, float(np.round(model.rewards).max()) * t)
+        return lattice_cells(model, self.step, r, self.underflow)
+
+    def _setup(self, model: MarkovRewardModel, times: Sequence[float],
+               r: float) -> Tuple[List[int], int, np.ndarray, int]:
+        """Validated ``(steps, num_cells, rho, g)`` of a run to the
+        horizons *times*: ``t / d`` per horizon, and ``num_cells`` and
+        ``rho`` in units of the lattice spacing ``g`` (:meth:`_grid`).
+        """
+        self._require(model, times)
+        num_cells, lattice = self._grid(model, max(times), r)
         rho = np.round(model.rewards).astype(np.int64)
-        exit_rates = model.exit_rates
-        if exit_rates.max() * d > 1.0 + 1e-12:
-            raise NumericalError(
-                f"step {d} too coarse: max exit rate {exit_rates.max()} "
-                f"gives a negative stay probability; need d <= "
-                f"{1.0 / exit_rates.max()}")
-        if not model.has_impulse_rewards:
-            r = min(r, float(rho.max()) * t)
-        num_cells, lattice = lattice_cells(model, d, r, self.underflow)
-        return num_steps, num_cells, rho // lattice, lattice
+        return ([int(round(t / self.step)) for t in times], num_cells,
+                rho // lattice, lattice)
 
     @staticmethod
     def _build_step_groups(model: MarkovRewardModel, d: float
@@ -448,20 +490,9 @@ class DiscretizationEngine(JointEngine):
         base = (model.rate_matrix * d).tocsr()
         if not model.has_impulse_rewards:
             return {0: base}
-        inverse_step = 1.0 / d
-        if abs(inverse_step - round(inverse_step)) > 1e-9:
-            raise NumericalError(
-                "impulse rewards need a step of the form 1/n so the "
-                "impulse displacement is an integer number of cells")
-        impulses = model.impulse_matrix
-        values = np.unique(impulses.data)
-        if np.any(np.abs(values - np.round(values)) > 1e-12):
-            raise RewardError(
-                "the discretisation scheme needs natural-number "
-                "impulse rewards; scale the model")
         coo = base.tocoo()
-        iota = np.asarray(impulses[coo.row, coo.col]).ravel()
-        shift_cells = np.rint(iota * inverse_step).astype(np.int64)
+        iota = np.asarray(model.impulse_matrix[coo.row, coo.col]).ravel()
+        shift_cells = np.rint(iota * (1.0 / d)).astype(np.int64)
         groups = {}
         for cells in np.unique(shift_cells):
             mask = shift_cells == cells

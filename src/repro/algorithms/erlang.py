@@ -44,17 +44,21 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.algorithms.base import (EngineCapabilities, JointEngine,
+from repro.algorithms.base import (Finding, JointEngine,
                                    register_engine)
 from repro.algorithms.cache import matrix_cache
-from repro.ctmc.ctmc import CTMC
+from repro.ctmc.ctmc import CTMC, absorb_rows
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError
 from repro.kernels import KernelBackend, resolve_static
 from repro.obs import annotate
 from repro.obs import span as obs_span
+from repro.numerics.poisson import right_truncation_point
 from repro.numerics.uniformization import (
     Kernel, transient_target_probabilities_sweep)
+
+#: Expanded pseudo-Erlang state count beyond which E002 warns.
+ERLANG_STATE_WARNING = 100_000
 
 
 def erlang_expanded_model(model: MarkovRewardModel,
@@ -180,13 +184,25 @@ class ErlangEngine(JointEngine):
     #: inline.
     parallel_units = False
 
-    @classmethod
-    def capabilities(cls) -> EngineCapabilities:
-        return EngineCapabilities(
-            notes=("the expanded chain has n*phases+1 states, so work "
-                   "and memory grow linearly with the phase count "
-                   "while the approximation error shrinks as "
-                   "1/phases"))
+    def findings(self, model, t=None, r=None):
+        """E002: the expanded chain of ``n*k+1`` states is large."""
+        expanded = model.num_states * self.phases + 1
+        if expanded < ERLANG_STATE_WARNING:
+            return
+        detail = ""
+        if r is not None and r > 0.0 and t is not None:
+            expanded_rate = (model.max_exit_rate
+                             + self.phases * model.max_reward / r)
+            depth = right_truncation_point(expanded_rate * t, 1e-12)
+            detail = (f"; its uniformisation rate grows to "
+                      f"~{expanded_rate:.3g} (phase rate k/r), a "
+                      f"predicted truncation depth of ~{depth} terms")
+        yield Finding(
+            "E002",
+            f"the pseudo-Erlang expansion with k={self.phases} phases "
+            f"creates a chain of n*k+1 = {expanded} states{detail}",
+            "reduce the phase count (accuracy degrades as 1/k), or use "
+            "the Sericola or discretisation engine")
 
     def __init__(self, phases: int = 64, epsilon: float = 1e-12,
                  kernel: Kernel = None):
@@ -310,28 +326,24 @@ def _zero_reward_restriction(model: MarkovRewardModel,
     """
     n = model.num_states
     positive = model.rewards > 0.0
-    rates = model.rate_matrix.tolil(copy=True)
-    for s in np.flatnonzero(positive):
-        rates.rows[s] = []
-        rates.data[s] = []
-    if model.has_impulse_rewards:
-        # Append a dead state and reroute impulse transitions into it.
-        rates = sp.bmat([[rates.tocsr(), None],
-                         [None, sp.csr_matrix((1, 1))]]).tolil()
-        impulses = model.impulse_matrix.tocoo()
-        for source, target, value in zip(impulses.row, impulses.col,
-                                         impulses.data):
-            if value <= 0.0 or positive[source]:
-                continue
-            moved = rates[source, target]
-            if moved:
-                rates[source, target] = 0.0
-                rates[source, n] += moved
-        masked = np.zeros(n + 1)
-        masked[:n] = np.where(positive, 0.0, indicator)
-        return CTMC(rates.tocsr()), masked
+    rates = absorb_rows(model.rate_matrix, positive)
     masked = np.where(positive, 0.0, indicator)
-    return CTMC(rates.tocsr()), masked
+    if not model.has_impulse_rewards:
+        return CTMC(rates), masked
+    # Append a dead state n and reroute positive-impulse transitions
+    # into it; bincount sums each row's rerouted rates in entry order.
+    coo = rates.tocoo()
+    moved = np.asarray(
+        model.impulse_matrix[coo.row, coo.col]).ravel() > 0.0
+    dead = np.bincount(coo.row[moved], weights=coo.data[moved],
+                       minlength=n)
+    into = np.flatnonzero(dead)
+    rerouted = sp.csr_matrix(
+        (np.concatenate([coo.data[~moved], dead[into]]),
+         (np.concatenate([coo.row[~moved], into]),
+          np.concatenate([coo.col[~moved], np.full(into.size, n)]))),
+        shape=(n + 1, n + 1))
+    return CTMC(rerouted), np.append(masked, 0.0)
 
 
 def zero_reward_bound_sweep(model: MarkovRewardModel,

@@ -65,7 +65,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.algorithms.base import (EngineCapabilities, JointEngine,
+from repro.algorithms.base import (Finding, JointEngine,
                                    WorkUnit, register_engine)
 from repro.algorithms.cache import matrix_cache
 from repro.ctmc.mrm import MarkovRewardModel
@@ -78,6 +78,10 @@ from repro.numerics.uniformization import (
     Kernel, transient_target_probabilities, uniformized_operator)
 from repro.obs import OBS, count_engine
 from repro.obs import span as obs_span
+
+#: Distinct reward levels beyond which the series' per-level cost is
+#: worth a warning (E007).
+SERICOLA_LEVEL_WARNING = 32
 
 
 @dataclass(frozen=True)
@@ -119,12 +123,29 @@ class SericolaEngine(JointEngine):
     #: slower than one group inline (docs/EXECUTION.md).
     parallel_units = False
 
-    @classmethod
-    def capabilities(cls) -> EngineCapabilities:
-        return EngineCapabilities(
-            impulse_rewards=False,
-            notes=("series cost scales with the number of distinct "
-                   "reward levels and the Fox-Glynn truncation depth"))
+    def findings(self, model, t=None, r=None):
+        """E001 (impulse rewards) and E007 (many reward levels)."""
+        if model.has_impulse_rewards:
+            yield Finding(
+                "E001",
+                f"the {self.name} engine handles state-based rewards "
+                f"only (paper, Section 2.1), but the model carries "
+                f"{model.impulse_matrix.nnz} impulse reward(s)",
+                "use the discretisation or pseudo-Erlang engine "
+                "(--engine discretization|erlang), or drop the impulse "
+                "rewards",
+                NumericalError)
+        levels = len(model.distinct_rewards())
+        if levels > SERICOLA_LEVEL_WARNING:
+            yield Finding(
+                "E007",
+                f"the model has {levels} distinct reward levels; the "
+                f"occupation-time series propagates one column block "
+                f"per level, so memory and work scale with levels * "
+                f"truncation depth * |S|",
+                "round rewards to fewer distinct levels, or use the "
+                "discretisation engine whose cost depends on the bound "
+                "r rather than the level count")
 
     def __init__(self,
                  epsilon: float = 1e-9,
@@ -292,7 +313,7 @@ class SericolaEngine(JointEngine):
         """
         n_states = model.num_states
         rho = model.rewards
-        self._check_capabilities(model)
+        self._require(model)
         backend = self._backend_for(model)
         plan = self._sericola_plan(model)
         levels = plan.levels

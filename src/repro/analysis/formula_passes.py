@@ -312,9 +312,9 @@ def reward_bound_never_binds(
     if context.formula is None or context.model is None:
         return
     model = context.model
-    max_reward = getattr(model, "max_reward", None)
-    if max_reward is None or getattr(model, "has_impulse_rewards", False):
+    if model.has_impulse_rewards:
         return
+    max_reward = model.max_reward
     seen: Set[str] = set()
     for node in _temporal_nodes(context.formula):
         t = node.time.upper

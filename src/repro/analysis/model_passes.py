@@ -67,11 +67,10 @@ def absorbing_reward_divergence(
         context: AnalysisContext) -> Iterator[Diagnostic]:
     """M002: absorbing states with positive reward rate."""
     model = context.model
-    rewards = getattr(model, "rewards", None)
-    if model is None or rewards is None:
+    if model is None:
         return
     divergent = [s for s in range(model.num_states)
-                 if model.is_absorbing(s) and rewards[s] > 0.0]
+                 if model.is_absorbing(s) and model.rewards[s] > 0.0]
     if divergent:
         yield Diagnostic(
             code="M002",
@@ -91,11 +90,9 @@ def absorbing_reward_divergence(
 def all_zero_rewards(context: AnalysisContext) -> Iterator[Diagnostic]:
     """M003: an all-zero reward structure."""
     model = context.model
-    rewards = getattr(model, "rewards", None)
-    if model is None or rewards is None or model.num_states == 0:
+    if model is None or model.num_states == 0:
         return
-    if (not np.any(np.asarray(rewards) > 0.0)
-            and not getattr(model, "has_impulse_rewards", False)):
+    if not np.any(model.rewards > 0.0) and not model.has_impulse_rewards:
         yield Diagnostic(
             code="M003",
             severity=Severity.INFO,
@@ -118,17 +115,16 @@ def zero_reward_cycles(context: AnalysisContext) -> Iterator[Diagnostic]:
     reward-bounded until procedure.
     """
     model = context.model
-    rewards = getattr(model, "rewards", None)
-    if model is None or rewards is None:
+    if model is None:
         return
-    rho = np.asarray(rewards, dtype=float)
+    rho = model.rewards
     if not np.any(rho > 0.0):
         return  # covered by M003; every cycle is zero-reward then
     zero = np.flatnonzero(rho == 0.0)
     if zero.size == 0:
         return
     sub = sp.csr_matrix(model.rate_matrix[zero][:, zero])
-    if getattr(model, "has_impulse_rewards", False):
+    if model.has_impulse_rewards:
         # A transition carrying an impulse *does* accumulate reward,
         # so it cannot be part of a reward-free cycle.
         impulses = model.impulse_matrix[zero][:, zero]
@@ -258,7 +254,7 @@ def lumpable_model(context: AnalysisContext) -> Iterator[Diagnostic]:
         return
     if model.num_states > LUMP_MAX_STATES:
         return  # refinement at this size is the pre-pass's business
-    if getattr(model, "has_impulse_rewards", False):
+    if model.has_impulse_rewards:
         return  # impulse rewards rule the quotient construction out
     lumping = try_lump(model,
                        respect_initial=False,

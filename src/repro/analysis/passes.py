@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic
-from repro.ctmc.ctmc import CTMC
+from repro.ctmc.mrm import MarkovRewardModel, as_mrm
 from repro.logic import ast
 
 #: The pass families, in execution order.
@@ -88,14 +88,15 @@ class AnalysisContext:
     """Everything the passes may inspect.
 
     Any component may be ``None``; passes needing an absent component
-    simply emit nothing.  ``engines`` holds the joint-distribution
-    engine(s) whose compatibility with the model/query should be
-    judged.  ``model_path`` enables file-level passes (duplicate
-    ``.tra`` entries survive only in the file -- they are summed on
-    load).
+    simply emit nothing.  A plain CTMC ``model`` becomes the
+    zero-reward MRM on construction, so passes read one model type.
+    ``engines`` holds the joint-distribution engine(s) whose
+    compatibility with the model/query should be judged.
+    ``model_path`` enables file-level passes (duplicate ``.tra``
+    entries survive only in the file -- they are summed on load).
     """
 
-    model: Optional[CTMC] = None
+    model: Optional[MarkovRewardModel] = None
     formula: Optional[ast.StateFormula] = None
     engines: Sequence = ()
     net: Optional[object] = None
@@ -106,6 +107,8 @@ class AnalysisContext:
     scratch: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.model is not None:
+            self.model = as_mrm(self.model)
         if self.formula is not None:
             self.query = QueryProfile.from_formula(self.formula)
 

@@ -65,6 +65,20 @@ def _as_csr(rates: MatrixLike) -> sp.csr_matrix:
     return matrix
 
 
+def absorb_rows(matrix: sp.csr_matrix,
+                rows: np.ndarray) -> sp.csr_matrix:
+    """A copy of the CSR *matrix* whose rows selected by the boolean
+    mask *rows* are empty: those states become absorbing.  The kept
+    entries stay in their order, so a canonical input gives a
+    canonical output."""
+    counts = np.diff(matrix.indptr)
+    keep = np.repeat(~rows, counts)
+    indptr = np.zeros_like(matrix.indptr)
+    np.cumsum(np.where(rows, 0, counts), out=indptr[1:])
+    return sp.csr_matrix((matrix.data[keep], matrix.indices[keep], indptr),
+                         shape=matrix.shape)
+
+
 class CTMC:
     """A finite, labelled continuous-time Markov chain.
 

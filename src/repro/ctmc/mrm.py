@@ -260,3 +260,15 @@ class MarkovRewardModel(CTMC):
         return (f"{type(self).__name__}(states={self.num_states}, "
                 f"transitions={self.num_transitions}, "
                 f"reward_levels={len(self.distinct_rewards())})")
+
+
+def as_mrm(model: CTMC) -> MarkovRewardModel:
+    """*model* as an MRM: itself when it is one, else the same chain
+    with every reward zero (a plain CTMC earns nothing, so any
+    downward-closed reward bound is trivially met)."""
+    if isinstance(model, MarkovRewardModel):
+        return model
+    return MarkovRewardModel(model.rate_matrix,
+                             labels=model.labels_as_dict(),
+                             initial_distribution=model.initial_distribution,
+                             state_names=model.state_names)

@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, Optional, Set, Union
 import numpy as np
 
 from repro.algorithms.base import JointEngine, get_engine
-from repro.ctmc.mrm import MarkovRewardModel
+from repro.ctmc.mrm import MarkovRewardModel, as_mrm
 from repro.errors import FormulaError, PreflightError
 from repro.logic import ast
 from repro.logic.parser import parse_formula
@@ -85,13 +85,7 @@ prepass`): ``"auto"`` (default) minimises the Theorem-1-reduced model
                  solver: str = "direct",
                  preflight: bool = True,
                  lump: prepass.LumpMode = "auto"):
-        if not isinstance(model, MarkovRewardModel):
-            model = MarkovRewardModel(model.rate_matrix,
-                                      labels=model.labels_as_dict(),
-                                      initial_distribution=(
-                                          model.initial_distribution),
-                                      state_names=model.state_names)
-        self.model = model
+        self.model = as_mrm(model)
         if engine is None:
             engine = get_engine("sericola", epsilon=min(epsilon, 1e-9))
         elif isinstance(engine, str):

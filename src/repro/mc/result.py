@@ -90,10 +90,6 @@ class CheckResult:
     model: CTMC
     probabilities: Optional[np.ndarray] = None
 
-    def holds_in(self, state: int) -> bool:
-        """Whether the formula holds in *state*."""
-        return state in self.states
-
     def __contains__(self, state: int) -> bool:
         return state in self.states
 

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 import scipy.sparse as sp
 
+from repro.ctmc.ctmc import absorb_rows
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import RewardError
 
@@ -42,27 +43,16 @@ def until_reduction(model: MarkovRewardModel,
     get reward zero.  State indices are preserved, so probabilities
     computed on the result map back one-to-one.
     """
-    n = model.num_states
-    absorbing = set(psi) | (set(range(n)) - set(phi) - set(psi))
-    rates = model.rate_matrix.tolil(copy=True)
-    rewards = model.rewards.copy()
-    impulses = (model.impulse_matrix.tolil(copy=True)
-                if model.has_impulse_rewards else None)
-    for s in absorbing:
-        rates.rows[s] = []
-        rates.data[s] = []
-        rewards[s] = 0.0
-        if impulses is not None:
-            impulses.rows[s] = []
-            impulses.data[s] = []
-    return MarkovRewardModel(rates.tocsr(),
-                             rewards=rewards,
+    absorbing = np.ones(model.num_states, dtype=bool)
+    absorbing[list(set(phi) - set(psi))] = False
+    return MarkovRewardModel(absorb_rows(model.rate_matrix, absorbing),
+                             rewards=np.where(absorbing, 0.0, model.rewards),
                              labels=model.labels_as_dict(),
                              initial_distribution=model.initial_distribution,
                              state_names=model.state_names,
-                             impulse_rewards=(impulses.tocsr()
-                                              if impulses is not None
-                                              else None))
+                             impulse_rewards=(
+                                 absorb_rows(model.impulse_matrix, absorbing)
+                                 if model.has_impulse_rewards else None))
 
 
 @dataclass(frozen=True)

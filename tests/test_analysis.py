@@ -9,14 +9,18 @@ combination yields zero diagnostics.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
-                              SericolaEngine)
+                              available_engines, clear_caches,
+                              get_engine)
+from repro.algorithms import discretization
 from repro.analysis import (AnalysisReport, Diagnostic, QueryProfile,
                             Severity, engine_compatibility, lint,
                             lint_formula, lint_model, lint_srn, supports)
 from repro.ctmc import MarkovRewardModel, ModelBuilder
+from repro.errors import ReproError
 from repro.logic.parser import parse_formula
 from repro.srn.net import StochasticRewardNet
 
@@ -405,14 +409,21 @@ class TestEnginePasses:
             small, build_clean_model(), JOINT_QUERY))
 
     def test_e003_discretization_grid_memory(self):
+        """Without impulses ``Y_t <= rho_max t`` caps the grid: r = 1e9
+        at t = 2^17 keeps 2 * 2^17 * 64 + 1 cells for each of the 3
+        states (~768 MiB), at t = 64 only 8,193 (no warning)."""
         engine = DiscretizationEngine(step=1.0 / 64)
-        query = QueryProfile(time_bound=64.0, reward_bound=1e9,
+        query = QueryProfile(time_bound=2.0 ** 17, reward_bound=1e9,
                              needs_joint=True)
-        findings = engine_compatibility(engine, build_clean_model(),
-                                        query)
-        assert any(d.code == "E003" for d in findings)
-        assert not any(d.code == "E003" for d in engine_compatibility(
-            engine, build_clean_model(), JOINT_QUERY))
+        findings = [d for d in engine_compatibility(
+            engine, build_clean_model(), query) if d.code == "E003"]
+        assert findings
+        assert "16,777,217 reward cells" in findings[0].message
+        capped = QueryProfile(time_bound=64.0, reward_bound=1e9,
+                              needs_joint=True)
+        for small in (JOINT_QUERY, capped):
+            assert not any(d.code == "E003" for d in engine_compatibility(
+                engine, build_clean_model(), small))
 
     @staticmethod
     def _two_level_model(rewards):
@@ -426,8 +437,9 @@ class TestEnginePasses:
     def test_e003_counts_reward_lattice_cells(self):
         """Rewards {0, 100} put every reachable cell on a lattice of
         spacing g = 100: 16 * 2 * (1e6 * 64 / 100 + 1) bytes ~ 20 MiB,
-        where the full grid would be ~2 GiB."""
-        query = QueryProfile(time_bound=64.0, reward_bound=1e6,
+        where the full grid would be ~2 GiB.  (t = 4096 keeps the
+        ``rho_max t`` cap above r.)"""
+        query = QueryProfile(time_bound=4096.0, reward_bound=1e6,
                              needs_joint=True)
         drop = DiscretizationEngine(step=1.0 / 64)
         assert not any(d.code == "E003" for d in engine_compatibility(
@@ -436,7 +448,7 @@ class TestEnginePasses:
     def test_e003_warns_on_the_full_grid(self):
         """The same bound with g = 1 -- rewards {1, 100}, or the clamp
         rule, which folds off-lattice cells into cell 0 -- warns."""
-        query = QueryProfile(time_bound=64.0, reward_bound=1e6,
+        query = QueryProfile(time_bound=4096.0, reward_bound=1e6,
                              needs_joint=True)
         for rewards, underflow in (([1.0, 100.0], "drop"),
                                    ([0.0, 100.0], "clamp")):
@@ -507,11 +519,114 @@ class TestEnginePasses:
         assert not any(d.code == "E007" for d in engine_compatibility(
             "sericola", build_clean_model(), JOINT_QUERY))
 
-    def test_capabilities_declared(self):
-        assert not SericolaEngine.capabilities().impulse_rewards
-        assert ErlangEngine.capabilities().impulse_rewards
-        disc = DiscretizationEngine.capabilities()
-        assert disc.natural_rewards_only and disc.grid_aligned_time
+    def test_e008_impulse_step_not_one_over_n(self):
+        findings = engine_compatibility(
+            DiscretizationEngine(step=0.3), impulse_model(),
+            QueryProfile(time_bound=0.6, reward_bound=2.0,
+                         needs_joint=True))
+        assert [(d.code, d.severity) for d in findings] == [
+            ("E008", Severity.ERROR)]
+        assert "d=1/4" in findings[0].hint
+        assert not any(d.code == "E008" for d in engine_compatibility(
+            DiscretizationEngine(step=0.25), impulse_model(),
+            JOINT_QUERY))
+        assert not any(d.code == "E008" for d in engine_compatibility(
+            DiscretizationEngine(step=0.3), build_clean_model(),
+            JOINT_QUERY))
+
+    @pytest.mark.parametrize("t, r, cells", [(64.0, 1e9, 8193),
+                                             (64.0, 100.0, 6401)],
+                             ids=["capped", "uncapped"])
+    def test_e003_sizes_the_grid_as_the_run(self, monkeypatch, t, r,
+                                            cells):
+        """E003 counts the cells ``_setup`` allocates, with the
+        ``min(r, rho_max t)`` cap of impulse-free models (rho_max = 2
+        here) and without it."""
+        monkeypatch.setattr(discretization, "DGRID_MEMORY_WARNING", 0)
+        sized = []
+        real = discretization.lattice_cells
+
+        def spy(*args):
+            sized.append(real(*args))
+            return sized[-1]
+
+        monkeypatch.setattr(discretization, "lattice_cells", spy)
+        engine = DiscretizationEngine(step=1.0 / 64)
+        model = build_clean_model()
+        e003 = [d for d in engine_compatibility(
+            engine, model, QueryProfile(time_bound=t, reward_bound=r,
+                                        needs_joint=True))
+            if d.code == "E003"]
+        _, num_cells, _, lattice = engine._setup(model, [t], r)
+        assert sized == [(cells, 1), (num_cells, lattice)]
+        assert f"needs {num_cells:,} reward cells" in e003[0].message
+
+
+# ----------------------------------------------------------------------
+# one statement per engine: lint verdict == runtime verdict
+# ----------------------------------------------------------------------
+
+def _coarse_model():
+    builder = ModelBuilder()
+    builder.add_state("a", labels=("up",), reward=1.0)
+    builder.add_state("b", labels=("down",), reward=1.0)
+    builder.add_transition("a", "b", 100.0)
+    builder.add_transition("b", "a", 100.0)
+    return builder.build()
+
+
+#: ``(model, t, r, engine options, expected ERROR code per engine)``;
+#: an engine missing from the last map must accept the workload.
+PARITY_CORPUS = [
+    pytest.param(build_clean_model, 1.0, 2.0, {}, {}, id="clean"),
+    pytest.param(lambda: build_clean_model(reward_up=2.5), 1.0, 2.0, {},
+                 {"discretization": "E005"}, id="non-natural-rewards"),
+    pytest.param(_coarse_model, 1.0, 2.0, {},
+                 {"discretization": "E004"}, id="step-too-coarse"),
+    pytest.param(build_clean_model, 0.7, 1.0, {},
+                 {"discretization": "E006"}, id="off-grid-time"),
+    pytest.param(impulse_model, 0.6, 2.0,
+                 {"discretization": {"step": 0.3}},
+                 {"discretization": "E008", "sericola": "E001"},
+                 id="impulse-step-0.3"),
+    pytest.param(impulse_model, 1.0, 2.0, {}, {"sericola": "E001"},
+                 id="sericola-impulses"),
+]
+
+
+class TestEngineParity:
+    """The lint reports an ERROR exactly when the run raises: both read
+    the engine's one ``findings`` method."""
+
+    @pytest.mark.parametrize("name", available_engines())
+    @pytest.mark.parametrize("build, t, r, options, expected",
+                             PARITY_CORPUS)
+    def test_lint_errors_iff_run_raises(self, name, build, t, r,
+                                        options, expected):
+        engine = get_engine(name, **options.get(name, {}))
+        model = build()
+        errors = [d.code for d in engine_compatibility(
+            engine, model, QueryProfile(time_bound=t, reward_bound=r,
+                                        needs_joint=True))
+            if d.severity is Severity.ERROR]
+        assert errors == ([expected[name]] if name in expected else [])
+        clear_caches()
+        if errors:
+            with pytest.raises(ReproError, match=rf"\[{errors[0]}\]"):
+                engine.joint_probability_vector(model, t, r, [0])
+        else:
+            engine.joint_probability_vector(model, t, r, [0])
+
+    @pytest.mark.parametrize("name", available_engines())
+    def test_lint_accepts_a_plain_ctmc(self, name):
+        """A CTMC is linted as the zero-reward MRM the checker runs."""
+        from repro.models.adhoc import Q3, adhoc_model
+        engine = get_engine(name, **({"step": 1.0 / 64}
+                                     if name == "discretization" else {}))
+        report = lint(model=adhoc_model().as_ctmc(), formula=Q3,
+                      engine=engine)
+        assert isinstance(report, AnalysisReport)
+        assert {"M003", "F008"} <= codes(report)
 
 
 # ----------------------------------------------------------------------

@@ -156,3 +156,95 @@ class TestDuality:
         original = engine.joint_probability_vector(reduced, t, r, [2])
         swapped = engine.joint_probability_vector(dual, r, t, [2])
         assert np.allclose(original[[0, 1]], swapped[[0, 1]], atol=1e-9)
+
+
+# ----------------------------------------------------------------------
+# absorbing rows on CSR arrays, against dense NumPy
+# ----------------------------------------------------------------------
+
+def _impulse_chain():
+    """Impulses on two rows, one of them rewarded (absorbed first)."""
+    builder = ModelBuilder()
+    builder.add_state("a", labels=("phi",), reward=0.0)
+    builder.add_state("b", labels=("phi",), reward=1.0)
+    builder.add_state("c", labels=("psi",), reward=2.0)
+    builder.add_state("d", labels=("phi",), reward=0.0)
+    builder.add_transition("a", "b", 0.8, impulse=1.0)
+    builder.add_transition("a", "d", 0.3, impulse=2.0)
+    builder.add_transition("a", "c", 0.1)
+    builder.add_transition("b", "c", 1.2, impulse=1.0)
+    builder.add_transition("c", "a", 0.5, impulse=2.0)
+    builder.add_transition("d", "a", 0.7, impulse=3.0)
+    builder.add_transition("d", "c", 0.4)
+    return builder.build(initial_state="a")
+
+
+def _absorb_cases():
+    from repro.models.adhoc import adhoc_model
+    from repro.models.workloads import grid_mrm
+    adhoc = adhoc_model()
+    grid = grid_mrm(12, 12)
+    return [
+        pytest.param(adhoc,
+                     adhoc.states_with("call_idle")
+                     | adhoc.states_with("doze"),
+                     adhoc.states_with("call_initiated"), id="q3"),
+        pytest.param(grid, set(range(0, grid.num_states, 3)), {5, 17},
+                     id="grid"),
+        pytest.param(_impulse_chain(), {0, 1, 3}, {2}, id="impulse"),
+    ]
+
+
+@pytest.mark.parametrize("model, phi, psi", _absorb_cases())
+class TestAbsorbRows:
+    """Theorem 1 and the ``r = 0`` restriction zero rows by array
+    masks; both must equal the dense construction entry for entry and
+    stay canonical CSR (the model fingerprint hashes the arrays)."""
+
+    def test_absorb_rows_matches_dense(self, model, phi, psi):
+        from repro.ctmc.ctmc import absorb_rows
+        rows = np.zeros(model.num_states, dtype=bool)
+        rows[sorted(psi)] = True
+        absorbed = absorb_rows(model.rate_matrix, rows)
+        dense = model.rate_matrix.toarray()
+        dense[rows] = 0.0
+        np.testing.assert_array_equal(absorbed.toarray(), dense)
+        assert absorbed.has_canonical_format
+
+    def test_until_reduction_matches_dense(self, model, phi, psi):
+        reduced = until_reduction(model, phi, psi)
+        absorbing = np.array([s in psi or s not in phi
+                              for s in range(model.num_states)])
+        rates = model.rate_matrix.toarray()
+        rates[absorbing] = 0.0
+        impulses = model.impulse_matrix.toarray()
+        impulses[absorbing] = 0.0
+        np.testing.assert_array_equal(reduced.rate_matrix.toarray(),
+                                      rates)
+        np.testing.assert_array_equal(reduced.impulse_matrix.toarray(),
+                                      impulses)
+        np.testing.assert_array_equal(
+            reduced.rewards, np.where(absorbing, 0.0, model.rewards))
+        assert reduced.rate_matrix.has_canonical_format
+
+    def test_zero_reward_restriction_matches_dense(self, model, phi,
+                                                   psi):
+        from repro.algorithms.erlang import _zero_reward_restriction
+        n = model.num_states
+        indicator = np.zeros(n)
+        indicator[sorted(psi)] = 1.0
+        chain, masked = _zero_reward_restriction(model, indicator)
+        positive = model.rewards > 0.0
+        rates = model.rate_matrix.toarray()
+        rates[positive] = 0.0
+        expected_mask = np.where(positive, 0.0, indicator)
+        if model.has_impulse_rewards:
+            moved = model.impulse_matrix.toarray() > 0.0
+            grown = np.zeros((n + 1, n + 1))
+            grown[:n, :n] = np.where(moved, 0.0, rates)
+            grown[:n, n] = np.where(moved, rates, 0.0).sum(axis=1)
+            rates = grown
+            expected_mask = np.append(expected_mask, 0.0)
+        np.testing.assert_array_equal(chain.rate_matrix.toarray(), rates)
+        np.testing.assert_array_equal(masked, expected_mask)
+        assert chain.rate_matrix.has_canonical_format
