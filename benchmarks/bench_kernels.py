@@ -14,6 +14,13 @@ owned by :mod:`repro.kernels` -- on three synthetic workloads from
 ``virus``
     the SIR epidemic at |S| ~ 10^5 -- irregular sparsity.
 
+A second leg times Sericola's occupation-time series (the default
+engine) on the reduced Q3 model at Table 2's accuracy and on
+``grid_mrm`` at t = 10 (and t = 40 in full mode): per cell the
+truncation depth N(epsilon), the microseconds per series step and the
+value, plus the fitted exponent of series time against N over the
+grids' horizons (full mode only: it needs two horizons per grid).
+
 Each (workload, backend) cell reports propagation throughput in
 states/second, the value computed, and the process peak RSS.  Cells
 whose *dense* step operator would exceed the memory budget
@@ -28,7 +35,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_kernels.py --min-speedup 3
 
 Exit code 0 when every pair of completed backends agrees to within
-1e-12 (and, with ``--min-speedup X``, when the sparse backend is at
+1e-12 on every cell of both legs (and, with ``--min-speedup X``, when the sparse backend is at
 least ``X`` times faster than the dense baseline on every cell where
 both ran); 1 otherwise.
 """
@@ -44,8 +51,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.algorithms import DiscretizationEngine, clear_caches
+from repro.algorithms import (DiscretizationEngine, SericolaEngine,
+                              clear_caches)
 from repro.kernels import available_backends
+from repro.models.adhoc import reduced_q3_model
 from repro.models.workloads import crowd_mrm, grid_mrm, virus_mrm
 from repro.obs import peak_rss_bytes
 
@@ -69,6 +78,41 @@ QUICK = [
     ("grid-100k", lambda: grid_mrm(316, 316), 1.0, 4.0, 1.0 / 8, 1),
     ("crowd-100k", lambda: crowd_mrm(200, 500), 1.0, 4.0, 1.0 / 8, 1),
 ]
+
+
+
+def _q3():
+    """The reduced Q3 model, its goal indicator and initial state."""
+    reduction = reduced_q3_model()
+    model = reduction.model
+    indicator = np.zeros(model.num_states)
+    indicator[reduction.goal_state] = 1.0
+    return model, indicator, int(np.argmax(model.initial_distribution))
+
+
+def _grid(side: int):
+    def build():
+        model = grid_mrm(side, side)
+        return model, (np.asarray(model.rewards) == 0.0).astype(float), 0
+    return build
+
+
+#: Sericola's truncation bound: Table 2's epsilon.
+SERICOLA_EPSILON = 1e-8
+#: Largest model the Sericola leg runs on the dense backend: its series
+#: costs |S|^2 per column, minutes at 80 x 80.
+SERICOLA_DENSE_MAX_STATES = 2000
+#: (name, family, model factory, t, r, repeats): the reduced Q3 model
+#: at its bounds, ``grid_mrm`` with r = t.  A family's cells differ only
+#: in the horizon, so their times give the exponent against N.
+SERICOLA_FULL = [
+    ("q3", "q3", _q3, 24.0, 600.0, 5),
+    ("grid-40-t10", "grid-40", _grid(40), 10.0, 10.0, 3),
+    ("grid-80-t10", "grid-80", _grid(80), 10.0, 10.0, 2),
+    ("grid-40-t40", "grid-40", _grid(40), 40.0, 40.0, 2),
+    ("grid-80-t40", "grid-80", _grid(80), 40.0, 40.0, 1),
+]
+SERICOLA_QUICK = SERICOLA_FULL[:2]
 
 
 def dense_operator_bytes(num_states: int) -> int:
@@ -151,6 +195,79 @@ def run_workload(name: str, factory, t: float, r: float, step: float,
     return rows
 
 
+def time_sericola(backend: str, model, t: float, r: float,
+                  indicator: np.ndarray, initial: int,
+                  repeats: int) -> Dict[str, object]:
+    """One Sericola cell: the uncached series, best of *repeats*."""
+    engine = SericolaEngine(epsilon=SERICOLA_EPSILON, kernel=backend)
+    clear_caches()
+
+    def run() -> float:
+        return float(engine.sweep_unit(model, [t], [r],
+                                       indicator)[0, 0, initial])
+
+    value = run()
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    steps = engine.last_diagnostics.truncation_steps
+    return {
+        "kernel_backend": backend,
+        "status": "ok",
+        "value": value,
+        "seconds": round(best, 4),
+        "steps": steps,
+        "us_per_step": round(best / steps * 1e6, 1),
+    }
+
+
+def run_sericola(name: str, family: str, factory, t: float, r: float,
+                 repeats: int, backends: List[str]
+                 ) -> List[Dict[str, object]]:
+    """All backend cells of one Sericola workload."""
+    model, indicator, initial = factory()
+    print(f"sericola {name}: {model.num_states} states, t={t:g}, r={r:g}")
+    rows: List[Dict[str, object]] = []
+    for backend in backends:
+        if (backend == "dense"
+                and model.num_states > SERICOLA_DENSE_MAX_STATES):
+            print(f"  {backend:6s} skipped: more than "
+                  f"{SERICOLA_DENSE_MAX_STATES} states")
+            rows.append({"kernel_backend": backend, "status": "skipped"})
+            continue
+        row = time_sericola(backend, model, t, r, indicator, initial,
+                            repeats)
+        rows.append(row)
+        print(f"  {backend:6s} {row['seconds']:8.3f}s  "
+              f"N={row['steps']:4d}  {row['us_per_step']:10,.1f} us/step  "
+              f"value={row['value']:.12f}")
+    for row in rows:
+        row["workload"] = name
+        row["family"] = family
+        row["states"] = model.num_states
+        row["t"] = t
+    return rows
+
+
+def fit_exponent(rows: List[Dict[str, object]]) -> Optional[float]:
+    """The slope of log(seconds) against log(N) on the ``numpy`` cells,
+    one intercept per family; ``None`` unless some family has two
+    depths."""
+    points: Dict[str, List[tuple]] = {}
+    for row in rows:
+        if row["kernel_backend"] == "numpy" and row["status"] == "ok":
+            points.setdefault(str(row["family"]), []).append(
+                (np.log(float(row["steps"])), np.log(float(row["seconds"]))))
+    across = along = 0.0
+    for pairs in points.values():
+        x, y = np.array(pairs).T
+        across += float(((x - x.mean()) * (y - y.mean())).sum())
+        along += float(((x - x.mean()) ** 2).sum())
+    return across / along if along > 0.0 else None
+
+
 def check_agreement(name: str, rows: List[Dict[str, object]]) -> bool:
     """Print and verify the cross-backend value spread for one cell."""
     completed = [row for row in rows if row["status"] == "ok"]
@@ -219,13 +336,29 @@ def main(argv=None) -> int:
                 name, rows, arguments.min_speedup):
             failures += 1
 
+    sericola_rows: List[Dict[str, object]] = []
+    for name, family, factory, t, r, repeats in (
+            SERICOLA_QUICK if arguments.quick else SERICOLA_FULL):
+        rows = run_sericola(name, family, factory, t, r, repeats, backends)
+        sericola_rows.extend(rows)
+        if not check_agreement(f"sericola {name}", rows):
+            failures += 1
+    exponent = fit_exponent(sericola_rows)
+    if exponent is None:
+        print("sericola: time against N needs two horizons per grid "
+              "(full mode)")
+    else:
+        print(f"sericola: time grows as N^{exponent:.2f} on the grids")
+
     skipped = [row for row in all_rows if row["status"] == "oom_skipped"]
     if skipped:
         print(f"{len(skipped)} dense cell(s) oom_skipped under the "
               f"{budget / 2 ** 20:,.0f} MiB budget")
     if arguments.output is not None:
         arguments.output.write_text(
-            json.dumps({"schema": 4, "kernel_cells": all_rows},
+            json.dumps({"schema": 5, "kernel_cells": all_rows,
+                        "sericola_cells": sericola_rows,
+                        "sericola_exponent": exponent},
                        indent=2) + "\n")
         print(f"wrote {arguments.output}")
     return 1 if failures else 0

@@ -18,10 +18,25 @@ whole library operates:
 * :mod:`~repro.ctmc.export` -- Graphviz (DOT) rendering.
 """
 
+import importlib
+from typing import TYPE_CHECKING
+
 from repro.ctmc.ctmc import CTMC
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.ctmc.builder import ModelBuilder
-from repro.ctmc import export, graph, io, lumping
+from repro.ctmc import graph, io, lumping
+
+if TYPE_CHECKING:
+    from repro.ctmc import export
+
+
+def __getattr__(name):
+    # The DOT renderer loads on first use: a check draws no model.
+    if name != "export":
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    return importlib.import_module("repro.ctmc.export")
+
 
 __all__ = ["CTMC", "MarkovRewardModel", "ModelBuilder",
            "export", "graph", "io", "lumping"]

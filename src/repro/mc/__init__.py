@@ -20,13 +20,32 @@ performability distribution, expected rewards) on top of the same
 machinery.
 """
 
+import importlib
+from typing import TYPE_CHECKING
+
 from repro.mc.budget import Budget
 from repro.mc.checker import ModelChecker
-from repro.mc.certified import (DEFAULT_CHAIN, CertifiedChecker,
-                                CertifiedCheckResult, EngineFailure)
 from repro.mc.result import CheckResult, Verdict, interval_verdict
 from repro.mc.transform import until_reduction, dual_model
 from repro.mc import measures
+
+if TYPE_CHECKING:
+    from repro.mc.certified import (DEFAULT_CHAIN, CertifiedChecker,
+                                    CertifiedCheckResult, EngineFailure)
+
+#: Names loaded on first use: a plain check never certifies.
+_CERTIFIED = ("DEFAULT_CHAIN", "CertifiedChecker", "CertifiedCheckResult",
+              "EngineFailure")
+
+
+def __getattr__(name):
+    if name not in _CERTIFIED:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module("repro.mc.certified"), name)
+    return value
+
 
 __all__ = ["ModelChecker", "CheckResult", "until_reduction", "dual_model",
            "measures",

@@ -30,8 +30,9 @@ from repro.algorithms import (DiscretizationEngine, ErlangEngine,
 from repro.algorithms.cache import matrix_cache
 from repro.ctmc import ModelBuilder
 from repro.errors import NumericalError
-from repro.kernels import (SericolaPlan, build_shift_plan, get_backend,
-                           numba_available, reset_backend_cache)
+from repro.kernels import (SericolaPlan, build_sericola_plan,
+                           build_shift_plan, get_backend, numba_available,
+                           numpy_backend, reset_backend_cache)
 from repro.models import workloads
 from repro.obs import OBS
 from tests.oracles import discretized_density
@@ -177,13 +178,18 @@ def _sericola_plan(rewards, extra_levels=()):
                         np.searchsorted(levels, rho).astype(np.int64))
 
 
+#: One large reward class among singleton ones, in states' order.
+PADDED = [0.0] * 17 + [3.0] + [0.0] * 23 + [1.0, 4.0, 2.0]
+
 #: ``(rewards, extra levels, n)``: one level (m = 0), two levels
 #: (m = 1), a single term (n = 1), a ``stay = 0`` row next to a
 #: ``stay = 1 - 1e-12`` one (state 2 at g = 1: (1 - 1e-12) / 1), reward
 #: levels without states, whole 16-entry blocks only (n = 32), a series
 #: long enough for six doubling passes over the block carries, 1200
-#: rows run in three passes, and a reward class of 500 states whose
-#: blocks span more than one product chunk.
+#: rows run in three passes, a reward class of 500 states, one class
+#: of 40 states next to singleton classes (tiles of several rows, the
+#: last ones padded) at ``n`` just below, at and just above one block,
+#: and classes of 300 states that the pass boundaries cut in two.
 TRIANGULAR_CASES = {
     "one-level": ([2.0, 2.0, 2.0], (), 4),
     "two-levels": ([0.0, 1.0, 1.0, 0.0], (), 6),
@@ -194,6 +200,11 @@ TRIANGULAR_CASES = {
     "long-series": ([2.0, 0.0, 1.0], (), 700),
     "many-rows": ([0.0, 1.0, 2.0] * 200, (), 40),
     "large-class": ([0.0, 1.0] * 500, (), 40),
+    "padded-n1": (PADDED, (), 1),
+    "padded-n15": (PADDED, (), 15),
+    "padded-n16": (PADDED, (), 16),
+    "padded-n17": (PADDED, (), 17),
+    "split-classes": ([0.0] * 300 + [1.0] * 300 + [2.0] * 300, (), 20),
 }
 
 
@@ -221,6 +232,38 @@ class TestSericolaTriangular:
     def test_matches_naive(self, backend_name, case):
         rewards, extra_levels, n = TRIANGULAR_CASES[case]
         self._compare(backend_name, rewards, extra_levels, n, seed=7)
+
+    def test_padded_tiles_repeat_their_group_last_row(self):
+        """The padded case really pads: its tiles hold more rows than
+        the plan has, and every tile is one (direction, level, class)
+        group whose rows ascend, a padding row repeating the last."""
+        plan = _sericola_plan(PADDED)
+        rows, = numpy_backend._passes_of(plan)
+        m = len(plan.levels) - 1
+        assert rows.height > 1
+        assert rows.size > len(PADDED) * m
+        up = np.arange(rows.size) < rows.up.stop
+        key = np.stack([up, rows.level, plan.cls[rows.states]], axis=1)
+        for tile in np.split(np.arange(rows.size), len(rows.kernels)):
+            assert (key[tile] == key[tile[0]]).all()
+            assert (np.diff(rows.states[tile]) >= 0).all()
+
+    def test_kernel_tables_grow_with_groups_not_rows(self):
+        """Every pass of ``grid_mrm(80, 80)`` keeps one block matrix
+        per tile and at most two tiles per group: a per-row stack of
+        ``(16, 16)`` matrices falls out of cache every step."""
+        plan = build_sericola_plan(workloads.grid_mrm(80, 80).rewards)
+        passes = numpy_backend._passes_of(plan)
+        assert len(passes) == 25
+        for rows in passes:
+            up = np.arange(rows.size) < rows.up.stop
+            groups = len(set(zip(up, rows.level,
+                                 plan.cls[rows.states])))
+            assert rows.kernels.shape == (len(rows.kernels), 16, 16)
+            assert rows.tails.shape == (len(rows.kernels), 16, 1)
+            assert len(rows.kernels) <= 2 * groups
+            assert len(rows.kernels) * rows.height == rows.size
+            assert rows.size > 40 * len(rows.kernels)
 
     @pytest.mark.parametrize("backend_name", _all_backends())
     def test_random_rewards_with_empty_classes(self, backend_name):
@@ -292,7 +335,8 @@ class TestEngineIntegration:
         """A cold ``repro check`` of Q3 (Sericola, the default engine)
         loads none of the modules only other commands need: no
         ``scipy.signal`` (nor the ``scipy.stats`` it pulls in), no
-        sparse solver, no ``/metrics`` server."""
+        sparse solver, no ``/metrics`` server, no certified checker,
+        synthetic workloads or DOT renderer."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = (os.path.abspath(src) + os.pathsep
@@ -302,7 +346,8 @@ class TestEngineIntegration:
             "from repro.cli import main\n"
             "main(['check', '--model', 'adhoc', '--formula', 'Q3'])\n"
             "heavy = ('scipy.signal', 'scipy.stats', "
-            "'scipy.sparse.linalg', 'http.server')\n"
+            "'scipy.sparse.linalg', 'http.server', 'repro.mc.certified', "
+            "'repro.models.workloads', 'repro.ctmc.export')\n"
             "print([name for name in heavy if name in sys.modules])\n")
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)

@@ -8,10 +8,12 @@ test_engines_agree.py.
 import numpy as np
 import pytest
 
+from repro.algorithms import clear_caches
 from repro.algorithms.sericola import SericolaEngine
 from repro.ctmc import MarkovRewardModel, ModelBuilder
 from repro.errors import NumericalError
 from repro.mc.measures import performability_distribution
+from repro.models.workloads import random_mrm
 from repro.numerics.uniformization import transient_target_probabilities
 
 MU = 0.7
@@ -254,3 +256,62 @@ class TestConvergence:
         engine.joint_probability_vector(adhoc_reduced.model, 24.0,
                                         600.0, [adhoc_reduced.goal_state])
         assert engine.last_diagnostics.truncation_steps == 594
+
+
+def _rates_scaled(model: MarkovRewardModel, factor: float
+                  ) -> MarkovRewardModel:
+    """A copy of *model* running *factor* times as fast."""
+    return MarkovRewardModel(model.rate_matrix * factor,
+                             rewards=model.rewards,
+                             labels=model.labels_as_dict(),
+                             initial_distribution=model.initial_distribution,
+                             state_names=model.state_names)
+
+
+class TestMetamorphic:
+    """Relations that need no oracle, on random MRMs.  Scaling by a
+    power of two changes no rounding, so the grids are bit-identical;
+    a factor of 3 rounds the scaled rates, rewards and bounds."""
+
+    TIMES = [0.5, 1.0, 2.0]
+    REWARDS = [0.5, 1.5, 3.0]
+    INDICATOR = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+
+    @staticmethod
+    def _grid(model, times, rewards):
+        clear_caches()
+        return SericolaEngine(epsilon=1e-10).sweep_unit(
+            model, times, rewards, TestMetamorphic.INDICATOR)
+
+    @staticmethod
+    def _model(seed):
+        return random_mrm(5, seed=seed, reward_levels=(0.0, 1.0, 2.0, 3.0))
+
+    @staticmethod
+    def _assert_close(got, want, factor):
+        if factor == 3.0:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("factor", [2.0, 0.5, 3.0])
+    def test_scaling_rewards_and_bound(self, seed, factor):
+        """Rewards and ``r`` both times ``c``: ``Y_t`` grows by ``c``."""
+        model = self._model(seed)
+        base = self._grid(model, self.TIMES, self.REWARDS)
+        scaled = self._grid(model.scaled_rewards(factor), self.TIMES,
+                            [factor * r for r in self.REWARDS])
+        self._assert_close(scaled, base, factor)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("factor", [2.0, 0.5, 3.0])
+    def test_scaling_rates_against_time_and_bound(self, seed, factor):
+        """Rates times ``c``, ``t`` and ``r`` over ``c``: the chain runs
+        ``c`` times as fast and earns ``1/c`` of the reward by then."""
+        model = self._model(seed)
+        base = self._grid(model, self.TIMES, self.REWARDS)
+        scaled = self._grid(_rates_scaled(model, factor),
+                            [t / factor for t in self.TIMES],
+                            [r / factor for r in self.REWARDS])
+        self._assert_close(scaled, base, factor)
