@@ -12,6 +12,13 @@ read-outs (:attr:`JointEngine.last_kernel`, Sericola's
 ``last_diagnostics``), so one engine instance serves every model, query
 and thread of a sweep.  What a run decided also goes on its span.
 
+Each engine declares its accuracy knobs once, in :attr:`JointEngine.knobs`
+(constructor order, ``kernel`` excluded); the base class derives from
+that one declaration what must agree everywhere: the process-transport
+:meth:`JointEngine.spec`, the default cache token, the refinement and
+bracket copies (:meth:`JointEngine._with`) and ``repr``.  The
+``kernel`` request is resolved once, in :meth:`JointEngine.__init__`.
+
 Each engine has **one** computational core,
 :meth:`JointEngine._compute_joint_sweep`: the per-initial-state values
 over a whole ``(t, r)`` grid, sharing the propagation prefix across the
@@ -35,6 +42,10 @@ entry point is a view of it:
   (:meth:`JointEngine._bracket_companion`), and
   :meth:`JointEngine.joint_probability_interval` is its ``1 x 1`` cell.
 
+Every ``t = 0`` row is answered in :meth:`JointEngine.sweep_unit` --
+``Y_0 = 0 <= r``, so it is the target indicator -- and the core only
+ever sees positive time bounds.
+
 The core runs in one direction, backwards from the target: one run
 covers every initial state, and the value from a single state (or an
 initial distribution ``alpha``) is a read-off of the vector (``v[s]``,
@@ -54,12 +65,13 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Type)
+                    Tuple, Type, Union)
 
 import numpy as np
 
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError, ReproError, WorkerError
+from repro.kernels import KernelBackend, resolve_static
 from repro.obs import OBS, annotate, peak_rss_bytes
 from repro.obs import span as obs_span
 
@@ -173,6 +185,12 @@ class JointEngine(ABC):
     #: (measurements in ``docs/EXECUTION.md``).
     parallel_units: bool = True
 
+    #: The accuracy knobs in constructor order, ``kernel`` excluded:
+    #: the one statement of the engine's identity.  :meth:`spec`, the
+    #: default :meth:`_cache_token`, :meth:`_with` and ``repr`` read
+    #: the attributes of these names.
+    knobs: Tuple[str, ...] = ()
+
     #: Name of the kernel backend the most recent in-process
     #: computation resolved to.  Engines whose ``kernel`` knob is the
     #: ``"auto"`` sentinel pick a backend per model
@@ -181,6 +199,17 @@ class JointEngine(ABC):
     #: Units run by worker processes never set it: their decisions
     #: arrive as the ``kernel=`` attribute of their spans.
     last_kernel: Optional[str] = None
+
+    def __init__(self, kernel: Union[str, KernelBackend, None] = None):
+        """Resolve the ``kernel`` request: a name or a
+        :class:`~repro.kernels.KernelBackend` pins a backend now (as
+        does ``REPRO_KERNEL``), ``None`` leaves the choice to
+        :meth:`_backend_for`, per model, and :attr:`kernel` reads
+        ``"auto"``."""
+        self._kernel_request = kernel
+        self._backend = resolve_static(kernel)
+        self.kernel = ("auto" if self._backend is None
+                       else self._backend.name)
 
     def _backend_for(self, model: MarkovRewardModel):
         """The kernel backend to run *model* with.
@@ -197,7 +226,7 @@ class JointEngine(ABC):
         :attr:`last_kernel`, in the ``repro_kernel_selected`` gauge and
         as ``kernel=`` on the current span.
         """
-        backend = getattr(self, "_backend", None)
+        backend = self._backend
         if backend is None:
             from repro.kernels import select_for_model
             backend = select_for_model(model.num_states,
@@ -369,6 +398,10 @@ engine_compatibility`) reports every finding and the runtime guard
         when the engine brackets nothing."""
         return None
 
+    def _options(self) -> Dict:
+        """The knob values by name, in :attr:`knobs` order."""
+        return {knob: getattr(self, knob) for knob in self.knobs}
+
     def spec(self) -> Dict:
         """Transportable identity: the constructor arguments that
         rebuild an equivalent engine in another process.
@@ -379,25 +412,21 @@ engine_compatibility`) reports every finding and the runtime guard
         (:mod:`repro.exec`) ships this instead of pickling engine
         instances (backends may hold unpicklable jitted state), and
         the equal token is what guarantees worker results are
-        bit-identical to in-process ones.  Engines must override this
-        alongside any accuracy knob they add; the base class refuses
-        rather than silently rebuilding with default accuracy.
+        bit-identical to in-process ones.  The options are the
+        :attr:`knobs` plus ``kernel``: ``None`` keeps per-model
+        auto-selection (deterministic in the model's dimensions, so
+        workers choose identically), a resolved backend travels by
+        name, which also pins workers whose ``REPRO_KERNEL`` differs.
         """
-        raise NumericalError(
-            f"engine {self.name!r} does not declare a process-"
-            f"transport spec; it cannot run under the process "
-            f"executor")
+        options = self._options()
+        options["kernel"] = None if self.kernel == "auto" else self.kernel
+        return {"engine": self.name, "options": options}
 
-    def _kernel_option(self) -> Optional[str]:
-        """The ``kernel=`` constructor option for :meth:`spec`.
-
-        ``None`` preserves per-model auto-selection (deterministic in
-        the model's dimensions, so workers choose identically); a
-        statically resolved backend travels by name, which also pins
-        workers whose ``REPRO_KERNEL`` environment would differ.
-        """
-        kernel = getattr(self, "kernel", "auto")
-        return None if kernel == "auto" else kernel
+    def _with(self, **changes) -> "JointEngine":
+        """A copy of this engine with *changes* to its knobs, on the
+        same ``kernel`` request (a backend instance stays one)."""
+        return type(self)(**{**self._options(), **changes},
+                          kernel=self._kernel_request)
 
     def refined(self) -> "Optional[JointEngine]":
         """A copy of this engine with a tightened accuracy knob.
@@ -507,13 +536,20 @@ engine_compatibility`) reports every finding and the runtime guard
                    indicator: np.ndarray) -> np.ndarray:
         """The ``(len(times), len(rewards), |S|)`` block of one work
         unit: one uncached :meth:`_compute_joint_sweep` run over the
-        unit's distinct bounds, with no engine-internal fan-out."""
+        unit's distinct positive time bounds, with no engine-internal
+        fan-out."""
         with self._observed("sweep_unit",
                             points=len(times) * len(rewards)):
             need_times = sorted(set(times))
             need_rewards = sorted(set(rewards))
-            block = np.asarray(self._compute_joint_sweep(
-                model, need_times, need_rewards, indicator), dtype=float)
+            zeros = need_times.count(0.0)
+            block = np.empty((len(need_times), len(need_rewards),
+                              len(indicator)))
+            # Y_0 = 0 <= r: every t = 0 row is the target indicator.
+            block[:zeros] = indicator
+            if zeros < len(need_times):
+                block[zeros:] = self._compute_joint_sweep(
+                    model, need_times[zeros:], need_rewards, indicator)
             return block[np.ix_([need_times.index(t) for t in times],
                                 [need_rewards.index(r) for r in rewards])]
 
@@ -527,9 +563,10 @@ engine_compatibility`) reports every finding and the runtime guard
 
         Returns the ``(len(times), len(rewards), |S|)`` grid of
         per-initial-state joint probabilities for the validated 0/1
-        target *indicator*, sharing the propagation prefix across the
-        grid.  Every public entry point -- scalar vector, grid, unit,
-        interval -- is a view of it.  Implementations must not read or
+        target *indicator* and positive time bounds *times* (the
+        ``t = 0`` rows are :meth:`sweep_unit`'s), sharing the
+        propagation prefix across the grid.  Every public entry point
+        -- scalar vector, grid, unit, interval -- is a view of it.  Implementations must not read or
         write the result cache, and each cell must equal the same
         cell computed in a ``1 x 1`` grid bit for bit.
         """
@@ -537,14 +574,15 @@ engine_compatibility`) reports every finding and the runtime guard
     # ------------------------------------------------------------------
 
     def _cache_token(self) -> Tuple:
-        """Hashable identity of the engine's accuracy parameters.
+        """Hashable identity of the engine's accuracy parameters:
+        ``(name, *knob values, kernel)``.
 
         Two engine instances with equal tokens must compute identical
-        results, so they may share cache entries.  The default covers
-        every public non-callable attribute; engines with
-        diagnostics-only state override this with an explicit tuple.
+        results, so they may share cache entries; checkpoint headers
+        store ``repr(token)``, so a token stays byte-identical across
+        releases.
         """
-        return (self.name,)
+        return (self.name, *self._options().values(), self.kernel)
 
     def _validate(self, model: MarkovRewardModel,
                   times: Sequence[float], rewards: Sequence[float],
@@ -576,7 +614,9 @@ engine_compatibility`) reports every finding and the runtime guard
         return indicator
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
+        knobs = ", ".join(f"{knob}={value!r}"
+                          for knob, value in self._options().items())
+        return f"{type(self).__name__}({knobs})"
 
 
 _REGISTRY: Dict[str, Type[JointEngine]] = {}

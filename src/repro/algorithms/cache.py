@@ -17,8 +17,10 @@ module provides the process-wide caches that make those repeats free:
   are expensive to rebuild per call: the discretisation's reward-step
   matrices grouped by impulse displacement, and the pseudo-Erlang
   phase-expanded chains.
+* :data:`poisson_cache` -- an LRU of Fox--Glynn Poisson weights, keyed
+  on ``(rate, epsilon)``.
 
-Both caches store only derived, immutable data; entries are evicted in
+The caches store only derived, immutable data; entries are evicted in
 least-recently-used order, never invalidated (a mutated model would be
 a new object with a new fingerprint).  :func:`clear_caches` empties
 everything, which the benchmarks use to measure cold-cache timings.
@@ -177,19 +179,21 @@ joint_cache = LRUCache(maxsize=4096, max_bytes=128 * 2 ** 20)
 #: keyed on ``(kind, model fingerprint, parameters...)``.
 matrix_cache = LRUCache(maxsize=64)
 
+#: Fox--Glynn Poisson weights (:func:`repro.numerics.poisson.\
+#: poisson_weights`), keyed on ``(rate, epsilon)``.
+poisson_cache = LRUCache(maxsize=512)
+
 
 def clear_caches() -> None:
     """Empty every module-level cache (joint vectors, matrices, and
-    the Fox--Glynn Poisson-weight cache)."""
+    the Fox--Glynn Poisson weights)."""
     joint_cache.clear()
     matrix_cache.clear()
-    from repro.numerics.poisson import clear_poisson_cache
-    clear_poisson_cache()
+    poisson_cache.clear()
 
 
 def cache_info() -> Dict[str, Dict[str, int]]:
     """Hit/miss/size summary of all module-level caches."""
-    from repro.numerics.poisson import poisson_cache_info
     return {"joint": joint_cache.info(),
             "matrix": matrix_cache.info(),
-            "poisson": poisson_cache_info()}
+            "poisson": poisson_cache.info()}

@@ -90,7 +90,7 @@ from repro.algorithms.cache import matrix_cache
 from repro.algorithms.erlang import zero_reward_bound_sweep
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError, RewardError
-from repro.kernels import KernelBackend, resolve_static
+from repro.kernels import KernelBackend
 from repro.kernels.base import (DiscretizationPropagator, ShiftPlan,
                                 StepOperator, build_shift_plan,
                                 make_operator)
@@ -166,6 +166,7 @@ class DiscretizationEngine(JointEngine):
     """
 
     name = "discretization"
+    knobs = ("step", "underflow")
 
     def findings(self, model, t=None, r=None):
         """E005 (natural numbers), E008 (impulse step), E004 (step too
@@ -241,10 +242,7 @@ class DiscretizationEngine(JointEngine):
                 f"underflow must be 'drop' or 'clamp', got {underflow!r}")
         self.step = float(step)
         self.underflow = underflow
-        self._kernel_request = kernel
-        self._backend = resolve_static(kernel)
-        self.kernel = ("auto" if self._backend is None
-                       else self._backend.name)
+        super().__init__(kernel)
 
     def _cache_token(self) -> Tuple:
         # Backends agree only to <= 1e-12, so the backend name keys the
@@ -255,12 +253,6 @@ class DiscretizationEngine(JointEngine):
         # always summed): checkpoint headers hold ``repr(token)``, so
         # the token must stay byte-identical for older files to resume.
         return (self.name, self.step, self.underflow, True, self.kernel)
-
-    def spec(self):
-        return {"engine": self.name,
-                "options": {"step": self.step,
-                            "underflow": self.underflow,
-                            "kernel": self._kernel_option()}}
 
     # ------------------------------------------------------------------
     # certified intervals: the d vs d/2 Richardson-style bracket
@@ -279,9 +271,7 @@ class DiscretizationEngine(JointEngine):
         resolutions into a sound interval that contains both the exact
         value and this engine's own point value (the ``d`` run).
         """
-        return DiscretizationEngine(step=self.step / 2.0,
-                                    underflow=self.underflow,
-                                    kernel=self._kernel_request)
+        return self._with(step=self.step / 2.0)
 
     def refined(self):
         """Halve the step ``d`` (the Table 4 knob)."""
@@ -315,26 +305,16 @@ class DiscretizationEngine(JointEngine):
         method runs its columns in order.
         """
         times = [float(t) for t in times]
-        live_times = [(i, t) for i, t in enumerate(times) if t > 0.0]
-        positive_times = [t for _, t in live_times]
         backend = self._backend_for(model)
-
         grid = np.empty((len(times), len(rewards), model.num_states))
-        for j, reward in enumerate(rewards if positive_times else ()):
+        for j, reward in enumerate(rewards):
             if reward == 0.0:
-                values = zero_reward_bound_sweep(
-                    model, positive_times, indicator, kernel=backend,
+                grid[:, j] = zero_reward_bound_sweep(
+                    model, times, indicator, kernel=backend,
                     metrics_engine=self.name)
             else:
-                values = self._adjoint_column(
-                    model, positive_times, float(reward), indicator,
-                    backend)
-            for row, (i, _) in enumerate(live_times):
-                grid[i, j] = values[row]
-        # t = 0 rows: Y_0 = 0 <= r whatever r.
-        for i, t in enumerate(times):
-            if t == 0.0:
-                grid[i, :, :] = indicator.astype(float)
+                grid[:, j] = self._adjoint_column(
+                    model, times, float(reward), indicator, backend)
         return grid
 
     def _adjoint_column(self,
@@ -500,7 +480,3 @@ class DiscretizationEngine(JointEngine):
                 (coo.data[mask], (coo.row[mask], coo.col[mask])),
                 shape=base.shape).tocsr()
         return groups
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(step={self.step}, "
-                f"underflow={self.underflow!r})")

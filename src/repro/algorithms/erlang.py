@@ -50,7 +50,6 @@ from repro.algorithms.cache import matrix_cache
 from repro.ctmc.ctmc import CTMC, absorb_rows
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError
-from repro.kernels import KernelBackend, resolve_static
 from repro.obs import annotate
 from repro.obs import span as obs_span
 from repro.numerics.poisson import right_truncation_point
@@ -178,6 +177,7 @@ class ErlangEngine(JointEngine):
     """
 
     name = "erlang"
+    knobs = ("phases", "epsilon")
     #: Threads lose here: on the Q3 grid the expanded chains are small
     #: enough that GIL contention outweighs the overlap (measurements
     #: in docs/EXECUTION.md), so the thread executor runs columns
@@ -210,19 +210,7 @@ class ErlangEngine(JointEngine):
             raise NumericalError(f"need at least one phase, got {phases}")
         self.phases = int(phases)
         self.epsilon = float(epsilon)
-        self._kernel_request = kernel
-        self._backend: Optional[KernelBackend] = resolve_static(kernel)
-        self.kernel = ("auto" if self._backend is None
-                       else self._backend.name)
-
-    def _cache_token(self) -> Tuple:
-        return (self.name, self.phases, self.epsilon, self.kernel)
-
-    def spec(self):
-        return {"engine": self.name,
-                "options": {"phases": self.phases,
-                            "epsilon": self.epsilon,
-                            "kernel": self._kernel_option()}}
+        super().__init__(kernel)
 
     def _expanded_indicator(self, expanded: CTMC,
                             indicator: np.ndarray) -> np.ndarray:
@@ -249,7 +237,7 @@ class ErlangEngine(JointEngine):
         """
         times = [float(t) for t in times]
         grid = np.empty((len(times), len(rewards), model.num_states))
-        for j, reward in enumerate(rewards if any(times) else ()):
+        for j, reward in enumerate(rewards):
             if reward == 0.0:
                 grid[:, j, :] = zero_reward_bound_sweep(
                     model, times, indicator, epsilon=self.epsilon,
@@ -270,10 +258,6 @@ class ErlangEngine(JointEngine):
                 metrics_engine=self.name)
             grid[:, j, :] = np.clip(rows[:, 0:barrier:self.phases],
                                     0.0, 1.0)
-        # t = 0 rows: Y_0 = 0 <= r whatever r.
-        for i, t in enumerate(times):
-            if t == 0.0:
-                grid[i, :, :] = indicator.astype(float)
         return grid
 
     # ------------------------------------------------------------------
@@ -296,18 +280,13 @@ class ErlangEngine(JointEngine):
         ``k`` and ``2k`` runs into an interval containing the exact
         value and the engine's own ``k``-phase point value.
         """
-        return ErlangEngine(phases=self.phases * 2,
-                            epsilon=self.epsilon,
-                            kernel=self._kernel_request)
+        return self._with(phases=self.phases * 2)
 
     def refined(self):
         """Double the phase count ``k`` (the Table 3 knob)."""
         if self.phases * 2 > self.MAX_PHASES:
             return None
         return self._bracket_companion()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(phases={self.phases})"
 
 
 def _zero_reward_restriction(model: MarkovRewardModel,

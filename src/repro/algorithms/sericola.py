@@ -70,7 +70,6 @@ from repro.algorithms.base import (Finding, JointEngine,
 from repro.algorithms.cache import matrix_cache
 from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError
-from repro.kernels import KernelBackend, resolve_static
 from repro.kernels.base import (SericolaPlan, SericolaSeries,
                                 build_sericola_plan)
 from repro.numerics.poisson import poisson_weights, right_truncation_point
@@ -118,6 +117,7 @@ class SericolaEngine(JointEngine):
     """
 
     name = "sericola"
+    knobs = ("epsilon", "steady_state_detection")
     #: The series loop holds the GIL on the small operands of the
     #: paper's models: two column groups on two threads measured 3.7x
     #: slower than one group inline (docs/EXECUTION.md).
@@ -157,10 +157,7 @@ class SericolaEngine(JointEngine):
         self.epsilon = float(epsilon)
         self.steady_state_detection = bool(steady_state_detection)
         self.last_diagnostics: Optional[SericolaDiagnostics] = None
-        self._kernel_request = kernel
-        self._backend: Optional[KernelBackend] = resolve_static(kernel)
-        self.kernel = ("auto" if self._backend is None
-                       else self._backend.name)
+        super().__init__(kernel)
 
     def _cache_token(self):
         # The literal None fills the slot of the removed
@@ -168,14 +165,6 @@ class SericolaEngine(JointEngine):
         # ``repr(token)``, so older files still resume.
         return (self.name, self.epsilon, None,
                 self.steady_state_detection, self.kernel)
-
-    def spec(self):
-        return {"engine": self.name,
-                "options": {
-                    "epsilon": self.epsilon,
-                    "steady_state_detection":
-                        self.steady_state_detection,
-                    "kernel": self._kernel_option()}}
 
     # ------------------------------------------------------------------
 
@@ -205,10 +194,8 @@ class SericolaEngine(JointEngine):
         """Tighten ``epsilon`` a hundredfold (the Table 2 knob)."""
         if self.epsilon <= self.MIN_EPSILON:
             return None
-        return SericolaEngine(
-            epsilon=max(self.epsilon * 1e-2, self.MIN_EPSILON),
-            steady_state_detection=self.steady_state_detection,
-            kernel=self._kernel_request)
+        return self._with(
+            epsilon=max(self.epsilon * 1e-2, self.MIN_EPSILON))
 
     def complementary_vector(self,
                              model: MarkovRewardModel,
@@ -325,10 +312,7 @@ class SericolaEngine(JointEngine):
         normal_points = []      # dicts: genuine series points
         for i, t in enumerate(times):
             for j, r in enumerate(rewards):
-                if t == 0.0:
-                    # Y_0 = 0 <= r: nothing exceeds the bound.
-                    grid[i, j] = indicator
-                elif r >= levels[-1] * t:
+                if r >= levels[-1] * t:
                     # Y_t <= rho_max * t surely: the bound never binds.
                     if rate == 0.0:
                         grid[i, j] = indicator

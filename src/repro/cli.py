@@ -231,11 +231,12 @@ def _resolve_formula(formula: str, model_path: str) -> str:
     return formula
 
 
-def _make_engine(args):
-    """The engine named by ``--engine``, on the ``--kernel`` backend."""
-    if args.engine == "sericola":
+def _make_engine(name: str, args):
+    """The engine *name* on the ``--kernel`` backend (Sericola at
+    ``--epsilon``)."""
+    if name == "sericola":
         return SericolaEngine(epsilon=args.epsilon, kernel=args.kernel)
-    return get_engine(args.engine, kernel=args.kernel)
+    return get_engine(name, kernel=args.kernel)
 
 
 def _emit_capture(args) -> None:
@@ -254,10 +255,10 @@ def _emit_capture(args) -> None:
 
 def _cmd_check(args) -> int:
     model = _load_model(args.model, args.initial_state)
-    engine = _make_engine(args)
+    engine = _make_engine(args.engine, args)
     if args.verbose:
-        print(f"engine: {engine.name}  kernel: "
-              f"{getattr(engine, 'kernel', 'n/a')}", file=sys.stderr)
+        print(f"engine: {engine.name}  kernel: {engine.kernel}",
+              file=sys.stderr)
     checker = ModelChecker(model, engine=engine, epsilon=args.epsilon,
                            lump=False if args.no_lump else "auto")
     formula = _resolve_formula(args.formula, args.model)
@@ -313,7 +314,7 @@ def _run_check(checker: ModelChecker, model, formula: str, args) -> int:
 
 def _report_verbose(checker: ModelChecker, file) -> None:
     """Post-check ``-v`` lines: resolved kernel, pre-pass outcome."""
-    resolved = getattr(checker.engine, "last_kernel", None)
+    resolved = checker.engine.last_kernel
     if resolved is not None:
         print(f"kernel resolved: {resolved}", file=file)
     info = checker.last_lump
@@ -432,8 +433,9 @@ def _certified_check(checker: ModelChecker, model, formula: str,
     from repro.mc.certified import DEFAULT_CHAIN
     from repro.mc.result import Verdict
 
-    chain = DEFAULT_CHAIN if args.fallback is None else tuple(
+    names = DEFAULT_CHAIN if args.fallback is None else tuple(
         name.strip() for name in args.fallback.split(",") if name.strip())
+    chain = tuple(_make_engine(name, args) for name in names)
     budget = None
     if args.budget is not None or args.max_rounds is not None:
         budget = Budget(seconds=args.budget, max_rounds=args.max_rounds)

@@ -89,6 +89,7 @@ from repro.exec.checkpoint import SweepCheckpoint, _checksum
 from repro.exec.faultinject import FaultPlan
 from repro.exec.retry import BREAKERS, BreakerRegistry, RetryPolicy
 from repro.exec.worker import worker_main
+from repro.kernels import KernelBackend
 from repro.obs import OBS, REGISTRY, count_engine
 from repro.obs import span as obs_span
 from repro.obs.recorder import FlightRecorder, ResourceSampler
@@ -146,18 +147,17 @@ def _record_deadline_missed(count: int) -> None:
 
 
 def breaker_key(engine) -> str:
-    """The circuit-breaker key of *engine*: ``"<engine>/<backend>"``.
+    """The circuit-breaker key of *engine*: ``"<engine>/<request>"``,
+    the ``kernel`` request by name, or ``auto`` without one.
 
     One breaker per engine/backend combination, shared between the
     process executor (writer) and the certified checker's fallback
     chain (reader).
     """
-    kernel = getattr(engine, "_kernel_request", None)
-    if kernel is None:
-        kernel = "auto"
-    elif not isinstance(kernel, str):
-        kernel = getattr(kernel, "name", str(kernel))
-    return f"{engine.name}/{kernel}"
+    kernel = engine._kernel_request
+    if isinstance(kernel, KernelBackend):
+        kernel = kernel.name
+    return f"{engine.name}/{kernel or 'auto'}"
 
 
 class SweepGrid:

@@ -18,38 +18,33 @@ from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
 
+from repro.algorithms.cache import poisson_cache
 from repro.errors import NumericalError
 from repro.obs import OBS
 
 # Weight arrays are pure functions of (rate, epsilon) and every
 # uniformisation-based procedure recomputes them per call; sweeps over
 # t or over models with equal uniformisation rates hit the same pairs
-# over and over, so the arrays are memoised process-wide.  Entries are
-# frozen dataclasses holding read-only arrays -- safe to share.
-_WEIGHT_CACHE: "OrderedDict[tuple, PoissonWeights]" = OrderedDict()
-_WEIGHT_CACHE_MAXSIZE = 512
-_WEIGHT_CACHE_STATS = {"hits": 0, "misses": 0}
+# over and over, so the arrays are memoised process-wide in
+# ``repro.algorithms.cache.poisson_cache``.  Entries are frozen
+# dataclasses holding read-only arrays -- safe to share.
 
 
 def clear_poisson_cache() -> None:
     """Empty the module-level Fox--Glynn weight cache."""
-    _WEIGHT_CACHE.clear()
-    _WEIGHT_CACHE_STATS["hits"] = 0
-    _WEIGHT_CACHE_STATS["misses"] = 0
+    poisson_cache.clear()
 
 
 def poisson_cache_info() -> Dict[str, int]:
     """Size and lifetime hit/miss counts of the weight cache."""
-    return {"size": len(_WEIGHT_CACHE),
-            "maxsize": _WEIGHT_CACHE_MAXSIZE,
-            "hits": _WEIGHT_CACHE_STATS["hits"],
-            "misses": _WEIGHT_CACHE_STATS["misses"]}
+    info = poisson_cache.info()
+    return {key: info[key] for key in ("size", "maxsize", "hits",
+                                       "misses")}
 
 
 @dataclass(frozen=True)
@@ -134,10 +129,8 @@ def poisson_weights(rate: float, epsilon: float = 1e-12) -> PoissonWeights:
         raise NumericalError(f"epsilon must be in (0, 1), got {epsilon}")
 
     key = (float(rate), float(epsilon))
-    cached = _WEIGHT_CACHE.get(key)
+    cached = poisson_cache.get(key)
     if cached is not None:
-        _WEIGHT_CACHE.move_to_end(key)
-        _WEIGHT_CACHE_STATS["hits"] += 1
         return cached
 
     start = time.perf_counter() if OBS.enabled else None
@@ -147,7 +140,9 @@ def poisson_weights(rate: float, epsilon: float = 1e-12) -> PoissonWeights:
             time.perf_counter() - start)
         OBS.metrics.gauge(
             "repro_fox_glynn_right_point").update_max(computed.right)
-    return _cache_put(key, computed)
+    computed.weights.flags.writeable = False
+    poisson_cache.put(key, computed)
+    return computed
 
 
 def _compute_weights(rate: float, epsilon: float) -> PoissonWeights:
@@ -206,17 +201,6 @@ def _compute_weights(rate: float, epsilon: float) -> PoissonWeights:
                           right=left + trim_right,
                           weights=trimmed,
                           epsilon=epsilon)
-
-
-def _cache_put(key: tuple, value: PoissonWeights) -> PoissonWeights:
-    """Freeze and memoise a freshly computed weight object."""
-    value.weights.flags.writeable = False
-    _WEIGHT_CACHE_STATS["misses"] += 1
-    _WEIGHT_CACHE[key] = value
-    _WEIGHT_CACHE.move_to_end(key)
-    while len(_WEIGHT_CACHE) > _WEIGHT_CACHE_MAXSIZE:
-        _WEIGHT_CACHE.popitem(last=False)
-    return value
 
 
 def right_truncation_point(rate: float, epsilon: float) -> int:
