@@ -33,7 +33,7 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,8 +43,11 @@ def value_nbytes(value: Any) -> int:
     """Approximate in-memory footprint of a cached value, in bytes.
 
     Understands the shapes the caches actually store: numpy arrays,
-    scipy sparse matrices, and tuples/lists/dicts thereof.  Anything
-    else falls back to ``sys.getsizeof``.
+    scipy sparse matrices, tuples/lists/dicts thereof, and objects
+    holding them (``PoissonWeights``, the kernel plans and step
+    operators, the models in Erlang's entries), which count their
+    ``sys.getsizeof`` header plus every such attribute -- instance
+    ``__dict__`` and ``__slots__`` alike.
     """
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
@@ -59,7 +62,21 @@ def value_nbytes(value: Any) -> int:
         return sum(value_nbytes(item) for item in value)
     if isinstance(value, dict):
         return sum(value_nbytes(item) for item in value.values())
-    return int(sys.getsizeof(value))
+    return int(sys.getsizeof(value)) + sum(
+        value_nbytes(part) for part in _attributes(value)
+        if isinstance(part, (np.ndarray, tuple, list, dict))
+        or sp.issparse(part))
+
+
+def _attributes(value: Any) -> List[Any]:
+    """The attribute values of *value*: its ``__dict__`` and slots."""
+    parts = list(getattr(value, "__dict__", {}).values())
+    for klass in type(value).__mro__:
+        slots = klass.__dict__.get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if hasattr(value, name) and name != "__weakref__":
+                parts.append(getattr(value, name))
+    return parts
 
 
 class LRUCache:

@@ -25,9 +25,12 @@ good is retried cell by cell so the fault costs only its own cell:
 * **Hang detection** -- workers heartbeat on a background thread; a
   busy worker whose heartbeat goes stale is killed and replaced.
 * **Bounded retries** -- infrastructure failures (crash, kill, hang,
-  checksum-corrupt result) are retried with the
-  :class:`~repro.exec.retry.RetryPolicy`'s exponential backoff and
-  deterministic jitter; exceptions raised *by the engine* are
+  checksum-corrupt result) are retried under the
+  :class:`~repro.exec.retry.RetryPolicy`: the first retry at once,
+  later ones after exponential backoff with deterministic jitter.  A
+  corrupt result is re-sent by the worker that computed it (it holds
+  the good bytes), so recovery recomputes only what a dead worker
+  took with it.  Exceptions raised *by the engine* are
   deterministic and therefore not retried -- they surface as
   :class:`~repro.errors.WorkerError` failures exactly like the
   threaded path's.
@@ -517,8 +520,8 @@ class ProcessShardExecutor:
         timeout.  Must be positive and finite.
     retry:
         The :class:`~repro.exec.retry.RetryPolicy` for infrastructure
-        failures (default policy: 3 retries, exponential backoff with
-        deterministic jitter).
+        failures (default policy: 3 retries, the first at once, then
+        exponential backoff with deterministic jitter).
     breakers:
         The :class:`~repro.exec.retry.BreakerRegistry` failures are
         recorded in (default: the shared :data:`~repro.exec.retry.\
@@ -946,11 +949,11 @@ class _Run:
         elapsed = time.monotonic() - task.started
         if _checksum(data) != checksum:
             worker.last_span = None
-            self._task_failed(
-                task.key, "corrupt",
-                WorkerCrashError("corrupt", worker.id,
-                                 flight_tail=self._flight_tail(
-                                     worker.id)))
+            cause = WorkerCrashError("corrupt", worker.id,
+                                     flight_tail=self._flight_tail(
+                                         worker.id))
+            if self._retry_allowed(task.key, "corrupt", cause):
+                self._resend(worker, task)
             return
         unit = self.units[task.key]
         block = np.frombuffer(data, dtype="<f8").reshape(
@@ -988,23 +991,47 @@ class _Run:
         for unit in cells:
             self._schedule(unit, time.monotonic())
 
-    def _task_failed(self, key: int, reason: str,
-                     cause: BaseException) -> None:
+    def _retry_allowed(self, key: int, reason: str,
+                       cause: BaseException) -> bool:
+        """Record a failed attempt of unit *key*; whether it may be
+        retried (else it was given up on, or the deadline passed)."""
         self.breaker.record_failure()
         count = self.attempts_failed.get(key, 0) + 1
         self.attempts_failed[key] = count
         if self.executor.retry.gives_up(count):
             self._give_up(key, cause)
-            return
+            return False
         if remaining(self.deadline) <= 0.0:
             # No retry starts after the deadline: the unit is missed.
             _record_deadline_missed(1)
-            return
+            return False
         REGISTRY.counter("repro_retry_total", reason=reason).inc()
         self.executor.retries += 1
-        delay = self.executor.retry.delay(key, count)
-        heapq.heappush(self.pending,
-                       (time.monotonic() + delay, key, count))
+        return True
+
+    def _task_failed(self, key: int, reason: str,
+                     cause: BaseException) -> None:
+        """Retry unit *key* on any worker, after the policy's delay."""
+        if self._retry_allowed(key, reason, cause):
+            count = self.attempts_failed[key]
+            delay = self.executor.retry.delay(key, count)
+            heapq.heappush(self.pending,
+                           (time.monotonic() + delay, key, count))
+
+    def _resend(self, worker: _Worker, task: _Assignment) -> None:
+        """Retry a corrupt result: the worker still holds the good
+        bytes, so it sends them again, under the unit's next scheduled
+        fault.  The task stays assigned to it; if the worker dies, the
+        crash path retries the unit."""
+        fault = self._fault_for(self.units[task.key])
+        try:
+            worker.conn.send(("resend", task.seq, fault))
+        except (BrokenPipeError, OSError):
+            worker.dead = True
+            heapq.heappush(self.pending, (time.monotonic(), task.key,
+                                          self.attempts_failed[task.key]))
+            return
+        worker.task = task
 
     def _worker_failed(self, worker: _Worker, reason: str,
                        exitcode: Optional[int]) -> None:

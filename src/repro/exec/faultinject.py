@@ -51,7 +51,9 @@ Fault kinds (applied inside the worker, see
 ``corrupt``
     flips a byte of the result payload *after* the checksum was
     computed -- simulates transport corruption; the parent detects the
-    checksum mismatch and retries.
+    checksum mismatch and asks the same worker to re-send the result
+    it holds (a ``resend``, which takes the unit's next scheduled
+    fault like any other attempt).
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Two small, independently testable pieces of fault-tolerance policy:
 
-* :class:`RetryPolicy` -- bounded retries with exponential backoff and
-  *deterministic* jitter: the jitter for attempt ``a`` of task key
+* :class:`RetryPolicy` -- bounded retries, the first one at once and
+  later ones with exponential backoff and *deterministic* jitter: the
+  jitter for attempt ``a`` of task key
   ``k`` is a pure function of ``(seed, k, a)`` (a BLAKE2b hash mapped
   to ``[0, 1)``), so two runs of the same sweep space their retries
   identically and tests can assert exact delays.  Jitter affects only
@@ -37,7 +38,12 @@ from repro.obs import REGISTRY
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded exponential backoff with deterministic jitter.
+    """Bounded retries: the first at once, later ones with exponential
+    backoff and deterministic jitter.
+
+    The first retry runs on a fresh worker (or re-sends a result that
+    arrived corrupt), so waiting would only lengthen the sweep; a fault
+    that keeps recurring is spaced out from the second retry on.
 
     Attributes
     ----------
@@ -46,9 +52,9 @@ class RetryPolicy:
         surfaces as a :class:`~repro.errors.WorkerError`) once it has
         failed ``max_retries + 1`` times.
     base_delay:
-        Backoff before the first retry, in seconds; retry ``a`` waits
-        ``base_delay * 2**(a-1)`` (capped at :attr:`max_delay`) plus
-        jitter.
+        Backoff before the second retry, in seconds: retry 1 waits 0,
+        retry ``a >= 2`` waits ``base_delay * 2**(a-2)`` (capped at
+        :attr:`max_delay`) plus jitter.
     max_delay:
         Upper bound on the un-jittered backoff.
     jitter:
@@ -77,9 +83,9 @@ class RetryPolicy:
 
     def delay(self, key, attempt: int) -> float:
         """Seconds to wait before retry *attempt* (1-based) of *key*."""
-        if attempt <= 0:
+        if attempt <= 1:
             return 0.0
-        backoff = min(self.base_delay * 2.0 ** (attempt - 1),
+        backoff = min(self.base_delay * 2.0 ** (attempt - 2),
                       self.max_delay)
         return backoff * (1.0 + self.jitter
                           * _unit_hash(self.seed, key, attempt))

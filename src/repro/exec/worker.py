@@ -12,6 +12,10 @@ Parent -> worker::
               fault, sleep)                cells rows x columns), after
                                            the injected fault / sleep
                                            the scheduler chose
+    ("resend", seq, fault)                 send the held result of task
+                                           seq again (it arrived
+                                           corrupt), after the
+                                           injected fault
     ("stop",)                              exit cleanly
 
 Worker -> parent::
@@ -45,8 +49,10 @@ Design notes:
   parent.
 * **Checksummed results** -- the result bytes are hashed *before* the
   send, so any corruption in transport (or injected by the fault
-  harness after hashing) is detected by the parent and retried rather
-  than silently merged into the grid.
+  harness after hashing) is detected by the parent rather than
+  silently merged into the grid.  The worker holds the good bytes and
+  their checksum until its next task, so the parent's retry of a
+  corrupt result is a ``resend``, not a recomputation.
 * **Fault injection** -- the parent's scheduler evaluates the
   :class:`~repro.exec.faultinject.FaultPlan` per unit attempt and
   ships the chosen fault (and the throttle sleep) with the task; the
@@ -54,10 +60,10 @@ Design notes:
   :mod:`repro.exec.faultinject` for the kinds.
 * **Flight recorder** -- every task-level event (start with the
   unit's cells, injected fault, completion with its wall time,
-  engine error) is appended to an fsynced per-worker JSONL sidecar
-  (:class:`~repro.obs.recorder.FlightRecorder`) *before* the risky
-  step runs, so after a crash or hang kill the parent can read what
-  this worker was doing when it died.
+  engine error, resend) is appended to an fsynced per-worker JSONL
+  sidecar (:class:`~repro.obs.recorder.FlightRecorder`) *before* the
+  risky step runs, so after a crash or hang kill the parent can read
+  what this worker was doing when it died.
 * **Telemetry** -- when the parent captured observability
   (``obs_enabled``), the worker enables its own :data:`repro.obs.OBS`
   from a clean slate and ships a plain-data delta of registry state
@@ -88,6 +94,10 @@ from repro.obs.remote import export_telemetry
 #: Injected hangs sleep this long; the parent's heartbeat-staleness
 #: kill always fires first.
 HANG_SECONDS = 3600.0
+
+#: A sent result the worker holds until its next task:
+#: ``(seq, float64 bytes, checksum)``.
+_Held = Tuple[int, bytes, str]
 
 
 class _Heartbeat(threading.Thread):
@@ -174,12 +184,28 @@ def _send_telemetry(conn, send_lock: threading.Lock,
         pass  # parent is gone; the heartbeat watch will exit us
 
 
+def _send_result(conn, send_lock: threading.Lock, held: _Held,
+                 fault: Optional[str], worker_id: int,
+                 obs_enabled: bool) -> None:
+    """Ship a held result (corrupted in transport by a ``corrupt``
+    fault) and, in observed runs, the telemetry that follows it."""
+    seq, data, checksum = held
+    if fault == "corrupt":
+        data = _corrupt(data)
+    with send_lock:
+        conn.send(("result", seq, data, checksum))
+    if obs_enabled:
+        _send_telemetry(conn, send_lock, worker_id)
+
+
 def _run_task(context: _SweepContext, message: Tuple,
               heartbeat: _Heartbeat,
               conn, send_lock: threading.Lock,
               recorder: Optional[FlightRecorder] = None,
               worker_id: int = 0,
-              obs_enabled: bool = False) -> None:
+              obs_enabled: bool = False) -> Optional[_Held]:
+    """Run one task; returns the result it sent, which the worker
+    holds for a ``resend`` (``None`` when the engine raised)."""
     _, seq, rows, columns, attempt, fault, sleep = message
     cells = [[int(i), int(j)] for i in rows for j in columns]
     times = [context.times[i] for i in rows]
@@ -212,18 +238,30 @@ def _run_task(context: _SweepContext, message: Tuple,
                        traceback.format_exc()))
         if obs_enabled:
             _send_telemetry(conn, send_lock, worker_id)
-        return
+        return None
     if recorder is not None:
         recorder.record("task_done", seq=int(seq),
                         seconds=round(time.monotonic() - started, 6))
     data = np.ascontiguousarray(block, dtype="<f8").tobytes()
-    checksum = _checksum(data)
-    if fault == "corrupt":
-        data = _corrupt(data)
-    with send_lock:
-        conn.send(("result", seq, data, checksum))
-    if obs_enabled:
-        _send_telemetry(conn, send_lock, worker_id)
+    held = (seq, data, _checksum(data))
+    _send_result(conn, send_lock, held, fault, worker_id, obs_enabled)
+    return held
+
+
+def _resend(held: _Held, message: Tuple, heartbeat: _Heartbeat,
+            conn, send_lock: threading.Lock,
+            recorder: Optional[FlightRecorder], worker_id: int,
+            obs_enabled: bool) -> None:
+    """Send the held result again: the parent saw it arrive corrupt.
+    A resend is an attempt, so it takes the fault the scheduler chose
+    for it like a task does."""
+    _, seq, fault = message
+    if recorder is not None:
+        recorder.record("resend", seq=int(seq))
+        if fault is not None:
+            recorder.record("fault", seq=int(seq), fault=fault)
+    _apply_pre_fault(fault, heartbeat)
+    _send_result(conn, send_lock, held, fault, worker_id, obs_enabled)
 
 
 def worker_main(conn, worker_id: int, heartbeat_interval: float,
@@ -249,6 +287,7 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float,
         context = _SweepContext(*sweep)
         with send_lock:
             conn.send(("ready", worker_id))
+        held: Optional[_Held] = None
         while True:
             try:
                 message = conn.recv()
@@ -261,9 +300,18 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float,
                     # the pipe closes.
                     _send_telemetry(conn, send_lock, worker_id)
                 break
-            _run_task(context, message, heartbeat, conn, send_lock,
-                      recorder=recorder, worker_id=worker_id,
-                      obs_enabled=obs_enabled)
+            if message[0] == "resend":
+                # The parent asks only for the result this worker
+                # sent last, before it gives this worker a new task.
+                assert held is not None and held[0] == message[1]
+                _resend(held, message, heartbeat, conn, send_lock,
+                        recorder, worker_id, obs_enabled)
+                continue
+            held = None  # a new task: the last result is settled
+            held = _run_task(context, message, heartbeat, conn,
+                             send_lock, recorder=recorder,
+                             worker_id=worker_id,
+                             obs_enabled=obs_enabled)
     finally:
         heartbeat.stop()
         if recorder is not None:

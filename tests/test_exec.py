@@ -116,15 +116,17 @@ class TestRetryPolicy:
             [b.delay(5, k) for k in range(1, 5)]
 
     def test_exponential_growth_and_cap(self):
+        """The first retry runs at once; backoff starts at the second."""
         policy = RetryPolicy(base_delay=0.1, max_delay=0.4, jitter=0.0)
-        assert policy.delay("cell", 1) == pytest.approx(0.1)
-        assert policy.delay("cell", 2) == pytest.approx(0.2)
-        assert policy.delay("cell", 3) == pytest.approx(0.4)
+        assert policy.delay("cell", 1) == 0.0
+        assert policy.delay("cell", 2) == pytest.approx(0.1)
+        assert policy.delay("cell", 3) == pytest.approx(0.2)
+        assert policy.delay("cell", 4) == pytest.approx(0.4)
         assert policy.delay("cell", 9) == pytest.approx(0.4)  # capped
 
     def test_jitter_bounded_and_key_dependent(self):
         policy = RetryPolicy(base_delay=1.0, max_delay=1.0, jitter=0.5)
-        delays = {policy.delay(key, 1) for key in range(20)}
+        delays = {policy.delay(key, 2) for key in range(20)}
         assert len(delays) > 1  # jitter actually varies by key
         assert all(1.0 <= d <= 1.5 for d in delays)
 

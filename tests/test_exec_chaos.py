@@ -120,35 +120,133 @@ def test_double_fault_exhausts_then_retries_succeed(reference):
     _assert_no_orphans()
 
 
+def _erlang_grid(faults: str, recorder_dir, deadline=None, retry=None):
+    """The 3 x 3 pseudo-Erlang grid (one unit per reward column) under
+    *faults*, with its flight-recorder events and the fault-free grid."""
+    from repro.obs.recorder import FlightRecorder
+    times = TIMES[:3]
+    reference = get_engine("erlang", phases=16).joint_probability_sweep(
+        build_model(), times, REWARDS, TARGET)
+    clear_caches()
+    executor = ProcessShardExecutor(
+        max_workers=2, heartbeat_timeout=0.5, faults=faults,
+        recorder_dir=str(recorder_dir), retry=retry)
+    partial = get_engine("erlang", phases=16).joint_probability_sweep_partial(
+        build_model(), times, REWARDS, TARGET, executor=executor,
+        deadline=deadline)
+    events = [event for sidecar in sorted(recorder_dir.iterdir())
+              for event in FlightRecorder.read_tail(str(sidecar), 1000)]
+    return partial, executor, events, reference
+
+
+def _kinds(events, kind):
+    return [event for event in events if event["kind"] == kind]
+
+
 def test_crash_restarts_exactly_the_unit_holding_the_cell(tmp_path):
     """``crash@4`` on a 3 x 3 grid kills the attempt of the work unit
     holding cell 4 -- reward column 1 for the pseudo-Erlang engine --
     and only that unit runs twice; the grid still equals the shared
     sweep bit for bit."""
-    from repro.obs.recorder import FlightRecorder
-    times, rewards = TIMES[:3], REWARDS
-    reference = get_engine("erlang", phases=16).joint_probability_sweep(
-        build_model(), times, rewards, TARGET)
-    clear_caches()
-    recorder_dir = tmp_path / "flight"
-    executor = ProcessShardExecutor(
-        max_workers=2, heartbeat_timeout=0.5, faults="crash@4",
-        recorder_dir=str(recorder_dir))
-    partial = get_engine("erlang", phases=16).joint_probability_sweep_partial(
-        build_model(), times, rewards, TARGET, executor=executor)
+    partial, executor, events, reference = _erlang_grid(
+        "crash@4", tmp_path / "flight")
     assert partial.complete
     assert partial.grid.tobytes() == reference.tobytes()
     assert executor.restarts == 1 and executor.retries == 1
-    starts = [event for sidecar in recorder_dir.iterdir()
-              for event in FlightRecorder.read_tail(str(sidecar), 1000)
-              if event["kind"] == "task_start"]
     runs = {}
-    for event in starts:
+    for event in _kinds(events, "task_start"):
         column = {j for _, j in event["cells"]}
         assert len(event["cells"]) == 3 and len(column) == 1
         runs.setdefault(column.pop(), []).append(event["attempt"])
     assert {j: sorted(attempts) for j, attempts in runs.items()} == \
         {0: [0], 1: [0, 1], 2: [0]}
+    _assert_no_orphans()
+
+
+def test_corrupt_result_is_resent_not_recomputed(tmp_path):
+    """``corrupt@4`` spoils the result of reward column 1; the worker
+    that computed it re-sends the bytes it holds.  Every unit starts
+    once, no worker dies, and the grid is bit-identical."""
+    partial, executor, events, reference = _erlang_grid(
+        "corrupt@4", tmp_path / "flight")
+    assert partial.complete
+    assert partial.grid.tobytes() == reference.tobytes()
+    assert executor.restarts == 0 and executor.retries == 1
+    starts = _kinds(events, "task_start")
+    assert sorted(event["cells"][0][1] for event in starts) == [0, 1, 2]
+    resend, = _kinds(events, "resend")
+    column_1, = [event for event in starts
+                 if event["cells"][0][1] == 1]
+    assert resend["seq"] == column_1["seq"]
+    assert [event["fault"] for event in _kinds(events, "fault")] == \
+        ["corrupt"]
+    _assert_no_orphans()
+
+
+def test_resend_takes_the_units_next_fault(tmp_path):
+    """Column 2 holds ``corrupt@2`` before ``crash@5``: the resend of
+    the corrupt result takes the crash, so both faults fire, one
+    worker restarts, and the grid is still bit-identical."""
+    partial, executor, events, reference = _erlang_grid(
+        "corrupt@2;crash@5", tmp_path / "flight")
+    assert partial.complete
+    assert partial.grid.tobytes() == reference.tobytes()
+    assert executor.restarts == 1 and executor.retries == 2
+    assert sorted(event["fault"] for event in _kinds(events, "fault")) \
+        == ["corrupt", "crash"]
+    assert len(_kinds(events, "resend")) == 1
+    column_2 = sorted(event["attempt"]
+                      for event in _kinds(events, "task_start")
+                      if event["cells"][0][1] == 2)
+    assert column_2 == [0, 2]  # first run, then the re-run after the crash
+    _assert_no_orphans()
+
+
+def test_repeated_corruption_falls_back_to_the_cell_split(tmp_path):
+    """A result that arrives corrupt on every resend exhausts the
+    budget; the unit is split into single cells, which run and finish,
+    except cell 0, whose every result is corrupt: it alone is a
+    ``WorkerError``, and no worker ever restarts."""
+    from repro.exec import RetryPolicy
+    partial, executor, events, reference = _erlang_grid(
+        "corrupt@0;attempts=9", tmp_path / "flight",
+        retry=RetryPolicy(max_retries=2, base_delay=0.01))
+    assert partial.unevaluated == ((0, 0),)
+    failure, = partial.failures
+    assert "corrupt" in str(failure)
+    mask = ~np.isnan(partial.grid)
+    assert np.array_equal(partial.grid[mask], reference[mask])
+    assert executor.restarts == 0
+    # Column 0: two resends, the split, then two resends of cell 0.
+    assert executor.retries == 5
+    assert len(_kinds(events, "resend")) == 4
+    singles = sorted(tuple(event["cells"][0])
+                     for event in _kinds(events, "task_start")
+                     if len(event["cells"]) == 1)
+    assert singles == [(0, 0), (1, 0), (2, 0)]
+    _assert_no_orphans()
+
+
+def test_corrupt_result_after_the_deadline_is_not_resent(tmp_path):
+    """A corrupt result that arrives once the deadline has passed is
+    not re-sent: its unit comes back unevaluated and counts as a
+    missed deadline."""
+    from repro.obs import REGISTRY
+    missed = REGISTRY.counter("repro_deadline_missed_total")
+    before = missed.value
+    partial, executor, events, reference = _erlang_grid(
+        "corrupt@0;sleep=0.8", tmp_path / "flight",
+        deadline=time.monotonic() + 1.0)
+    # Column 0 started in time (its fault fired) but was not re-sent.
+    assert [event["fault"] for event in _kinds(events, "fault")] == \
+        ["corrupt"]
+    assert not _kinds(events, "resend")
+    assert executor.retries == 0 and executor.restarts == 0
+    assert {(0, 0), (1, 0), (2, 0)} <= set(partial.unevaluated)
+    assert not partial.failures
+    assert missed.value >= before + 1
+    mask = ~np.isnan(partial.grid)
+    assert np.array_equal(partial.grid[mask], reference[mask])
     _assert_no_orphans()
 
 

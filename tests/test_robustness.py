@@ -532,6 +532,26 @@ class TestCacheEviction:
         assert value_nbytes(pair) >= 2 * 32
         assert value_nbytes({"a": np.zeros(2)}) >= 16
 
+    def test_value_nbytes_counts_the_arrays_objects_hold(self):
+        """Poisson weights, kernel plans (slotted) and the models in
+        Erlang's matrix-cache entries count their arrays and sparse
+        matrices, not just their object headers."""
+        from repro.kernels.base import (build_sericola_plan,
+                                        build_shift_plan)
+        from repro.numerics.poisson import poisson_weights
+        weights = poisson_weights(500.0)
+        assert weights.weights.nbytes >= 2560
+        assert value_nbytes(weights) >= 2560
+        levels = np.arange(1000, dtype=float)
+        assert value_nbytes(build_sericola_plan(levels)) >= 2 * 8000
+        assert value_nbytes(build_shift_plan(np.arange(1000) % 3)) \
+            >= 2 * 8000
+        model = adhoc.adhoc_model()
+        rates = model.rate_matrix
+        held = (rates.data.nbytes + rates.indices.nbytes
+                + rates.indptr.nbytes + 3 * 8 * model.num_states)
+        assert value_nbytes((model, 0.5)) >= held
+
     def test_byte_cap_evicts_lru(self):
         cache = LRUCache(maxsize=100, max_bytes=3 * 800)
         for name in "abcd":
