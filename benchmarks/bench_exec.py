@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     if max(diffs.values()) != 0.0:
         print(f"FAIL: executor grids are not bit-identical: {diffs}")
         return 1
-    print("all executor grids bit-identical to the threaded baseline")
+    print("all executor grids bit-identical to the in-process baseline")
     if arguments.max_ratio is not None:
         ratios = section["runs"]["ratios_to_shared"]
         slow = {leg: ratios[leg] for leg in GATED

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Sweep-evaluation benchmark: per-point vs shared-prefix vs threads.
+"""Sweep-evaluation benchmark: per-point vs shared-prefix vs partial.
 
 Evaluates the paper's Q3 property over a whole ``(t, r)`` grid of
 bounds (the workload behind Tables 2--4, where one formula is swept
@@ -10,8 +10,9 @@ over its accuracy/bound parameters) three ways per engine:
 * **sweep** -- one :meth:`joint_probability_sweep` call sharing the
   propagation prefix across the grid;
 * **threaded** -- the fault-tolerant partial sweep on the in-process
-  thread executor (``joint_probability_sweep_partial``), which runs
-  the engine's shared-work units and must stay close to the sweep.
+  executor (``joint_probability_sweep_partial``), which runs the
+  engine's shared-work units inline and must stay close to the sweep
+  (the row keys keep their historical ``threaded_*`` names).
 
 The three must agree to 1e-10; speedups and engine counters are merged
 into ``BENCH_<YYYYMMDD>.json`` next to this script (created if

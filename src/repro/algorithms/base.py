@@ -179,12 +179,6 @@ class JointEngine(ABC):
     #: Short identifier used by :func:`get_engine` and the CLI.
     name: str = "abstract"
 
-    #: Whether this engine's work units gain from running on threads.
-    #: Engines whose inner loops hold the GIL on small operands set it
-    #: to ``False`` and the thread executor runs their units inline
-    #: (measurements in ``docs/EXECUTION.md``).
-    parallel_units: bool = True
-
     #: The accuracy knobs in constructor order, ``kernel`` excluded:
     #: the one statement of the engine's identity.  :meth:`spec`, the
     #: default :meth:`_cache_token`, :meth:`_with` and ``repr`` read
@@ -454,11 +448,11 @@ engine_compatibility`) reports every finding and the runtime guard
 
         The grid is split into the engine's shared-work units
         (:meth:`work_units`: a reward column, or a Sericola column
-        group) and *executor* runs them: ``None``/``"thread"`` on
-        in-process threads (or inline where threads do not pay, see
-        :attr:`parallel_units`), ``"process"`` (or a
-        :class:`~repro.exec.ProcessShardExecutor`) on crash-isolated
-        worker processes with retry/backoff and hang detection.  Each
+        group) and *executor* runs them: ``None``/``"thread"`` one
+        after another on the calling thread, ``"process"`` (or a
+        :class:`~repro.exec.ProcessShardExecutor`) on *max_workers*
+        crash-isolated worker processes with retry/backoff and hang
+        detection; *max_workers* sizes worker processes only.  Each
         unit is one :meth:`sweep_unit` run, so the shared propagation
         prefix survives; values are bit-identical to
         :meth:`joint_probability_sweep` whatever the executor.

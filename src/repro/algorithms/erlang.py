@@ -52,7 +52,7 @@ from repro.ctmc.mrm import MarkovRewardModel
 from repro.errors import NumericalError
 from repro.obs import annotate
 from repro.obs import span as obs_span
-from repro.numerics.poisson import right_truncation_point
+from repro.numerics.poisson import poisson_weights
 from repro.numerics.uniformization import (
     Kernel, transient_target_probabilities_sweep)
 
@@ -178,11 +178,6 @@ class ErlangEngine(JointEngine):
 
     name = "erlang"
     knobs = ("phases", "epsilon")
-    #: Threads lose here: on the Q3 grid the expanded chains are small
-    #: enough that GIL contention outweighs the overlap (measurements
-    #: in docs/EXECUTION.md), so the thread executor runs columns
-    #: inline.
-    parallel_units = False
 
     def findings(self, model, t=None, r=None):
         """E002: the expanded chain of ``n*k+1`` states is large."""
@@ -193,7 +188,9 @@ class ErlangEngine(JointEngine):
         if r is not None and r > 0.0 and t is not None:
             expanded_rate = (model.max_exit_rate
                              + self.phases * model.max_reward / r)
-            depth = right_truncation_point(expanded_rate * t, 1e-12)
+            # The series' own right point: the depth it will run.
+            depth = poisson_weights(expanded_rate * t,
+                                    epsilon=self.epsilon).right
             detail = (f"; its uniformisation rate grows to "
                       f"~{expanded_rate:.3g} (phase rate k/r), a "
                       f"predicted truncation depth of ~{depth} terms")

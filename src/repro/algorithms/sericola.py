@@ -118,10 +118,6 @@ class SericolaEngine(JointEngine):
 
     name = "sericola"
     knobs = ("epsilon", "steady_state_detection")
-    #: The series loop holds the GIL on the small operands of the
-    #: paper's models: two column groups on two threads measured 3.7x
-    #: slower than one group inline (docs/EXECUTION.md).
-    parallel_units = False
 
     def findings(self, model, t=None, r=None):
         """E001 (impulse rewards) and E007 (many reward levels)."""

@@ -133,8 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "appended and a re-run with the same file "
                             "resumes instead of recomputing")
     check.add_argument("--max-workers", type=int, default=None,
-                       help="worker cap for sweep runs (default: "
-                            "scale to the machine)")
+                       help="worker processes for --executor process "
+                            "(default: scale to the machine)")
     check.add_argument("--profile", action="store_true",
                        help="capture spans/metrics during the check "
                             "and print the profile report (span tree "
@@ -467,7 +467,7 @@ def _print_flight_tail(failure, file=sys.stdout) -> None:
     Accepts anything with a ``flight_tail`` attribute -- a
     :class:`~repro.errors.WorkerError`, a
     :class:`~repro.mc.certified.EngineFailure` -- and stays silent
-    when there is no tail (thread-pool failures, clean engine errors).
+    when there is no tail (in-process failures, clean engine errors).
     """
     tail = getattr(failure, "flight_tail", ())
     if not tail:

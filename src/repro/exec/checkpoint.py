@@ -35,7 +35,7 @@ File format: one JSON object per line.
 
 Rows are written through :class:`~repro.obs.recorder.RecordLog`
 (:meth:`SweepCheckpoint.extend` writes a whole unit's rows as one
-durable batch), so concurrent worker threads may append and the rows
+durable batch), so concurrent threads may append and the rows
 are on disk when the call returns.  The row format is per cell
 whatever the unit size, so files written one cell per batch resume
 unchanged.

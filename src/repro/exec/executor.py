@@ -33,7 +33,7 @@ good is retried cell by cell so the fault costs only its own cell:
   took with it.  Exceptions raised *by the engine* are
   deterministic and therefore not retried -- they surface as
   :class:`~repro.errors.WorkerError` failures exactly like the
-  threaded path's.
+  in-process path's.
 * **Circuit breaker** -- every failure/success is recorded against the
   engine/backend's breaker in the shared
   :data:`~repro.exec.retry.BREAKERS` registry; when it opens, the
@@ -61,7 +61,7 @@ count, fault history or resume pattern.  The chaos suite
 (``tests/test_exec_chaos.py``) asserts exactly that.
 
 The executor returns the same :class:`~repro.algorithms.base.\
-PartialSweep` the threaded path does, through the same
+PartialSweep` the in-process path does, through the same
 :class:`SweepGrid` bookkeeping, so callers switch with one
 ``executor="process"`` argument.
 """
@@ -76,9 +76,6 @@ import shutil
 import tempfile
 import time
 from collections import deque
-from concurrent.futures import (FIRST_COMPLETED, Future,
-                                ThreadPoolExecutor, wait)
-from contextlib import nullcontext
 from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
                     Optional, Sequence, Tuple, Union)
 
@@ -299,33 +296,17 @@ class SweepGrid:
             self.checkpoint.close()
 
 
-class _InlinePool:
-    """Runs each task at submission, on the calling thread."""
-
-    def submit(self, function, *args) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(function(*args))
-        except Exception as exc:  # noqa: BLE001 - delivered via future
-            future.set_exception(exc)
-        return future
-
-
 class ThreadShardExecutor:
-    """Runs a sweep's work units in this process.
+    """Runs a sweep's work units in this process, one after another on
+    the calling thread.
 
-    Units go to a thread pool of ``max_workers`` (``None``: one per
-    CPU, capped by the unit count) when the engine's
-    :attr:`~repro.algorithms.base.JointEngine.parallel_units` says
-    threads pay, else inline on the calling thread.  Every unit runs on
-    the caller's one engine: engines write no per-call state but their
-    ``last_*`` read-outs.
+    Every unit runs on the caller's one engine: engines write no
+    per-call state but their ``last_*`` read-outs.  Parallel sweeps
+    are :class:`ProcessShardExecutor`'s job; the ``"thread"`` name
+    stays for the callers that select the in-process path by it.
     """
 
     name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
 
     def run(self, engine, model, times, reward_bounds, target,
             deadline: Optional[float] = None,
@@ -364,61 +345,40 @@ JointEngine.joint_probability_sweep`: the first engine error
 
     def _drive(self, sweep: SweepGrid, deadline: Optional[float],
                isolate: bool) -> None:
-        engine = sweep.engine
-        workers = (resolve_workers(self.max_workers,
-                                   sweep.missing_columns)
-                   if engine.parallel_units else 1)
-        queue = deque(sweep.units(workers))
-        parent = OBS.tracer.current() if OBS.enabled else None
-
-        def compute(unit: WorkUnit, label: str) -> np.ndarray:
-            start = time.perf_counter()
-            # Pool threads do not inherit the caller's span: attach.
-            scope = (nullcontext() if workers == 1 or parent is None
-                     else OBS.tracer.span("worker", parent=parent,
-                                          worker=label))
+        queue = deque(sweep.units(1))
+        while queue and remaining(deadline) > 0.0:
+            unit = queue.popleft()
             try:
-                with scope:
-                    return engine.sweep_unit(sweep.model,
-                                             *sweep.bounds(unit),
-                                             sweep.indicator)
-            finally:
-                if OBS.enabled and isolate:
-                    OBS.metrics.histogram(
-                        "repro_sweep_cell_seconds",
-                        engine=engine.name).observe(
-                            time.perf_counter() - start)
-
-        running: Dict[Future, WorkUnit] = {}
-        started = 0
-        with (ThreadPoolExecutor(workers) if workers > 1
-              else nullcontext(_InlinePool())) as pool:
-            while queue or running:
-                while (queue and len(running) < workers
-                       and remaining(deadline) > 0.0):
-                    unit = queue.popleft()
-                    running[pool.submit(compute, unit,
-                                        f"thread-{started}")] = unit
-                    started += 1
-                if not running:
-                    break  # the deadline passed; the queue stays undone
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    unit = running.pop(future)
-                    error = future.exception()
-                    if error is None:
-                        sweep.complete(unit, future.result())
-                    elif not isolate:
-                        raise error
-                    else:
-                        queue.extend(sweep.fail(unit, error))
+                block = self._compute(sweep, unit, isolate)
+            except Exception as error:
+                if not isolate:
+                    raise
+                queue.extend(sweep.fail(unit, error))
+            else:
+                sweep.complete(unit, block)
         _record_deadline_missed(len(queue))
+
+    @staticmethod
+    def _compute(sweep: SweepGrid, unit: WorkUnit,
+                 isolate: bool) -> np.ndarray:
+        """One unit's block; a partial sweep times it into
+        ``repro_sweep_cell_seconds``."""
+        start = time.perf_counter()
+        try:
+            return sweep.engine.sweep_unit(
+                sweep.model, *sweep.bounds(unit), sweep.indicator)
+        finally:
+            if OBS.enabled and isolate:
+                OBS.metrics.histogram(
+                    "repro_sweep_cell_seconds",
+                    engine=sweep.engine.name).observe(
+                        time.perf_counter() - start)
 
     def close(self) -> None:
         pass
 
     def __repr__(self) -> str:
-        return f"ThreadShardExecutor(max_workers={self.max_workers})"
+        return "ThreadShardExecutor()"
 
 
 class _Worker:
@@ -512,8 +472,8 @@ class ProcessShardExecutor:
     Parameters
     ----------
     max_workers:
-        Worker process count; ``None`` resolves like the threaded
-        executor (``min(cpu_count, 8, reward columns)``).
+        Worker process count; ``None`` means ``min(cpu_count, 8,
+        reward columns)``.
     heartbeat_timeout:
         A busy worker silent for this many seconds (default 2.0) is
         declared hung, killed and replaced; workers beat ten times per
@@ -934,7 +894,7 @@ class _Run:
             worker.task = None
             cause = RemoteTaskError(exc_type, text, tb)
             # Engine exceptions are deterministic: retrying replays
-            # the same failure, so give up immediately (the threaded
+            # the same failure, so give up immediately (the in-process
             # path's semantics).
             self._give_up(task.key, cause)
             self.breaker.record_failure()
@@ -1174,11 +1134,13 @@ def resolve_executor(executor: Union[None, str, Any],
 
     ``None`` and ``"thread"`` give the in-process
     :class:`ThreadShardExecutor`; ``"process"`` a fresh
-    :class:`ProcessShardExecutor`; an object with a ``run`` method
-    passes through unchanged (its own worker settings win).
+    :class:`ProcessShardExecutor` of *max_workers* worker processes
+    (the in-process executor runs its units one at a time and has no
+    workers to size); an object with a ``run`` method passes through
+    unchanged (its own worker settings win).
     """
     if executor is None or executor == "thread":
-        return ThreadShardExecutor(max_workers=max_workers)
+        return ThreadShardExecutor()
     if executor == "process":
         return ProcessShardExecutor(max_workers=max_workers)
     if hasattr(executor, "run"):

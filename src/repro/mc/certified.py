@@ -228,13 +228,11 @@ class CertifiedChecker:
                  chain: Sequence[Union[str, JointEngine]] = DEFAULT_CHAIN,
                  budget: Optional[Budget] = None,
                  target_width: Optional[float] = None,
-                 epsilon: float = 1e-12,
-                 solver: str = "direct"):
+                 epsilon: float = 1e-12):
         if isinstance(model, ModelChecker):
             self.checker = model
         else:
-            self.checker = ModelChecker(model, epsilon=epsilon,
-                                        solver=solver)
+            self.checker = ModelChecker(model, epsilon=epsilon)
         self.model = self.checker.model
         engines = tuple(get_engine(entry) if isinstance(entry, str)
                         else entry for entry in chain)

@@ -43,9 +43,6 @@ class ModelChecker:
         ``None`` for the default (Sericola with ``epsilon``).
     epsilon:
         Truncation error bound used by the transient procedures.
-    solver:
-        Linear solver for unbounded until and steady state
-        (``"direct"``, ``"jacobi"`` or ``"gauss-seidel"``).
     preflight:
         Run the static analysis passes (:mod:`repro.analysis`) before
         invoking the joint-distribution engine on a time- and
@@ -82,7 +79,6 @@ prepass`): ``"auto"`` (default) minimises the Theorem-1-reduced model
                  model: MarkovRewardModel,
                  engine: Union[None, str, JointEngine] = None,
                  epsilon: float = 1e-12,
-                 solver: str = "direct",
                  preflight: bool = True,
                  lump: prepass.LumpMode = "auto"):
         self.model = as_mrm(model)
@@ -92,7 +88,6 @@ prepass`): ``"auto"`` (default) minimises the Theorem-1-reduced model
             engine = get_engine(engine)
         self.engine = engine
         self.epsilon = float(epsilon)
-        self.solver = solver
         self.preflight = bool(preflight)
         self.lump = prepass.validate_mode(lump)
         self._cache: Dict[ast.StateFormula, FrozenSet[int]] = {}
@@ -212,10 +207,10 @@ prepass`): ``"auto"`` (default) minimises the Theorem-1-reduced model
         """One bound grid per ``(left, right)`` formula pair.
 
         Each pair is reduced once and its grid runs through
-        :meth:`until_probability_sweep` -- the same thread executor,
-        and hence the same measured ``parallel_units`` policy, as any
-        single sweep.  Results come back in *pairs* order; an engine
-        error propagates unchanged.
+        :meth:`until_probability_sweep` -- the same in-process
+        executor as any single sweep, its units one after another.
+        Results come back in *pairs* order; an engine error propagates
+        unchanged.
         """
         return [self.until_probability_sweep(left, right, times, rewards)
                 for left, right in pairs]
@@ -264,13 +259,14 @@ CertifiedCheckResult` whose verdict is TRUE/FALSE only when certified.
         land in the shared joint-vector cache, so a retry of the same
         grid resumes where this call stopped.
 
-        *executor* shards the units over crash-isolated worker
-        processes (``"process"`` or a :class:`~repro.exec.\
-ProcessShardExecutor`) instead of in-process threads; *checkpoint* (a
-        path) additionally makes every finished unit durable, so the
-        grid survives the death of this process and a re-run resumes
-        from the file.  Results are bit-identical in all
-        configurations.
+        *executor* shards the units over *max_workers* crash-isolated
+        worker processes (``"process"`` or a :class:`~repro.exec.\
+ProcessShardExecutor`); ``None``/``"thread"`` runs them one after
+        another in this process, with no workers for *max_workers* to
+        size.  *checkpoint* (a path) additionally makes every finished
+        unit durable, so the grid survives the death of this process
+        and a re-run resumes from the file.  Results are bit-identical
+        in all configurations.
         """
         from dataclasses import replace
         work = self._work(left, right)
@@ -329,8 +325,7 @@ ProcessShardExecutor`) instead of in-process threads; *checkpoint* (a
                 self.model, query.time, epsilon=self.epsilon)
         if isinstance(query, ast.ReachabilityReward):
             phi = set(self.satisfaction_set(query.operand))
-            return reward_op.reachability_reward_vector(
-                self.model, phi, solver=self.solver)
+            return reward_op.reachability_reward_vector(self.model, phi)
         if isinstance(query, ast.SteadyStateReward):
             from repro.mc.measures import long_run_reward_rate
             return long_run_reward_rate(self.model)
@@ -348,8 +343,7 @@ ProcessShardExecutor`) instead of in-process threads; *checkpoint* (a
             and not np.any(self.model.rewards > 0.0)
             and not self.model.has_impulse_rewards)
         if time.is_trivial and reward_trivial:
-            return until.unbounded_until(self.model, phi, psi,
-                                         solver=self.solver)
+            return until.unbounded_until(self.model, phi, psi)
         if reward_trivial:
             return until.time_bounded_until(self.model, phi, psi, time,
                                             epsilon=self.epsilon)

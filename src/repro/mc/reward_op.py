@@ -51,8 +51,7 @@ def cumulative_reward_vector(model: MarkovRewardModel,
 
 
 def reachability_reward_vector(model: MarkovRewardModel,
-                               phi: Set[int],
-                               solver: str = "direct") -> np.ndarray:
+                               phi: Set[int]) -> np.ndarray:
     """Expected reward until first reaching *phi*, per initial state.
 
     For a non-*phi* state ``s`` the expectation satisfies
@@ -97,7 +96,7 @@ def reachability_reward_vector(model: MarkovRewardModel,
     system = sp.coo_matrix((vals, (rows, cols)),
                            shape=(len(solve_states),) * 2).tocsr()
     system.sum_duplicates()
-    solution = solve_linear_system(system, rhs, method=solver)
+    solution = solve_linear_system(system, rhs)
     for s, i in index.items():
         result[s] = max(0.0, float(solution[i]))
     return result

@@ -46,10 +46,9 @@ def _indicator(num_states: int, members: Set[int]) -> np.ndarray:
 
 def unbounded_until(model: MarkovRewardModel,
                     phi: Set[int],
-                    psi: Set[int],
-                    solver: str = "direct") -> np.ndarray:
+                    psi: Set[int]) -> np.ndarray:
     """Per-state probability of ``Phi U Psi`` (property class P0)."""
-    return reachability_probabilities(model, phi, psi, method=solver)
+    return reachability_probabilities(model, phi, psi)
 
 
 def time_bounded_until(model: MarkovRewardModel,

@@ -36,9 +36,7 @@ def embedded_dtmc(model: CTMC) -> sp.csr_matrix:
 
 def reachability_probabilities(model: CTMC,
                                phi: Set[int],
-                               psi: Set[int],
-                               method: str = "direct",
-                               tolerance: float = 1e-12) -> np.ndarray:
+                               psi: Set[int]) -> np.ndarray:
     """Per-state probability of ``phi U psi`` (no time/reward bounds).
 
     Implements the Hansson--Jonsson procedure referenced by the paper
@@ -66,8 +64,7 @@ def reachability_probabilities(model: CTMC,
     else:
         b = np.zeros(len(maybe))
     system = sp.identity(len(maybe), format="csr") - sub
-    solution = solve_linear_system(system, b, method=method,
-                                   tolerance=tolerance)
+    solution = solve_linear_system(system, b)
     for s, i in index.items():
         result[s] = min(1.0, max(0.0, float(solution[i])))
     return result

@@ -6,9 +6,7 @@ The model checker needs two kinds of linear algebra:
   "P0-type" properties of the paper, following Hansson & Jonsson);
 * stationary distributions of CTMCs for the steady-state operator.
 
-A direct sparse solver is the default; Jacobi and Gauss--Seidel
-iterations are provided for large models and as independent
-cross-checks.
+Both use a direct sparse solver.
 """
 
 from __future__ import annotations
@@ -18,28 +16,14 @@ import scipy.sparse as sp
 
 from repro.ctmc.ctmc import CTMC
 from repro.ctmc import graph
-from repro.errors import ConvergenceError, ModelError, NumericalError
+from repro.errors import ModelError, NumericalError
 
 
-def solve_linear_system(matrix,
-                        rhs,
-                        method: str = "direct",
-                        tolerance: float = 1e-12,
-                        max_iterations: int = 100_000) -> np.ndarray:
-    """Solve ``matrix @ x = rhs``.
+def solve_linear_system(matrix, rhs) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` by sparse LU.
 
-    Parameters
-    ----------
-    matrix:
-        Square sparse or dense matrix.
-    rhs:
-        Right-hand side vector.
-    method:
-        ``"direct"`` (sparse LU), ``"jacobi"`` or ``"gauss-seidel"``.
-    tolerance:
-        Maximum-norm residual target for the iterative methods.
-    max_iterations:
-        Iteration budget for the iterative methods.
+    *matrix* is a square sparse or dense matrix, *rhs* the right-hand
+    side vector.
     """
     A = matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(
         np.asarray(matrix, dtype=float))
@@ -50,64 +34,8 @@ def solve_linear_system(matrix,
     if b.shape != (n,):
         raise NumericalError(
             f"rhs has shape {b.shape}, expected ({n},)")
-
-    if method == "direct":
-        import scipy.sparse.linalg as spla
-        return np.asarray(spla.spsolve(A.tocsc(), b)).ravel()
-    if method == "jacobi":
-        return _jacobi(A, b, tolerance, max_iterations)
-    if method == "gauss-seidel":
-        return _gauss_seidel(A, b, tolerance, max_iterations)
-    raise NumericalError(f"unknown linear solver {method!r}")
-
-
-def _split_diagonal(A: sp.csr_matrix):
-    diagonal = A.diagonal()
-    if np.any(diagonal == 0.0):
-        raise NumericalError(
-            "iterative solvers require a non-zero diagonal")
-    off = A - sp.diags(diagonal, format="csr")
-    return diagonal, off.tocsr()
-
-
-def _jacobi(A: sp.csr_matrix, b: np.ndarray,
-            tolerance: float, max_iterations: int) -> np.ndarray:
-    diagonal, off = _split_diagonal(A)
-    x = np.zeros_like(b)
-    for iteration in range(max_iterations):
-        x_next = (b - off @ x) / diagonal
-        if np.max(np.abs(x_next - x)) < tolerance:
-            return x_next
-        x = x_next
-    raise ConvergenceError("Jacobi iteration did not converge",
-                           iterations=max_iterations)
-
-
-def _gauss_seidel(A: sp.csr_matrix, b: np.ndarray,
-                  tolerance: float, max_iterations: int) -> np.ndarray:
-    indptr, indices, data = A.indptr, A.indices, A.data
-    diagonal = A.diagonal()
-    if np.any(diagonal == 0.0):
-        raise NumericalError(
-            "iterative solvers require a non-zero diagonal")
-    n = A.shape[0]
-    x = np.zeros_like(b)
-    for iteration in range(max_iterations):
-        delta = 0.0
-        for i in range(n):
-            acc = b[i]
-            dia = diagonal[i]
-            for ptr in range(indptr[i], indptr[i + 1]):
-                j = indices[ptr]
-                if j != i:
-                    acc -= data[ptr] * x[j]
-            new = acc / dia
-            delta = max(delta, abs(new - x[i]))
-            x[i] = new
-        if delta < tolerance:
-            return x
-    raise ConvergenceError("Gauss-Seidel iteration did not converge",
-                           iterations=max_iterations)
+    import scipy.sparse.linalg as spla
+    return np.asarray(spla.spsolve(A.tocsc(), b)).ravel()
 
 
 def stationary_distribution(model: CTMC,

@@ -112,7 +112,7 @@ def _shape(name: str, children: Iterable[Dict[str, Any]]
 def span_shape(spans: Sequence[Span]) -> List[Dict[str, Any]]:
     """Names and nesting only -- no ids, no timings, no attributes.
 
-    Children are sorted by name (completion order of threaded workers
+    Children are sorted by name (completion order of worker processes
     is nondeterministic) and *collapsed*: repeated identical child
     shapes are folded into one entry so a sweep over 11 grid cells and
     one over 7 produce the same shape.  This is the structure the CI

@@ -16,7 +16,7 @@ timing histograms, labels for the engine dimension.  Histograms use
 bucket.
 
 Everything is standard library only; all mutation is lock-protected so
-the thread executor's unit threads can record concurrently.
+concurrent threads can record safely.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ pipe:
   the exported spans under the parent's live sweep span
   (:meth:`~repro.obs.trace.Tracer.adopt_segments`) -- so ``repro
   check --profile`` shows one coherent tree and
-  ``repro_engine_*_total`` are complete whether the sweep ran on
-  threads or processes.
+  ``repro_engine_*_total`` are complete whether the sweep ran in
+  this process or on worker processes.
 
 Roll-up convention: derived roll-up gauges (currently
 ``repro_peak_rss_bytes_max``) are *not* shipped -- the merging side

@@ -14,12 +14,11 @@ Spans are created through :meth:`Tracer.span`, a context manager::
         span.set(cache_hit=False)
 
 Nesting is tracked per thread (a thread-local stack), so concurrent
-queries trace independently.  Cross-thread attribution is explicit:
-the thread executor (:class:`repro.exec.ThreadShardExecutor`) captures
-the calling thread's current span before submitting work and opens
-worker-labelled child spans under it (``tracer.span(..., parent=p)``),
-so a sweep's work units appear as children of the sweep span, not as
-detached roots.
+queries trace independently.  Attribution from elsewhere is explicit:
+``tracer.span(..., parent=p)`` opens a child of a given span, and the
+process executor re-parents its workers' exported spans under the
+sweep (:meth:`Tracer.adopt_segments`), so a sweep's work units appear
+as children of the sweep span, not as detached roots.
 
 The tracer is deliberately dumb about output: finished root spans
 accumulate on :attr:`Tracer.roots` and the exporters
@@ -150,8 +149,7 @@ class Tracer:
 
     def current(self) -> Optional[Span]:
         """The calling thread's innermost open span (``None`` outside
-        any span).  The thread executor captures this *before*
-        submitting units so workers can attach to it explicitly."""
+        any span)."""
         stack = self._stack()
         return stack[-1] if stack else None
 
@@ -160,8 +158,7 @@ class Tracer:
         """Open a child span of *parent* as a context manager.
 
         *parent* defaults to the calling thread's current span; pass an
-        explicit :class:`Span` for cross-thread attribution (worker
-        spans under a sweep span) or ``None`` to force a new root.
+        explicit :class:`Span` to attach elsewhere or ``None`` to force a new root.
         """
         if parent is _CURRENT:
             parent_span = self.current()

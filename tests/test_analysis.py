@@ -408,6 +408,25 @@ class TestEnginePasses:
         assert not any(d.code == "E002" for d in engine_compatibility(
             small, build_clean_model(), JOINT_QUERY))
 
+    @pytest.mark.parametrize("epsilon,depth", [(1e-6, 69), (1e-12, 86)])
+    def test_e002_predicts_the_depth_the_series_runs(self, epsilon,
+                                                      depth):
+        """E002 predicts the expanded series' depth at the engine's own
+        epsilon: the propagation steps an uncached unit then runs."""
+        from repro.models.workloads import grid_mrm
+        from repro.obs import OBS
+        from repro.obs.export import engine_totals
+        model = grid_mrm(40, 40)
+        engine = ErlangEngine(phases=64, epsilon=epsilon)
+        finding, = [f for f in engine.findings(model, 1.0, 4.0)
+                    if f.code == "E002"]
+        assert f"depth of ~{depth} terms" in finding.message
+        with OBS.capture():
+            engine.sweep_unit(model, [1.0], [4.0],
+                              (model.rewards == 0.0).astype(float))
+            steps = engine_totals(OBS.metrics)["propagation_steps"]
+        assert steps == depth
+
     def test_e003_discretization_grid_memory(self):
         """Without impulses ``Y_t <= rho_max t`` caps the grid: r = 1e9
         at t = 2^17 keeps 2 * 2^17 * 64 + 1 cells for each of the 3

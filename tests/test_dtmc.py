@@ -87,11 +87,3 @@ class TestReachability:
         probs = reachability_probabilities(model, set(), {2})
         assert probs[2] == 1.0
         assert probs[1] == 0.0
-
-    @pytest.mark.parametrize("solver", ["direct", "jacobi", "gauss-seidel"])
-    def test_solver_choices_agree(self, solver):
-        model = self.gamblers_ruin(0.4)
-        probs = reachability_probabilities(model, set(range(5)), {4},
-                                           method=solver)
-        reference = reachability_probabilities(model, set(range(5)), {4})
-        assert np.allclose(probs, reference, atol=1e-9)

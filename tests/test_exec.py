@@ -359,6 +359,33 @@ class TestSweepCheckpoint:
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 1 + len(times) * len(rewards)
 
+    def test_cache_served_cells_reach_a_new_file(self, flip_flop,
+                                                  tmp_path):
+        """A warm sweep writes its cache-served cells to a fresh
+        checkpoint, so a cold resume from that file computes nothing."""
+        from repro.obs import OBS
+        from repro.obs.export import engine_totals
+        times, rewards = [0.5, 1.0], [0.4, 0.8, 1.2]
+        engine = DiscretizationEngine(step=1.0 / 16)
+        clear_caches()
+        warm = engine.joint_probability_sweep(flip_flop, times, rewards,
+                                              {1})
+        path = str(tmp_path / "cp.jsonl")
+        assert engine.joint_probability_sweep_partial(
+            flip_flop, times, rewards, {1}, checkpoint=path).complete
+        clear_caches()
+        with OBS.capture():
+            partial = DiscretizationEngine(
+                step=1.0 / 16).joint_probability_sweep_partial(
+                    flip_flop, times, rewards, {1}, checkpoint=path)
+            misses = engine_totals(OBS.metrics)["cache_misses"]
+            names = {span.name for root in OBS.tracer.roots
+                     for span in root.walk()}
+        assert partial.complete
+        assert partial.grid.tobytes() == warm.tobytes()
+        assert misses == 0
+        assert "sweep_unit" not in names
+
     def test_identity_mismatch_raises(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         self._open(path).close()
@@ -486,9 +513,9 @@ class TestResolveExecutor:
 
     def test_none_and_thread(self):
         assert isinstance(resolve_executor(None), ThreadShardExecutor)
+        # max_workers sizes worker processes; "thread" accepts it.
         resolved = resolve_executor("thread", max_workers=2)
         assert isinstance(resolved, ThreadShardExecutor)
-        assert resolved.max_workers == 2
 
     def test_process(self):
         resolved = resolve_executor("process", max_workers=2)
@@ -496,7 +523,7 @@ class TestResolveExecutor:
         assert resolved.max_workers == 2
 
     def test_instance_passes_through(self):
-        executor = ThreadShardExecutor(max_workers=1)
+        executor = ThreadShardExecutor()
         assert resolve_executor(executor) is executor
 
     def test_unknown_name_raises(self):

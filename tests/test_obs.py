@@ -377,9 +377,9 @@ class TestParallelObservability:
         assert remaining(time.monotonic() - 1.0) <= 0.0
 
     @staticmethod
-    def _expired_sweep(flip_flop, workers):
+    def _expired_sweep(flip_flop):
         """A three-column (three-unit) sweep whose deadline passed."""
-        return ThreadShardExecutor(max_workers=workers).run(
+        return ThreadShardExecutor().run(
             DiscretizationEngine(step=1.0 / 8), flip_flop, [1.0],
             [1.0, 2.0, 4.0], {1}, deadline=time.monotonic() - 1.0)
 
@@ -393,14 +393,14 @@ class TestParallelObservability:
             DiscretizationEngine(step=1.0 / 8), flip_flop, [1.0],
             [1.0, 2.0, 4.0], {1}, deadline=time.monotonic() + 0.2)
 
-    @pytest.mark.parametrize("workers", [1, 2, "process"])
-    def test_deadline_missed_counter(self, workers, flip_flop):
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_deadline_missed_counter(self, executor, flip_flop):
         REGISTRY.reset()
         clear_caches()
-        if workers == "process":
+        if executor == "process":
             partial = self._faulted_process_sweep(flip_flop)
         else:
-            partial = self._expired_sweep(flip_flop, workers)
+            partial = self._expired_sweep(flip_flop)
         missed = REGISTRY.snapshot().get(
             "repro_deadline_missed_total", {}).get("", 0)
         done = int(partial.completed.any(axis=0).sum())
@@ -410,33 +410,9 @@ class TestParallelObservability:
     def test_sequential_deadline_counts_all_skipped(self, flip_flop):
         REGISTRY.reset()
         clear_caches()
-        self._expired_sweep(flip_flop, 1)
+        self._expired_sweep(flip_flop)
         missed = REGISTRY.snapshot()["repro_deadline_missed_total"][""]
         assert missed == 3
-
-    @staticmethod
-    def _threaded_sweep(flip_flop):
-        """Three discretisation units on two unit threads."""
-        return ThreadShardExecutor(max_workers=2).sweep(
-            DiscretizationEngine(step=1.0 / 8), flip_flop, [1.0],
-            [1.0, 2.0, 4.0], {1})
-
-    def test_worker_spans_attach_to_caller(self, flip_flop):
-        clear_caches()
-        with OBS.capture():
-            with OBS.tracer.span("caller"):
-                self._threaded_sweep(flip_flop)
-        root, = OBS.tracer.roots
-        sweep, = [c for c in root.children if c.name == "joint_sweep"]
-        workers = [c for c in sweep.children if c.name == "worker"]
-        assert len(workers) == 3
-        assert {w.attributes["worker"] for w in workers} == {
-            "thread-0", "thread-1", "thread-2"}
-
-    def test_worker_spans_absent_when_disabled(self, flip_flop):
-        clear_caches()
-        self._threaded_sweep(flip_flop)
-        assert list(OBS.tracer.roots) == []
 
 
 # ----------------------------------------------------------------------

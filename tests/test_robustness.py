@@ -581,16 +581,14 @@ class TestCacheEviction:
             clear_caches()
 
     def test_stats_merge_carries_evictions(self, flip_flop, ledger):
-        """Evictions caused by unit threads reach the ledger."""
+        """Evictions caused by an executor's units reach the ledger."""
         from repro.exec import ThreadShardExecutor
         clear_caches()
         original = joint_cache.max_bytes
         joint_cache.max_bytes = 16
         try:
             engine = SericolaEngine(epsilon=1e-8)
-            # Sericola units run inline by default; force the pool.
-            engine.parallel_units = True
-            ThreadShardExecutor(max_workers=2).sweep(
+            ThreadShardExecutor().sweep(
                 engine, flip_flop, [1.0], [0.5, 1.0], [1])
             assert ledger("sericola")["cache_evictions"] > 0
         finally:

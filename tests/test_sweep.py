@@ -28,7 +28,8 @@ import pytest
 from repro.algorithms import (DiscretizationEngine, ErlangEngine,
                               SericolaEngine, clear_caches, joint_cache)
 from repro.errors import NumericalError, ParallelExecutionError
-from repro.exec import ProcessShardExecutor, ThreadShardExecutor
+from repro.exec import (BreakerRegistry, ProcessShardExecutor,
+                        ThreadShardExecutor, breaker_key)
 from repro.exec.executor import resolve_workers
 from repro.mc.checker import ModelChecker
 from repro.models.adhoc import Q3_REWARD_BOUND, Q3_TIME_BOUND
@@ -200,14 +201,11 @@ class TestParallelFanOut:
         sequential = [engine.joint_probability_sweep(*q)
                       for q in queries]
         clear_caches()
-        # Sericola units run inline by default; force the pool.
-        engine.parallel_units = True
         before = ledger()
-        threaded = [ThreadShardExecutor(max_workers=3).sweep(engine, *q)
-                    for q in queries]
-        for seq, thr in zip(sequential, threaded):
-            np.testing.assert_array_equal(seq, thr)
-        # every unit thread's work reached the ledger
+        partial = [ThreadShardExecutor().run(engine, *q) for q in queries]
+        for seq, run in zip(sequential, partial):
+            np.testing.assert_array_equal(seq, run.grid)
+        # every unit's work reached the ledger
         after = ledger()
         assert after["sweep_points"] - before["sweep_points"] == (
             4 * len(queries))
@@ -215,68 +213,19 @@ class TestParallelFanOut:
             4 * len(queries))
 
     def test_erlang_threaded_columns_deterministic(self):
+        """Cold in-process runs give the same bytes whatever
+        ``max_workers`` says: it sizes worker processes only."""
         model = random_mrm(8, seed=6, reward_levels=(0.0, 1.0, 2.0))
         grids = []
         for workers in (1, 4):
             clear_caches()
             engine = ErlangEngine(phases=32)
-            # Erlang units run inline by default; force the pool.
-            engine.parallel_units = workers > 1
             partial = engine.joint_probability_sweep_partial(
                 model, [0.5, 1.0], [0.0, 1.0, 2.0], {0, 2},
                 max_workers=workers)
             assert partial.complete
             grids.append(partial.grid)
-        np.testing.assert_array_equal(grids[0], grids[1])
-
-    def test_thread_executor_stress_keeps_counters(self, flip_flop,
-                                                   ledger):
-        """More unit threads than cores and a tiny switch interval: the
-        grid and the ledger's counters match the inline run."""
-        import sys
-        times, rewards = [0.5, 1.0], [0.25 * k for k in range(1, 13)]
-        runs = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 8):
-                clear_caches()
-                engine = DiscretizationEngine(step=1.0 / 16)
-                before = ledger()
-                partial = ThreadShardExecutor(max_workers=workers).run(
-                    engine, flip_flop, times, rewards, {1})
-                runs.append((partial, {key: value - before[key]
-                                       for key, value in ledger().items()}))
-        finally:
-            sys.setswitchinterval(interval)
-        (inline, inline_stats), (threaded, threaded_stats) = runs
-        assert threaded.complete
-        assert threaded.grid.tobytes() == inline.grid.tobytes()
-        assert threaded_stats == inline_stats
-        assert threaded_stats["sweep_points"] == len(times) * len(rewards)
-
-    def test_threads_share_the_callers_engine(self, flip_flop,
-                                              monkeypatch):
-        """Every unit of a threaded sweep runs on the caller's one
-        engine object; the grid equals the inline run bit for bit."""
-        calls = []
-        real = DiscretizationEngine._compute_joint_sweep
-
-        def spy(self, *args):
-            calls.append(id(self))
-            return real(self, *args)
-
-        monkeypatch.setattr(DiscretizationEngine, "_compute_joint_sweep",
-                            spy)
-        grids = []
-        for workers in (1, 2):
-            clear_caches()
-            calls.clear()
-            engine = DiscretizationEngine(step=1.0 / 16)
-            grids.append(ThreadShardExecutor(max_workers=workers).sweep(
-                engine, flip_flop, [0.5, 1.0], [1.0, 2.0, 4.0], {1}))
-            assert calls == [id(engine)] * 3
-        assert grids[1].tobytes() == grids[0].tobytes()
+        assert grids[0].tobytes() == grids[1].tobytes()
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_unit_spans_carry_the_kernel(self, flip_flop, executor):
@@ -317,12 +266,11 @@ class TestParallelFanOut:
 def executor_grids(engine, model, times, rewards, target, tmp_path):
     """The grid from each executor, every run cold."""
     grids = {}
-    for name in ("inline", "thread", "process", "durable"):
+    for name in ("thread", "process", "durable"):
         clear_caches()
         checkpoint = None
-        if name in ("inline", "thread"):
-            executor = ThreadShardExecutor(
-                max_workers=1 if name == "inline" else 2)
+        if name == "thread":
+            executor = ThreadShardExecutor()
         else:
             faults = None
             if name == "durable":
@@ -448,19 +396,30 @@ class TestCheckerSweep:
                                                          times, rewards)
                 assert np.array_equal(grid, direct), engine.name
 
-    def test_batch_follows_parallel_units(self, three_level_chain):
-        """Sericola units never pay for threads, so a batch of its
-        grids opens no ``worker`` span."""
-        checker = ModelChecker(three_level_chain,
-                               engine=SericolaEngine(epsilon=1e-10))
+    @pytest.mark.parametrize(
+        "engine",
+        [SericolaEngine(epsilon=1e-10), DiscretizationEngine(step=0.25)],
+        ids=lambda e: e.name)
+    def test_batch_runs_units_inline(self, three_level_chain, engine):
+        """A batch runs every unit on the calling thread: each
+        ``sweep_unit`` span is a direct child of its grid's
+        ``joint_sweep`` span, and no ``worker`` span opens.  (The
+        second pair reduces to the same chain, so the cache serves its
+        whole grid.)"""
+        checker = ModelChecker(three_level_chain, engine=engine)
         clear_caches()
         with OBS.capture():
             checker.until_probability_sweeps(
                 [("busy", "halt"), ("true", "halt")], [0.5, 1.5],
                 [1.0, 3.0])
+            sweeps = [node for root in OBS.tracer.roots
+                      for node in root.walk() if node.name == "joint_sweep"]
             names = {node.name for root in OBS.tracer.roots
                      for node in root.walk()}
-        assert "joint_sweep" in names
+        assert len(sweeps) == 2
+        assert {child.name for child in sweeps[0].children} == {
+            "sweep_unit"}
+        assert not sweeps[1].children
         assert "worker" not in names
 
     def test_batch_raises_the_engine_error(self, adhoc):
@@ -474,6 +433,58 @@ class TestCheckerSweep:
                 [("true", "call_initiated")], [1.0], [2.0])
         assert not isinstance(excinfo.value, ParallelExecutionError)
         assert "max exit rate 255" in str(excinfo.value)
+
+    def test_sweep_raises_a_cell_that_failed_for_good(
+            self, three_level_chain):
+        """A full grid run through an executor promises every cell: a
+        cell that fails for good raises, carrying its ``WorkerError``."""
+
+        class FlakyColumn(SericolaEngine):
+            def _compute_joint_sweep(self, model, times, rewards,
+                                     indicator):
+                if 3.0 in rewards:
+                    raise NumericalError("injected cell failure")
+                return super()._compute_joint_sweep(model, times,
+                                                    rewards, indicator)
+
+        checker = ModelChecker(three_level_chain,
+                               engine=FlakyColumn(epsilon=1e-10))
+        clear_caches()
+        with pytest.raises(ParallelExecutionError) as excinfo:
+            checker.until_probability_sweep("busy", "halt", [0.5, 1.5],
+                                            [1.0, 3.0], executor="thread")
+        assert excinfo.value.total == 4
+        failures = excinfo.value.failures
+        assert [f.index for f in failures] == [1, 3]
+        for failure in failures:
+            assert isinstance(failure.cause, NumericalError)
+            assert "r=3.0" in failure.label
+            assert "injected cell failure" in str(failure)
+
+    def test_sweep_raises_each_cell_an_open_breaker_left(
+            self, three_level_chain):
+        """An open breaker fails no cell, so each cell it left raises
+        as not evaluated."""
+        engine = SericolaEngine(epsilon=1e-10)
+        registry = BreakerRegistry(failure_threshold=1)
+        registry.breaker(breaker_key(engine)).record_failure()
+        executor = ProcessShardExecutor(max_workers=1, breakers=registry)
+        checker = ModelChecker(three_level_chain, engine=engine)
+        clear_caches()
+        try:
+            with pytest.raises(ParallelExecutionError) as excinfo:
+                checker.until_probability_sweep(
+                    "busy", "halt", [0.5, 1.5], [1.0, 3.0],
+                    executor=executor)
+        finally:
+            executor.close()
+        assert excinfo.value.total == 4
+        failures = excinfo.value.failures
+        assert [f.label for f in failures] == [
+            "cell (t=0.5, r=1.0)", "cell (t=0.5, r=3.0)",
+            "cell (t=1.5, r=1.0)", "cell (t=1.5, r=3.0)"]
+        assert all(str(f.cause) == "cell not evaluated"
+                   for f in failures)
 
 
 # ----------------------------------------------------------------------
